@@ -51,17 +51,6 @@ class UsageError(Exception):
 # ----------------------------------------------------------------------------
 
 
-def _parse_sig(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--sig wants three comma-separated integers, got {text!r}")
-    try:
-        f1, f2, f3 = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--sig components must be integers, got {text!r}")
-    return Signature(f1, f2, f3)
-
-
 def _parse_q(text: str) -> Tuple[Fraction, bool]:
     """(q as an exact Fraction, whether the spelling was decimal)."""
     try:
@@ -112,7 +101,9 @@ def format_float(value, digits: int) -> str:
 
 
 def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    """a/b, or a when b = 1; Decimal prints ints of any length."""
+    num = str(Decimal(v.numerator))
+    return f"{num}/{Decimal(v.denominator)}" if v.denominator != 1 else num
 
 
 # ----------------------------------------------------------------------------
@@ -156,7 +147,7 @@ def _base_config(args, q: Fraction) -> Dict[str, str]:
 
 
 def cmd_basis(args, out) -> int:
-    sig = _parse_sig(args.sig)
+    sig = Signature.parse(args.sig)
     q, _ = _parse_q(args.q)
     ctx = EvalContext.exact(q)
     rows: List[Dict[str, str]] = []
@@ -187,7 +178,7 @@ def cmd_basis(args, out) -> int:
 
 
 def cmd_matrix(args, out) -> int:
-    sig = _parse_sig(args.sig)
+    sig = Signature.parse(args.sig)
     q, _ = _parse_q(args.q)
     if args.gen not in GENERATORS:
         raise UsageError(f"unknown generator {args.gen!r}; expected one of "
@@ -215,7 +206,7 @@ def cmd_matrix(args, out) -> int:
 
 
 def cmd_weyl(args, out) -> int:
-    sig = _parse_sig(args.sig)
+    sig = Signature.parse(args.sig)
     q, _ = _parse_q(args.q)
     ctx = EvalContext.floating(q, precision=args.precision)
     weight = _parse_weight(args.weight)
@@ -269,7 +260,7 @@ def cmd_racah(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    sig = _parse_sig(args.sig)
+    sig = Signature.parse(args.sig)
     q, decimal_q = _parse_q(args.q)
     if args.mode == "exact" and decimal_q:
         raise UsageError("exact mode needs a rational q (use a/b form)")

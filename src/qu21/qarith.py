@@ -205,8 +205,6 @@ class EvalContext:
             raise ValueError("to_float requires a float-mode context")
         if isinstance(x, Fraction):
             return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
-        if isinstance(x, int):
-            return self._mp.mpf(x)
         return self._mp.mpf(x)
 
     # -- misc ----------------------------------------------------------------

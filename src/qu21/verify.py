@@ -18,6 +18,11 @@ Truncation discipline: an identity of degree d in the generators is asserted
 only on columns whose images under up to d successive generator applications
 stay inside the truncation (interior masks, computed for d <= 2).  Checks on
 an empty interior pass vacuously and say so in their report.
+
+One pass: run_all_checks builds each object once.  The float U and T reps
+serve the su11, hermiticity and Casimir checks and the intertwiner, which
+reads M_U(g) and M_T(g) from their sparse matrices and sums only stored
+entries; the complete Weyl blocks serve orthogonality and the intertwiner.
 """
 
 from __future__ import annotations
@@ -396,7 +401,6 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
                            *_worst(rep, c2, cols_ok), tolerance)]
 
     # eigenvalue separation per weight space at this q
-    sep_note = ""
     by_weight: Dict[Weight, set] = {}
     for lab, w in zip(rep.labels, rep.weights):
         by_weight.setdefault(w, set()).add(lab.T)
@@ -409,11 +413,15 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
             gap = abs(b - a)
             if min_gap is None or gap < min_gap:
                 min_gap = gap
-    if min_gap is not None and float(min_gap) <= tolerance:
+    if min_gap is None:
+        sep_note = "no weight holds two T values"
+    elif float(min_gap) <= tolerance:
         sep_note = "degenerate eigenvalues at this q"
+    else:
+        sep_note = f"min eigenvalue gap {float(min_gap):.3e}"
     reports.append(CheckReport(
         "casimir-separation", True, 0.0, tolerance, "", len(by_weight),
-        sep_note or f"min eigenvalue gap {float(min_gap or 0):.3e}"))
+        sep_note))
     return reports
 
 
@@ -471,10 +479,17 @@ def _complete_blocks(ctx: EvalContext, sig: Signature,
 
 def check_weyl_orthogonality(sig: Signature, truncation: Truncation,
                              ctx: EvalContext,
-                             tolerance: float = 1e-10) -> CheckReport:
-    """max |B^T B - I| and |B B^T - I| over every complete weight block."""
+                             tolerance: float = 1e-10,
+                             blocks: Optional[Dict[Weight, WeylBlock]] = None
+                             ) -> CheckReport:
+    """max |B^T B - I| and |B B^T - I| over every complete weight block.
+
+    blocks, when given, are the float blocks of _complete_blocks for this
+    window; otherwise they are built here.
+    """
     fctx = ctx if not ctx.is_exact() else ctx.as_float()
-    blocks = _complete_blocks(fctx, sig, truncation)
+    if blocks is None:
+        blocks = _complete_blocks(fctx, sig, truncation)
     worst = fctx.zero()
     where = ""
     for w, blk in sorted(blocks.items()):
@@ -492,16 +507,43 @@ def check_weyl_orthogonality(sig: Signature, truncation: Truncation,
                    tolerance)
 
 
+def _block_entries(rep: TruncatedRep, g: str, rows, cols):
+    """Stored entries of rep.matrices[g] as (r, c, value) in (r, c) order.
+
+    rows and cols are block labels, and r and c index into them.  Every
+    label of a complete block lies inside the window, so rep.index has it.
+    """
+    m = rep.matrices[g]
+    cols_j = [rep.index[l] for l in cols]
+    return [(r, c, m[(i, j)])
+            for r, i in enumerate(rep.index[l] for l in rows)
+            for c, j in enumerate(cols_j) if (i, j) in m]
+
+
 def check_intertwiner(sig: Signature, truncation: Truncation,
                       ctx: EvalContext, tolerance: float = 1e-10,
-                      flip_entry: Optional[str] = None) -> CheckReport:
+                      flip_entry: Optional[str] = None,
+                      blocks: Optional[Dict[Weight, WeylBlock]] = None,
+                      reps: Optional[Dict[str, TruncatedRep]] = None
+                      ) -> CheckReport:
     """W(target)^T M_U(g) W(source) = M_T(g) on complete block pairs.
+
+    M_U(g) and M_T(g) are read from the float rep matrices reps["u"] and
+    reps["t"], and blocks are the float blocks of _complete_blocks.  Either
+    is built here when not given, the reps with flip_entry so an injected
+    sign fault reaches the check (given reps already carry their own).
+    Each conjugated entry sums over the stored entries of M_U(g) only, in
+    (row, col) order, so skipped zeros change no digit of the residual.
 
     Worst violation is localized as (generator, weight, row, col) where row
     and col are T-basis labels of the target and source weights.
     """
     fctx = ctx if not ctx.is_exact() else ctx.as_float()
-    blocks = _complete_blocks(fctx, sig, truncation)
+    if blocks is None:
+        blocks = _complete_blocks(fctx, sig, truncation)
+    if reps is None:
+        reps = {b: TruncatedRep(fctx, sig, b, truncation, flip_entry=flip_entry)
+                for b in ("u", "t")}
     worst = fctx.zero()
     where = ""
     pairs = 0
@@ -513,30 +555,20 @@ def check_intertwiner(sig: Signature, truncation: Truncation,
             if blk2 is None:
                 continue
             pairs += 1
-            uidx = {l: i for i, l in enumerate(blk2.u_labels)}
-            tidx = {l: i for i, l in enumerate(blk2.t_labels)}
-            nu, nu2 = len(blk.u_labels), len(blk2.u_labels)
-            nt, nt2 = len(blk.t_labels), len(blk2.t_labels)
-            mu = [[fctx.zero()] * nu for _ in range(nu2)]
-            for j, lab in enumerate(blk.u_labels):
-                for tgt, coeff in basis_action(fctx, sig, "u", g, lab,
-                                               flip_entry=flip_entry):
-                    mu[uidx[tgt]][j] = coeff.to_float(fctx)
-            mt = [[fctx.zero()] * nt for _ in range(nt2)]
-            for j, lab in enumerate(blk.t_labels):
-                for tgt, coeff in basis_action(fctx, sig, "t", g, lab,
-                                               flip_entry=flip_entry):
-                    mt[tidx[tgt]][j] = coeff.to_float(fctx)
-            # conjugate: blk2.entries^T (nu2 x nt2)^T . mu . blk.entries
-            for a in range(nt2):
-                for b in range(nt):
+            mu = _block_entries(reps["u"], g, blk2.u_labels, blk.u_labels)
+            mt = [[fctx.zero()] * len(blk.t_labels) for _ in blk2.t_labels]
+            for a, b, v in _block_entries(reps["t"], g, blk2.t_labels,
+                                          blk.t_labels):
+                mt[a][b] = v
+            # conjugate: blk2.entries^T . M_U(g) . blk.entries; each product
+            # is (e2[r][a] * v) * e1[c][b], so the left factor is reused over b
+            e1, e2 = blk.entries, blk2.entries
+            for a in range(len(blk2.t_labels)):
+                left = [(e2[r][a] * v, c) for r, c, v in mu]
+                for b in range(len(blk.t_labels)):
                     acc = fctx.zero()
-                    for r in range(nu2):
-                        if not mu[r]:
-                            continue
-                        era = blk2.entries[r][a]
-                        for c in range(nu):
-                            acc += era * mu[r][c] * blk.entries[c][b]
+                    for lv, c in left:
+                        acc += lv * e1[c][b]
                     mag = abs(acc - mt[a][b])
                     if mag > worst:
                         worst = mag
@@ -546,7 +578,7 @@ def check_intertwiner(sig: Signature, truncation: Truncation,
 
 
 def check_projector(sig: Signature, t_value, truncation: Truncation,
-                    ctx: Optional[EvalContext] = None,
+                    ctx: EvalContext,
                     tolerance: float = 1e-10) -> List[CheckReport]:
     """Extremal projector identities on the T0 = T+1 subspace.
 
@@ -562,9 +594,7 @@ def check_projector(sig: Signature, t_value, truncation: Truncation,
     * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth headroom.
     """
     T = Fraction(t_value)
-    fctx = (ctx or EvalContext.floating(Fraction(13, 10)))
-    if fctx.is_exact():
-        fctx = fctx.as_float()
+    fctx = ctx if not ctx.is_exact() else ctx.as_float()
     tol = tolerance
     labels = [l for l in enumerate_t_basis(sig, truncation.s_max, truncation.depth)
               if l.M == T + 1]
@@ -714,12 +744,12 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
     ectx = EvalContext.exact(q) if mode == "exact" else None
     reports: List[CheckReport] = []
     reps = {}
-    if wanted & {"su11", "hermiticity", "casimir"}:
+    if wanted & {"su11", "hermiticity", "casimir", "intertwiner"}:
         for b in ("u", "t"):
             reps[b] = TruncatedRep(fctx, sig, b, trunc, flip_entry=flip_entry)
-        if ectx is not None:
-            reps["t-exact"] = TruncatedRep(ectx, sig, "t", trunc,
-                                           flip_entry=flip_entry)
+    if ectx is not None and wanted & {"su11", "casimir"}:
+        reps["t-exact"] = TruncatedRep(ectx, sig, "t", trunc,
+                                       flip_entry=flip_entry)
     if "su11" in wanted:
         target = reps["t-exact"] if ectx is not None else reps["t"]
         reports += check_su11_relations(target, tolerance)
@@ -732,11 +762,14 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
         reports += check_casimir(target, tolerance)
     if "norms" in wanted:
         reports.append(check_norm_recursions(sig, q))
+    blocks = (_complete_blocks(fctx, sig, trunc)
+              if wanted & {"orthogonality", "intertwiner"} else None)
     if "orthogonality" in wanted:
-        reports.append(check_weyl_orthogonality(sig, trunc, fctx, tolerance))
+        reports.append(check_weyl_orthogonality(sig, trunc, fctx, tolerance,
+                                                blocks=blocks))
     if "intertwiner" in wanted:
         reports.append(check_intertwiner(sig, trunc, fctx, tolerance,
-                                         flip_entry=flip_entry))
+                                         blocks=blocks, reps=reps))
     if "projector" in wanted:
         t_min = Fraction(sig.f2 - sig.f3 - 2, 2)
         t = t_min

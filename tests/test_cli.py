@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qu21 import cli
+from qu21.qarith import EvalContext
+from qu21.weylracah import RacahArgs, qracah_exact
 from qu21.repspace import Signature, enumerate_u_basis, u_labels_at_weight, \
     weight_of_u
 
@@ -160,6 +164,21 @@ class TestRacah:
         ve = float(json.loads(out_e)["rows"][0]["value"])
         vf = float(json.loads(out_f)["rows"][0]["value"])
         assert abs(ve - vf) < 1e-14
+
+    def test_exact_prints_radicands_past_the_int_str_limit(self, capsys):
+        # the J=30 radicand has thousands of digits, past Python's default
+        # 4300-digit int-to-str limit
+        code, out, _ = run(capsys, "racah", "--mode", "exact", "--q", "13/10",
+                           *["30"] * 6)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        rad = qracah_exact(EvalContext.exact(Fraction(13, 10)),
+                           RacahArgs.make(*["30"] * 6))
+        num, _, den = row["radicand"].partition("/")
+        assert len(num) > 4300
+        assert Decimal(num) == rad.radicand.numerator
+        assert Decimal(den or "1") == rad.radicand.denominator
+        assert row["sign"] == str(rad.sign)
 
     def test_exact_mode_rejects_decimal_q(self, capsys):
         code, _, err = run(capsys, "racah", "--mode", "exact", "--q", "1.3",

@@ -1,12 +1,16 @@
 """Truncated-window representation checks: construction and the check suite."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qu21.generators import GENERATORS, WEIGHT_SHIFTS
+import qu21.verify as verify_mod
+from qu21 import cli
+from qu21.generators import GENERATORS, WEIGHT_SHIFTS, table_entries
 from qu21.qarith import EvalContext, SignedRadical
-from qu21.repspace import Signature, lowest_t_label, lowest_u_label
+from qu21.repspace import (Signature, enumerate_t_basis, enumerate_u_basis,
+                           lowest_t_label, lowest_u_label)
 from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          Truncation, check_casimir, check_hermiticity,
                          check_intertwiner, check_norm_recursions,
@@ -116,6 +120,13 @@ class TestIndividualChecks:
         assert all(r.passed for r in reports)
         assert reports[1].note
 
+    def test_casimir_separation_without_multi_t_weight(self):
+        rep = TruncatedRep(float_ctx(), Signature(7, 7, 4), "t",
+                           Truncation(3, 3, 3))
+        sep = check_casimir(rep)[1]
+        assert sep.passed and sep.columns_checked > 0
+        assert sep.note == "no weight holds two T values"
+
     def test_norm_recursions(self):
         rep = check_norm_recursions(SIG, Q, ell_max=4, s_max=4)
         assert rep.passed
@@ -203,3 +214,49 @@ class TestRunAll:
         assert set(DEFAULT_CHECKS) == {"su11", "hermiticity", "casimir",
                                        "norms", "orthogonality", "intertwiner",
                                        "projector"}
+
+
+class TestOnePass:
+    """run_all_checks builds each object once and keeps every report."""
+
+    def test_desk_verify_matches_golden(self, capsys):
+        out = ""
+        for extra in ((), ("--mode", "exact")):
+            code = cli.main(["verify", "--sig", "4,2,-2", "--q", "13/10",
+                             *extra])
+            assert code == 0
+            out += capsys.readouterr().out
+        golden = Path(__file__).parent / "golden" / "verify_desk.txt"
+        with open(golden, newline="") as fh:
+            assert out == fh.read()
+
+    def test_each_block_and_rep_built_once(self, monkeypatch):
+        trunc = Truncation(3, 3, 3)
+        calls = {"weyl_block": [], "basis_action": 0}
+        weyl_block, basis_action = verify_mod.weyl_block, verify_mod.basis_action
+
+        def counting_weyl_block(ctx, sig, weight):
+            calls["weyl_block"].append(weight)
+            return weyl_block(ctx, sig, weight)
+
+        def counting_basis_action(*args, **kwargs):
+            calls["basis_action"] += 1
+            return basis_action(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "weyl_block", counting_weyl_block)
+        monkeypatch.setattr(verify_mod, "basis_action", counting_basis_action)
+        reports = run_all_checks(SIG, Q, truncation=trunc)
+        ortho = next(r for r in reports if r.name == "weyl-orthogonality")
+        assert len(calls["weyl_block"]) == ortho.columns_checked > 0
+        assert len(set(calls["weyl_block"])) == len(calls["weyl_block"])
+        window = (len(enumerate_u_basis(SIG, trunc.ell_max))
+                  + len(enumerate_t_basis(SIG, trunc.s_max, trunc.depth)))
+        assert calls["basis_action"] == len(GENERATORS) * window
+
+    @pytest.mark.parametrize(
+        "eid", [e.eid for b in ("u", "t") for e in table_entries(b)])
+    def test_intertwiner_catches_every_flipped_entry(self, eid):
+        reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
+                                 flip_entry=eid, checks=("intertwiner",))
+        assert len(reports) == 1
+        assert not reports[0].passed
