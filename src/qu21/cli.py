@@ -266,13 +266,9 @@ def cmd_verify(args, out) -> int:
         raise UsageError("exact mode needs a rational q (use a/b form)")
     trunc = Truncation(args.lmax, args.smax, args.depth)
     checks = tuple(args.checks.split(",")) if args.checks else None
-    try:
-        reports = run_all_checks(sig, q, mode=args.mode, truncation=trunc,
-                                 tolerance=args.tolerance,
-                                 precision=args.precision,
-                                 flip_entry=args.flip_entry, checks=checks)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    reports = run_all_checks(sig, q, mode=args.mode, truncation=trunc,
+                             tolerance=args.tolerance, precision=args.precision,
+                             flip_entry=args.flip_entry, checks=checks)
     all_pass = all(r.passed for r in reports)
     if args.format == "text":
         for r in reports:
@@ -307,8 +303,10 @@ def _add_common(sp, *, sig=True, trunc=True):
                         help="signature f1,f2,f3 (integers)")
     sp.add_argument("--q", default="1", help="deformation parameter: a/b or decimal")
     sp.add_argument("--mode", choices=("exact", "float"), default="float")
+    # a string default goes through type=int inside parse_args, so a bad
+    # QU21_PRECISION is reported as a usage error
     sp.add_argument("--precision", type=int,
-                    default=int(os.environ.get("QU21_PRECISION", DEFAULT_PRECISION)),
+                    default=os.environ.get("QU21_PRECISION", str(DEFAULT_PRECISION)),
                     help="working precision in decimal digits")
     if trunc:
         sp.add_argument("--lmax", type=int, default=6, help="U-basis ell bound")
@@ -353,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(v)
     v.add_argument("--tolerance", type=float, default=1e-10)
     v.add_argument("--flip-entry", dest="flip_entry", default=None,
-                   help="test hook: flip the sign of one table entry (U1..T8)")
+                   help="test hook: flip the sign of one table entry "
+                        "(U1..U10, T1..T10)")
     v.add_argument("--checks", default=None,
                    help="comma-separated subset of checks to run")
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -377,10 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             code = handler(args, sys.stdout)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QAlgebraError as exc:
+    except (UsageError, QAlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

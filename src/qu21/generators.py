@@ -1,12 +1,14 @@
 """Matrix elements of the nine generators A_ij in both reductions.
 
 Naming: generators are addressed by the strings "A11" ... "A33".  The
-diagonal ones act by the plain integer weight components.  A12/A21 form the
-compact su_q(2) ladder inside U-multiplets, A23/A32 the noncompact su_q(1,1)
-ladder inside T-multiplets.  The remaining four change multiplets; their
-matrix elements are table driven: every entry is a record holding the label
-shifts, an overall sign, an integer q-power, and the bracket factors of the
-radicand, so that the closed forms live in exactly one place.
+diagonal ones act by the plain integer weight components.  Every
+off-diagonal matrix element is table driven, in one table per basis: each
+row is a record holding the label shifts, an overall sign, an integer
+q-power, and the bracket factors of the radicand, so that the closed forms
+live in exactly one place and one function, basis_action, serves both
+bases.  Besides the rows that change multiplet, each table holds the two
+ladder rows inside a multiplet: A12/A21, the compact su_q(2) ladder of the
+U basis, and A23/A32, the noncompact su_q(1,1) ladder of the T basis.
 
 All matrix elements are returned as SignedRadical coefficients attached to
 validated target labels.  A vanishing bracket factor in a numerator silently
@@ -206,13 +208,15 @@ class _TEnv(NamedTuple):
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One closed-form matrix element of a multiplet-changing generator.
+    """One closed-form matrix element of an off-diagonal generator.
 
     (d1, d2) are the shifts of (k, ell) in the U table and of (s, p) in the
-    T table.  dtwoJ and dtwoM are the shifts of 2U, 2MU (resp. 2T, 2M), so
-    they are +1 or -1.  qexp maps the integer environment to the q-power;
-    num/den map it to the bracket arguments of the radicand.  A zero bracket
-    in num drops the term before the denominator is ever evaluated.
+    T table.  dtwoJ and dtwoM are the shifts of 2U, 2MU (resp. 2T, 2M): +1
+    or -1 on rows that change multiplet, 0 and +2 or -2 on the ladder rows
+    inside a multiplet (d1 = d2 = 0).  qexp maps the integer environment to
+    the q-power; num/den map it to the bracket arguments of the radicand.
+    A zero bracket in num drops the term before the denominator is ever
+    evaluated.
     """
 
     eid: str
@@ -284,6 +288,17 @@ TABLE_U = (
                 lambda e: e.twoU - e.ell + 1,
                 lambda e: (e.twoU + e.twoMU) // 2 + 1),
                (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
+    # su_q(2) ladder inside the multiplet
+    TableEntry("U9", "A12", 0, 0, 0, +2, +1,
+               lambda e: 0,
+               (lambda e: (e.twoU - e.twoMU) // 2,
+                lambda e: (e.twoU + e.twoMU) // 2 + 1),
+               ()),
+    TableEntry("U10", "A21", 0, 0, 0, -2, +1,
+               lambda e: 0,
+               (lambda e: (e.twoU + e.twoMU) // 2,
+                lambda e: (e.twoU - e.twoMU) // 2 + 1),
+               ()),
 )
 
 TABLE_T = (
@@ -343,6 +358,17 @@ TABLE_T = (
                 lambda e: e.twoT - e.s + 1,
                 lambda e: (e.twoM - e.twoT) // 2 - 1),
                (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
+    # su_q(1,1) ladder inside the multiplet; T- carries the noncompact sign
+    TableEntry("T9", "A23", 0, 0, 0, +2, +1,
+               lambda e: 0,
+               (lambda e: (e.twoM - e.twoT) // 2,
+                lambda e: (e.twoT + e.twoM) // 2 + 1),
+               ()),
+    TableEntry("T10", "A32", 0, 0, 0, -2, -1,
+               lambda e: 0,
+               (lambda e: (e.twoT + e.twoM) // 2,
+                lambda e: (e.twoM - e.twoT) // 2 - 1),
+               ()),
 )
 
 
@@ -375,100 +401,64 @@ def _radical_from_entry(ctx: EvalContext, entry: TableEntry, env, flip_entry=Non
     return SignedRadical.make(sign, entry.qexp(env), radicand)
 
 
-def u_basis_action(ctx: EvalContext, sig: Signature, gen: str, lab: UBasisLabel,
-                   flip_entry: str | None = None) -> List[ActionTerm]:
-    """Action of a generator on a U-basis vector as a list of weighted targets.
-
-    flip_entry is a fault-injection hook: the named table row has its sign
-    flipped, so verification checks can prove they would catch a wrong sign.
-    """
-    require_u_label(sig, lab)
-    w = weight_of_u(sig, lab)
-    if gen == "A11":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m1)))]
-    if gen == "A22":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m2)))]
-    if gen == "A33":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m3)))]
-    if gen == "A12":
-        # su_q(2) raising inside the multiplet
-        rad = ctx.qnum(lab.U - lab.MU) * ctx.qnum(lab.U + lab.MU + 1)
-        if rad == 0:
-            return []
-        return [ActionTerm(UBasisLabel(lab.k, lab.ell, lab.U, lab.MU + 1),
-                           SignedRadical.make(1, 0, rad))]
-    if gen == "A21":
-        rad = ctx.qnum(lab.U + lab.MU) * ctx.qnum(lab.U - lab.MU + 1)
-        if rad == 0:
-            return []
-        return [ActionTerm(UBasisLabel(lab.k, lab.ell, lab.U, lab.MU - 1),
-                           SignedRadical.make(1, 0, rad))]
-    if gen not in ("A13", "A23", "A31", "A32"):
-        raise ValueError(f"unknown generator {gen!r}")
-    env = _UEnv(sig.f1, sig.f2, sig.f3, lab.k, lab.ell,
-                _as_int(2 * lab.U), _as_int(2 * lab.MU))
-    terms = []
-    for entry in TABLE_U:
-        if entry.gen != gen:
-            continue
-        coeff = _radical_from_entry(ctx, entry, env, flip_entry)
-        if coeff is None:
-            continue
-        target = u_label(sig, lab.k + entry.d1, lab.ell + entry.d2,
-                         lab.MU + Fraction(entry.dtwoM, 2))
-        terms.append(ActionTerm(target, coeff))
-    terms.sort(key=lambda t: t.target.sort_key())
-    return terms
+def _u_env(sig: Signature, lab: UBasisLabel) -> _UEnv:
+    return _UEnv(sig.f1, sig.f2, sig.f3, lab.k, lab.ell,
+                 _as_int(2 * lab.U), _as_int(2 * lab.MU))
 
 
-def t_basis_action(ctx: EvalContext, sig: Signature, gen: str, lab: TBasisLabel,
-                   flip_entry: str | None = None) -> List[ActionTerm]:
-    """Action of a generator on a T-basis vector as a list of weighted targets."""
-    require_t_label(sig, lab)
-    w = weight_of_t(sig, lab)
-    if gen == "A11":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m1)))]
-    if gen == "A22":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m2)))]
-    if gen == "A33":
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(w.m3)))]
-    if gen == "A23":
-        # su_q(1,1) raising T+ inside the multiplet
-        rad = ctx.qnum(lab.M - lab.T) * ctx.qnum(lab.T + lab.M + 1)
-        if rad == 0:
-            return []
-        return [ActionTerm(TBasisLabel(lab.s, lab.p, lab.T, lab.M + 1),
-                           SignedRadical.make(1, 0, rad))]
-    if gen == "A32":
-        # su_q(1,1) lowering T- carries the noncompact minus sign
-        rad = ctx.qnum(lab.T + lab.M) * ctx.qnum(lab.M - lab.T - 1)
-        if rad == 0:
-            return []
-        return [ActionTerm(TBasisLabel(lab.s, lab.p, lab.T, lab.M - 1),
-                           SignedRadical.make(-1, 0, rad))]
-    if gen not in ("A12", "A13", "A21", "A31"):
-        raise ValueError(f"unknown generator {gen!r}")
-    env = _TEnv(sig.f1, sig.f2, sig.f3, lab.s, lab.p,
-                _as_int(2 * lab.T), _as_int(2 * lab.M))
-    terms = []
-    for entry in TABLE_T:
-        if entry.gen != gen:
-            continue
-        coeff = _radical_from_entry(ctx, entry, env, flip_entry)
-        if coeff is None:
-            continue
-        target = t_label(sig, lab.s + entry.d1, lab.p + entry.d2,
-                         lab.M + Fraction(entry.dtwoM, 2))
-        terms.append(ActionTerm(target, coeff))
-    terms.sort(key=lambda t: t.target.sort_key())
-    return terms
+def _t_env(sig: Signature, lab: TBasisLabel) -> _TEnv:
+    return _TEnv(sig.f1, sig.f2, sig.f3, lab.s, lab.p,
+                 _as_int(2 * lab.T), _as_int(2 * lab.M))
+
+
+def _u_target(sig: Signature, lab: UBasisLabel, entry: TableEntry) -> UBasisLabel:
+    return u_label(sig, lab.k + entry.d1, lab.ell + entry.d2,
+                   lab.MU + Fraction(entry.dtwoM, 2))
+
+
+def _t_target(sig: Signature, lab: TBasisLabel, entry: TableEntry) -> TBasisLabel:
+    return t_label(sig, lab.s + entry.d1, lab.p + entry.d2,
+                   lab.M + Fraction(entry.dtwoM, 2))
+
+
+# per basis: label check, weight, table environment, target label
+_BASES = {
+    "u": (require_u_label, weight_of_u, _u_env, _u_target),
+    "t": (require_t_label, weight_of_t, _t_env, _t_target),
+}
+# table rows of each generator, in table order
+_ROWS = {b: {g: tuple(e for e in table_entries(b) if e.gen == g)
+             for g in GENERATORS} for b in _BASES}
+_ENTRY_IDS = frozenset(e.eid for b in _BASES for e in table_entries(b))
+# component of the weight on which each diagonal generator acts
+_DIAGONAL = {"A11": 0, "A22": 1, "A33": 2}
 
 
 def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
                  flip_entry: str | None = None) -> List[ActionTerm]:
-    """Dispatch on basis 'u' or 't'."""
-    if basis == "u":
-        return u_basis_action(ctx, sig, gen, lab, flip_entry)
-    if basis == "t":
-        return t_basis_action(ctx, sig, gen, lab, flip_entry)
-    raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
+    """Action of a generator on a basis vector ('u' or 't') as weighted targets.
+
+    flip_entry is a fault-injection hook: the named table row has its sign
+    flipped, so verification checks can prove they would catch a wrong sign.
+    It must name a row of either table (ValueError otherwise).
+    """
+    if basis not in _BASES:
+        raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
+    if flip_entry is not None and flip_entry not in _ENTRY_IDS:
+        raise ValueError(f"unknown table entry {flip_entry!r}; expected one "
+                         "of U1..U10, T1..T10")
+    require, weight_of, env_of, target_of = _BASES[basis]
+    require(sig, lab)
+    if gen in _DIAGONAL:
+        m = weight_of(sig, lab)[_DIAGONAL[gen]]
+        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(m)))]
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+    env = env_of(sig, lab)
+    terms = []
+    for entry in _ROWS[basis][gen]:
+        coeff = _radical_from_entry(ctx, entry, env, flip_entry)
+        if coeff is not None:
+            terms.append(ActionTerm(target_of(sig, lab, entry), coeff))
+    terms.sort(key=lambda t: t.target.sort_key())
+    return terms

@@ -67,6 +67,8 @@ class EvalContext:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.precision = int(precision)
+        if self.precision < 1:
+            raise ValueError(f"precision must be at least 1 digit, got {precision}")
         if mode == _EXACT:
             q = Fraction(q)
             if q <= 0:

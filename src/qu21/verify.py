@@ -27,6 +27,7 @@ entries; the complete Weyl blocks serve orthogonality and the intertwiner.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,7 +44,7 @@ from .generators import (
     norm_u_sq_stepwise,
     projector_t_coeff,
 )
-from .qarith import EvalContext, Scalar
+from .qarith import EvalContext, Scalar, SignedRadical, radical_sum
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -159,11 +160,14 @@ class TruncatedRep:
 
 
 # ----------------------------------------------------------------------------
-# sparse helpers (plain dicts; scalars are context floats)
+# sparse helpers (plain dicts; entries are context floats, or SignedRadicals
+# in exact mode)
 # ----------------------------------------------------------------------------
 
 
 def _mat_mul(ctx: EvalContext, a: Entries, b: Entries) -> Entries:
+    """Sparse product a b; exact-mode entries are added with add_exact."""
+    add = (lambda x, y: x.add_exact(y, ctx)) if ctx.is_exact() else operator.add
     rows_of_a: Dict[int, List[Tuple[int, Scalar]]] = {}
     for (i, k), v in a.items():
         rows_of_a.setdefault(k, []).append((i, v))
@@ -172,7 +176,7 @@ def _mat_mul(ctx: EvalContext, a: Entries, b: Entries) -> Entries:
         for i, av in rows_of_a.get(k, ()):
             key = (i, j)
             cur = out.get(key)
-            out[key] = av * bv if cur is None else cur + av * bv
+            out[key] = av * bv if cur is None else add(cur, av * bv)
     return out
 
 
@@ -207,6 +211,22 @@ def _worst(rep: TruncatedRep, entries: Entries,
             worst = mag
             where = f"row={rep.labels[i]} col={rep.labels[j]}"
     return float(worst), where, ncols
+
+
+def _first_nonzero(rep: TruncatedRep, entries: Entries,
+                   columns: Optional[Sequence[bool]] = None
+                   ) -> Tuple[float, str, int]:
+    """Exact-mode _worst: (|first nonzero entry|, location, columns considered).
+
+    Entries are SignedRadicals, so an identity holds only if every entry is
+    exactly zero; the residual is the size of the first one that is not.
+    """
+    ncols = len(rep.labels) if columns is None else sum(1 for c in columns if c)
+    for (i, j), v in sorted(entries.items()):
+        if (columns is None or columns[j]) and not v.is_zero():
+            return (float(abs(v.to_float(rep.ctx))),
+                    f"row={rep.labels[i]} col={rep.labels[j]}", ncols)
+    return 0.0, "", ncols
 
 
 def _report(name: str, residual: float, where: str, ncols: int,
@@ -249,23 +269,13 @@ def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Ch
 
 def _check_su11_exact(rep: TruncatedRep, tolerance: float) -> List[CheckReport]:
     """Exact-mode variant: entries are SignedRadicals, zero must be exact."""
-    from .qarith import SignedRadical, radical_sum
-
     ctx = rep.ctx
     tp, tm = rep.matrices["A23"], rep.matrices["A32"]
     reports = []
 
     def scan(name, entries, columns):
-        bad = ""
-        ncols = sum(1 for c in columns if c) if columns else len(rep.labels)
-        for (i, j), v in sorted(entries.items()):
-            if columns is not None and not columns[j]:
-                continue
-            if not v.is_zero():
-                bad = f"row={rep.labels[i]} col={rep.labels[j]}"
-                break
-        res = 0.0 if not bad else float(abs(v.to_float(ctx)))
-        reports.append(_report(name, res, bad, ncols, tolerance, "exact"))
+        reports.append(_report(name, *_first_nonzero(rep, entries, columns),
+                               tolerance, "exact"))
 
     def commut_with_t0(mat, shift):
         # [T0, X] - shift*X has entries ((w_i - w_j)/2 - shift) * X_ij with
@@ -280,19 +290,8 @@ def _check_su11_exact(rep: TruncatedRep, tolerance: float) -> List[CheckReport]:
     scan(f"su11-raising-{rep.basis}", commut_with_t0(tp, 1), None)
     scan(f"su11-lowering-{rep.basis}", commut_with_t0(tm, -1), None)
 
-    def radical_mul(a, b):
-        rows_of_a = {}
-        for (i, k), v in a.items():
-            rows_of_a.setdefault(k, []).append((i, v))
-        out = {}
-        for (k, j), bv in b.items():
-            for i, av in rows_of_a.get(k, ()):
-                prev = out.get((i, j), SignedRadical.zero())
-                out[(i, j)] = radical_sum([prev, av * bv], ctx)
-        return out
-
-    r3 = radical_mul(tp, tm)
-    for key, v in radical_mul(tm, tp).items():
+    r3 = _mat_mul(ctx, tp, tm)
+    for key, v in _mat_mul(ctx, tm, tp).items():
         r3[key] = radical_sum([r3.get(key, SignedRadical.zero()), -v], ctx)
     for j, w in enumerate(rep.weights):
         bracket = SignedRadical.from_rational(ctx.qnum(w.m2 - w.m3))
@@ -359,18 +358,8 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     for j, lab in enumerate(rep.labels):
         if int(lab.M - lab.T - 1) >= rep.truncation.depth:
             cols_ok[j] = False
-    c2: Entries = {}
+    c2 = _mat_mul(ctx, tm, tp)
     if exact:
-        from .qarith import SignedRadical, radical_sum
-        rows_tm = {}
-        for (i, k), v in tm.items():
-            rows_tm.setdefault(k, []).append((i, v))
-        prod = {}
-        for (k, j), bv in tp.items():
-            for i, av in rows_tm.get(k, ()):
-                prev = prod.get((i, j), SignedRadical.zero())
-                prod[(i, j)] = radical_sum([prev, av * bv], ctx)
-        c2 = prod
         for j, lab in enumerate(rep.labels):
             shifted = SignedRadical.from_rational(
                 ctx.qbracket_half_sq(int(2 * lab.M) + 1))
@@ -378,20 +367,9 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
                 casimir_su11_eigenvalue(ctx, lab.T))
             c2[(j, j)] = radical_sum(
                 [c2.get((j, j), SignedRadical.zero()), shifted, -expect], ctx)
-        bad, res = "", 0.0
-        ncols = sum(1 for c in cols_ok if c)
-        for (i, j), v in sorted(c2.items()):
-            if not cols_ok[j]:
-                continue
-            if not v.is_zero():
-                bad = f"row={rep.labels[i]} col={rep.labels[j]}"
-                res = float(abs(v.to_float(ctx)))
-                break
-        reports = [_report("casimir-eigenvalue", res, bad, ncols, tolerance,
-                           "exact")]
+        reports = [_report("casimir-eigenvalue",
+                           *_first_nonzero(rep, c2, cols_ok), tolerance, "exact")]
     else:
-        one = ctx.one()
-        c2 = _mat_mul(ctx, tm, tp)
         for j, lab in enumerate(rep.labels):
             shifted = ctx.qbracket_half_sq(int(2 * lab.M) + 1)
             expect = casimir_su11_eigenvalue(ctx, lab.T)

@@ -4,8 +4,9 @@ The overlap <U|T>_q between a U-basis and a T-basis vector of the same weight
 is computed two independent ways:
 
 1. directly, from its closed-form square-root prefactor and single balanced
-   q-factorial sum (two printed summation conventions, over n and over
-   r = k - n, are both implemented and must agree);
+   q-factorial sum, in one summation convention (over n; the printed
+   alternative over r = k - n is the same sum re-indexed, so it is no
+   independent check);
 2. through the general q-Racah coefficient U_q(a b e d; c f) under the
    substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) built from the two
    labels, times a dimension factor and phase.
@@ -91,49 +92,36 @@ def weyl_sum(ctx: EvalContext, sig: Signature,
     return total
 
 
-def weyl_sum_r(ctx: EvalContext, sig: Signature,
-               u: UBasisLabel, t: TBasisLabel) -> Scalar:
-    """The same sum in its other printed convention, indexed by r."""
-    f13, f23 = sig.f1 - sig.f3, sig.f2 - sig.f3
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    drop = int(u.U - u.MU)
-    total = ctx.zero()
-    for r in range(0, k + 1):
-        sign = -1 if r % 2 else 1
-        term = (ctx.qfact(drop + r) * ctx.qfact(ell + r)
-                * ctx.qfact(f13 + ell + r - 1)
-                * ctx.qfact_inv(r) * ctx.qfact_inv(int(2 * u.U) + r + 1)
-                * ctx.qfact_inv(k - r) * ctx.qfact_inv(ell - s + r)
-                * ctx.qfact_inv(f23 + p + ell + r - 1))
-        total = total + sign * term
-    return total
+def _signed_root(ctx: EvalContext, sign: int, pref: Scalar, total: Scalar):
+    """sign * sqrt(pref) * total: a scalar, or a SignedRadical in exact mode."""
+    if not ctx.is_exact():
+        return sign * ctx.sqrt(pref) * total
+    if total == 0:
+        return SignedRadical.zero()
+    return SignedRadical.make(sign * (1 if total > 0 else -1), 0,
+                              pref * total * total)
+
+
+def _weyl(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
+    _check_match(sig, u, t)
+    return _signed_root(ctx, 1, weyl_prefactor_sq(ctx, sig, u, t),
+                        weyl_sum(ctx, sig, u, t))
 
 
 def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
-                           u: UBasisLabel, t: TBasisLabel,
-                           convention: str = "n") -> SignedRadical:
+                           u: UBasisLabel, t: TBasisLabel) -> SignedRadical:
     """<U|T>_q as an exact SignedRadical (requires an exact-mode context)."""
     if not ctx.is_exact():
         raise ValueError("weyl_coefficient_exact requires an exact-mode context")
-    _check_match(sig, u, t)
-    pref = weyl_prefactor_sq(ctx, sig, u, t)
-    total = weyl_sum(ctx, sig, u, t) if convention == "n" else weyl_sum_r(ctx, sig, u, t)
-    if total == 0:
-        return SignedRadical.zero()
-    sign = 1 if total > 0 else -1
-    return SignedRadical.make(sign, 0, pref * total * total)
+    return _weyl(ctx, sig, u, t)
 
 
 def weyl_coefficient(ctx: EvalContext, sig: Signature,
-                     u: UBasisLabel, t: TBasisLabel,
-                     convention: str = "n") -> Scalar:
+                     u: UBasisLabel, t: TBasisLabel) -> Scalar:
     """<U|T>_q as a context scalar (float contexts; real valued)."""
     if ctx.is_exact():
         raise ValueError("use weyl_coefficient_exact for exact-mode contexts")
-    _check_match(sig, u, t)
-    pref = weyl_prefactor_sq(ctx, sig, u, t)
-    total = weyl_sum(ctx, sig, u, t) if convention == "n" else weyl_sum_r(ctx, sig, u, t)
-    return ctx.sqrt(pref) * total
+    return _weyl(ctx, sig, u, t)
 
 
 @dataclass(frozen=True)
@@ -207,9 +195,9 @@ def racah_triangles_ok(args: RacahArgs) -> bool:
 
 
 def _qracah_parts(ctx: EvalContext, args: RacahArgs):
-    """(phase_sign, prefactor_square, sum) of U_q, or None out of triangle."""
+    """(phase_sign, prefactor_square, sum) of U_q; the sum is 0 out of triangle."""
     if not racah_triangles_ok(args):
-        return None
+        return 1, ctx.zero(), ctx.zero()
     a, b, e, d, c, f = args.as_tuple()
     phase = -1 if int(a + d - c - f) % 2 else 1
     pref_num = (ctx.qnum(2 * c + 1) * ctx.qnum(2 * f + 1)
@@ -238,25 +226,14 @@ def qracah_exact(ctx: EvalContext, args: RacahArgs) -> SignedRadical:
     """U_q(a b e d; c f) as an exact SignedRadical (exact-mode context)."""
     if not ctx.is_exact():
         raise ValueError("qracah_exact requires an exact-mode context")
-    parts = _qracah_parts(ctx, args)
-    if parts is None:
-        return SignedRadical.zero()
-    phase, pref, total = parts
-    if total == 0:
-        return SignedRadical.zero()
-    sign = phase * (1 if total > 0 else -1)
-    return SignedRadical.make(sign, 0, pref * total * total)
+    return _signed_root(ctx, *_qracah_parts(ctx, args))
 
 
 def qracah(ctx: EvalContext, args: RacahArgs) -> Scalar:
     """U_q(a b e d; c f) as a context scalar; 0 outside the triangles."""
     if ctx.is_exact():
         raise ValueError("exact qracah values are radicals; use qracah_exact")
-    parts = _qracah_parts(ctx, args)
-    if parts is None:
-        return ctx.zero()
-    phase, pref, total = parts
-    return phase * ctx.sqrt(pref) * total
+    return _signed_root(ctx, *_qracah_parts(ctx, args))
 
 
 def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> RacahArgs:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qu21 import cli
+from qu21.generators import GENERATORS
 from qu21.qarith import EvalContext
 from qu21.weylracah import RacahArgs, qracah_exact
 from qu21.repspace import Signature, enumerate_u_basis, u_labels_at_weight, \
@@ -120,6 +121,19 @@ class TestMatrix:
                            "A14")
         assert code == 2
         assert "unknown generator" in err
+
+    def test_every_generator_matches_golden(self, capsys):
+        out = ""
+        for basis in ("u", "t"):
+            for gen in GENERATORS:
+                code, text, _ = run(
+                    capsys, "matrix", "--sig", "4,2,-2", "--q", "13/10",
+                    "--lmax", "2", "--smax", "2", "--depth", "2",
+                    "--precision", "20", "--format", "csv", "--gen", gen,
+                    "--basis", basis)
+                assert code == 0
+                out += text
+        assert out == golden_text("matrix_desk.csv")
 
 
 class TestWeyl:
@@ -233,6 +247,13 @@ class TestVerify:
         assert "CHECKS FAILED" in out
         assert "generator=A31" in out
 
+    def test_unknown_flip_entry_is_usage_error(self, capsys):
+        code, out, err = run(capsys, *self.COMMON, "--checks", "intertwiner",
+                             "--flip-entry", "U99")
+        assert code == 2
+        assert "error" in err and "U99" in err
+        assert "passed" not in out
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, *self.COMMON, "--checks",
                            "norms,orthogonality", "--format", "json")
@@ -247,3 +268,29 @@ class TestVerify:
                            "exact", "--q", "0.9")
         assert code == 2
         assert "rational q" in err
+
+
+@pytest.mark.parametrize("env, argv", [
+    (None, ["basis", "--sig", "4,2,-2", "--q", "0"]),
+    (None, ["matrix", "--sig", "4,2,-2", "--gen", "A12", "--q", "0"]),
+    (None, ["weyl", "--sig", "4,2,-2", "--weight", "4,2,-2", "--q", "0"]),
+    (None, ["racah", "--q", "0", "--", "1", "1", "1", "1", "1", "1"]),
+    (None, ["racah", "--precision", "0", "--", "1", "1", "1", "1", "1", "1"]),
+    (None, ["weyl", "--sig", "4,2,-2", "--weight", "4,2,-2",
+            "--precision", "0"]),
+    (None, ["verify", "--sig", "4,2,-2", "--lmax", "-1"]),
+    (None, ["verify", "--sig", "4,2,-2", "--precision", "0"]),
+    (None, ["verify", "--sig", "4,2,-2", "--precision", "-5"]),
+    ("abc", ["racah", "--", "1", "1", "1", "1", "1", "1"]),
+])
+def test_domain_errors_exit_2_without_traceback(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("QU21_PRECISION", env)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad default this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err

@@ -11,7 +11,7 @@ from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
                              casimir_su11_eigenvalue, norm_su2_sq,
                              norm_su11_sq, norm_t_sq, norm_t_sq_stepwise,
                              norm_u_sq, norm_u_sq_stepwise, projector_t_coeff,
-                             projector_u_coeff)
+                             projector_u_coeff, table_entries)
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, classify, enumerate_t_basis,
                            enumerate_u_basis, lowest_t_label, lowest_u_label,
@@ -236,6 +236,18 @@ class TestActions:
             basis_action(ctx, sig, "u", "A14", lowest_u_label(sig))
         with pytest.raises(ValueError):
             basis_action(ctx, sig, "x", "A12", lowest_u_label(sig))
+
+    def test_tables_hold_twenty_rows_with_distinct_ids(self):
+        rows = table_entries("u") + table_entries("t")
+        assert len(rows) == 20
+        assert len({e.eid for e in rows}) == 20
+
+    def test_unknown_flip_entry_rejected(self):
+        sig = Signature(4, 2, -2)
+        ctx = EvalContext.exact(Fraction(13, 10))
+        with pytest.raises(ValueError, match="U99"):
+            basis_action(ctx, sig, "u", "A13", lowest_u_label(sig),
+                         flip_entry="U99")
 
     def test_flip_entry_changes_exactly_one_family(self):
         sig = Signature(4, 2, -2)

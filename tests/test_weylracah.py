@@ -20,8 +20,6 @@ from oracles import half_integers, recoupling_exact
 
 SIGS = [Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1)]
 
-Q_EXACT = [Fraction(1, 2), Fraction(1), Fraction(13, 10)]
-
 
 def small_weights(sig, ell_max=2):
     seen = []
@@ -42,17 +40,6 @@ class TestWeylCoefficient:
                        if weight_of_t(sig, t) != weight_of_u(sig, u))
         with pytest.raises(WeightMismatch):
             weyl_coefficient_exact(ctx, sig, u, t_other)
-
-    @pytest.mark.parametrize("sig", SIGS)
-    @pytest.mark.parametrize("q", Q_EXACT)
-    def test_sum_conventions_agree(self, sig, q):
-        ctx = EvalContext.exact(q)
-        for w in small_weights(sig):
-            for u in u_labels_at_weight(sig, w):
-                for t in t_labels_at_weight(sig, w):
-                    via_n = weyl_coefficient_exact(ctx, sig, u, t, "n")
-                    via_r = weyl_coefficient_exact(ctx, sig, u, t, "r")
-                    assert via_n.same_value(via_r, ctx), (u, t)
 
     @pytest.mark.parametrize("sig", SIGS)
     def test_lowest_bracket_is_plus_one(self, sig):
