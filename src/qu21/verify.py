@@ -22,7 +22,9 @@ an empty interior pass vacuously and say so in their report.
 One pass: run_all_checks builds each object once.  The float U and T reps
 serve the su11, hermiticity and Casimir checks and the intertwiner, which
 reads M_U(g) and M_T(g) from their sparse matrices and sums only stored
-entries; the complete Weyl blocks serve orthogonality and the intertwiner.
+entries; the float T rep also serves the projector check, which reads its
+T+- ladder factors from A23 and A32; the complete Weyl blocks serve
+orthogonality and the intertwiner.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .generators import (
+    _ENTRY_IDS,
     GENERATORS,
     WEIGHT_SHIFTS,
     basis_action,
@@ -44,11 +47,9 @@ from .generators import (
     norm_u_sq_stepwise,
     projector_t_coeff,
 )
-from .qarith import EvalContext, Scalar, SignedRadical, radical_sum
+from .qarith import EvalContext, Scalar, SignedRadical
 from .repspace import (
     Signature,
-    TBasisLabel,
-    UBasisLabel,
     Weight,
     enumerate_t_basis,
     enumerate_u_basis,
@@ -153,10 +154,15 @@ class TruncatedRep:
             stays_in[j] and all(stays_in[i] for i in reach[j])
             for j in range(n))
 
+    def diagonal(self, values) -> Entries:
+        """Diagonal matrix of one rational per label, in the rep's entry type."""
+        if self.ctx.is_exact():
+            values = map(SignedRadical.from_rational, values)
+        return {(j, j): v for j, v in enumerate(values)}
+
     def diagonal_weight_bracket(self) -> Entries:
         """Diagonal matrix of [m2 - m3] per label (the [2 T0] operator)."""
-        return {(j, j): self.ctx.qnum(w.m2 - w.m3)
-                for j, w in enumerate(self.weights)}
+        return self.diagonal(self.ctx.qnum(w.m2 - w.m3) for w in self.weights)
 
 
 # ----------------------------------------------------------------------------
@@ -165,9 +171,14 @@ class TruncatedRep:
 # ----------------------------------------------------------------------------
 
 
+def _adder(ctx: EvalContext):
+    """Entry addition: float +, or SignedRadical.add_exact in exact mode."""
+    return (lambda x, y: x.add_exact(y, ctx)) if ctx.is_exact() else operator.add
+
+
 def _mat_mul(ctx: EvalContext, a: Entries, b: Entries) -> Entries:
-    """Sparse product a b; exact-mode entries are added with add_exact."""
-    add = (lambda x, y: x.add_exact(y, ctx)) if ctx.is_exact() else operator.add
+    """Sparse product a b."""
+    add = _adder(ctx)
     rows_of_a: Dict[int, List[Tuple[int, Scalar]]] = {}
     for (i, k), v in a.items():
         rows_of_a.setdefault(k, []).append((i, v))
@@ -185,19 +196,28 @@ def _mat_transpose(a: Entries) -> Entries:
 
 
 def _mat_lin(ctx: EvalContext, terms: Sequence[Tuple[Scalar, Entries]]) -> Entries:
+    """Sum of c a over terms; exact-mode coefficients c are rationals."""
+    add = _adder(ctx)
     out: Entries = {}
     for c, a in terms:
+        if ctx.is_exact():
+            c = SignedRadical.from_rational(c)
         for key, v in a.items():
             cur = out.get(key)
-            out[key] = c * v if cur is None else cur + c * v
+            out[key] = c * v if cur is None else add(cur, c * v)
     return out
 
 
 def _worst(rep: TruncatedRep, entries: Entries,
            columns: Optional[Sequence[bool]] = None) -> Tuple[float, str, int]:
-    """(max |entry|, location string, columns considered)."""
-    ctx = rep.ctx
-    worst = ctx.zero()
+    """(max |entry|, location string, columns considered).
+
+    Exact-mode entries are SignedRadicals: exact zeros are skipped and every
+    other entry is measured in one float companion context.
+    """
+    exact = rep.ctx.is_exact()
+    fctx = rep.ctx.as_float()
+    worst = fctx.zero()
     where = ""
     if columns is None:
         ncols = len(rep.labels)
@@ -206,27 +226,15 @@ def _worst(rep: TruncatedRep, entries: Entries,
     for (i, j), v in sorted(entries.items()):
         if columns is not None and not columns[j]:
             continue
+        if exact:
+            if v.is_zero():
+                continue
+            v = v.to_float(fctx)
         mag = abs(v)
         if mag > worst:
             worst = mag
             where = f"row={rep.labels[i]} col={rep.labels[j]}"
     return float(worst), where, ncols
-
-
-def _first_nonzero(rep: TruncatedRep, entries: Entries,
-                   columns: Optional[Sequence[bool]] = None
-                   ) -> Tuple[float, str, int]:
-    """Exact-mode _worst: (|first nonzero entry|, location, columns considered).
-
-    Entries are SignedRadicals, so an identity holds only if every entry is
-    exactly zero; the residual is the size of the first one that is not.
-    """
-    ncols = len(rep.labels) if columns is None else sum(1 for c in columns if c)
-    for (i, j), v in sorted(entries.items()):
-        if (columns is None or columns[j]) and not v.is_zero():
-            return (float(abs(v.to_float(rep.ctx))),
-                    f"row={rep.labels[i]} col={rep.labels[j]}", ncols)
-    return 0.0, "", ncols
 
 
 def _report(name: str, residual: float, where: str, ncols: int,
@@ -243,10 +251,13 @@ def _report(name: str, residual: float, where: str, ncols: int,
 
 
 def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckReport]:
-    """[T0, T+] = T+, [T0, T-] = -T-, [T+, T-] = [2 T0] on the rep."""
+    """[T0, T+] = T+, [T0, T-] = -T-, [T+, T-] = [2 T0] on the rep.
+
+    An exact-mode rep holds only if every residual entry is exactly zero;
+    its reports carry the note 'exact'.
+    """
     ctx = rep.ctx
-    if ctx.is_exact():
-        return _check_su11_exact(rep, tolerance)
+    note = "exact" if ctx.is_exact() else ""
     half = ctx.from_fraction(Fraction(1, 2))
     t0 = _mat_lin(ctx, [(half, rep.matrices["A22"]),
                         (-half, rep.matrices["A33"])])
@@ -255,49 +266,17 @@ def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Ch
     reports = []
     r1 = _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tp)),
                         (-one, _mat_mul(ctx, tp, t0)), (-one, tp)])
-    reports.append(_report(f"su11-raising-{rep.basis}", *_worst(rep, r1), tolerance))
+    reports.append(_report(f"su11-raising-{rep.basis}", *_worst(rep, r1),
+                           tolerance, note))
     r2 = _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tm)),
                         (-one, _mat_mul(ctx, tm, t0)), (one, tm)])
-    reports.append(_report(f"su11-lowering-{rep.basis}", *_worst(rep, r2), tolerance))
+    reports.append(_report(f"su11-lowering-{rep.basis}", *_worst(rep, r2),
+                           tolerance, note))
     r3 = _mat_lin(ctx, [(one, _mat_mul(ctx, tp, tm)),
                         (-one, _mat_mul(ctx, tm, tp)),
                         (-one, rep.diagonal_weight_bracket())])
     reports.append(_report(f"su11-commutator-{rep.basis}",
-                           *_worst(rep, r3, rep.interior2), tolerance))
-    return reports
-
-
-def _check_su11_exact(rep: TruncatedRep, tolerance: float) -> List[CheckReport]:
-    """Exact-mode variant: entries are SignedRadicals, zero must be exact."""
-    ctx = rep.ctx
-    tp, tm = rep.matrices["A23"], rep.matrices["A32"]
-    reports = []
-
-    def scan(name, entries, columns):
-        reports.append(_report(name, *_first_nonzero(rep, entries, columns),
-                               tolerance, "exact"))
-
-    def commut_with_t0(mat, shift):
-        # [T0, X] - shift*X has entries ((w_i - w_j)/2 - shift) * X_ij with
-        # w = m2 - m3; rational multiples of each entry, no radical addition.
-        out = {}
-        for (i, j), v in mat.items():
-            lam_i = Fraction(rep.weights[i].m2 - rep.weights[i].m3, 2)
-            lam_j = Fraction(rep.weights[j].m2 - rep.weights[j].m3, 2)
-            out[(i, j)] = v * SignedRadical.from_rational(lam_i - lam_j - shift)
-        return out
-
-    scan(f"su11-raising-{rep.basis}", commut_with_t0(tp, 1), None)
-    scan(f"su11-lowering-{rep.basis}", commut_with_t0(tm, -1), None)
-
-    r3 = _mat_mul(ctx, tp, tm)
-    for key, v in _mat_mul(ctx, tm, tp).items():
-        r3[key] = radical_sum([r3.get(key, SignedRadical.zero()), -v], ctx)
-    for j, w in enumerate(rep.weights):
-        bracket = SignedRadical.from_rational(ctx.qnum(w.m2 - w.m3))
-        r3[(j, j)] = radical_sum(
-            [r3.get((j, j), SignedRadical.zero()), -bracket], ctx)
-    scan(f"su11-commutator-{rep.basis}", r3, rep.interior2)
+                           *_worst(rep, r3, rep.interior2), tolerance, note))
     return reports
 
 
@@ -347,36 +326,23 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     columns whose raising image stays inside the truncation.  Also reports
     whether distinct T values within one weight space keep distinct
     eigenvalues at this q (degeneracy is reported, not asserted through).
+    An exact-mode rep passes only with an exactly zero residual.
     """
     if rep.basis != "t":
         raise ValueError("check_casimir needs a T-basis rep")
     ctx = rep.ctx
-    exact = ctx.is_exact()
-    fctx = ctx if not exact else ctx.as_float()
+    fctx = ctx.as_float()
+    one = ctx.one()
     tp, tm = rep.matrices["A23"], rep.matrices["A32"]
-    cols_ok = [True] * len(rep.labels)
-    for j, lab in enumerate(rep.labels):
-        if int(lab.M - lab.T - 1) >= rep.truncation.depth:
-            cols_ok[j] = False
-    c2 = _mat_mul(ctx, tm, tp)
-    if exact:
-        for j, lab in enumerate(rep.labels):
-            shifted = SignedRadical.from_rational(
-                ctx.qbracket_half_sq(int(2 * lab.M) + 1))
-            expect = SignedRadical.from_rational(
-                casimir_su11_eigenvalue(ctx, lab.T))
-            c2[(j, j)] = radical_sum(
-                [c2.get((j, j), SignedRadical.zero()), shifted, -expect], ctx)
-        reports = [_report("casimir-eigenvalue",
-                           *_first_nonzero(rep, c2, cols_ok), tolerance, "exact")]
-    else:
-        for j, lab in enumerate(rep.labels):
-            shifted = ctx.qbracket_half_sq(int(2 * lab.M) + 1)
-            expect = casimir_su11_eigenvalue(ctx, lab.T)
-            key = (j, j)
-            c2[key] = c2.get(key, ctx.zero()) + shifted - expect
-        reports = [_report("casimir-eigenvalue",
-                           *_worst(rep, c2, cols_ok), tolerance)]
+    cols_ok = [lab.depth() < rep.truncation.depth for lab in rep.labels]
+    c2 = _mat_lin(ctx, [
+        (one, _mat_mul(ctx, tm, tp)),
+        (one, rep.diagonal(ctx.qbracket_half_sq(int(2 * lab.M) + 1)
+                           for lab in rep.labels)),
+        (-one, rep.diagonal(casimir_su11_eigenvalue(ctx, lab.T)
+                            for lab in rep.labels))])
+    reports = [_report("casimir-eigenvalue", *_worst(rep, c2, cols_ok),
+                       tolerance, "exact" if ctx.is_exact() else "")]
 
     # eigenvalue separation per weight space at this q
     by_weight: Dict[Weight, set] = {}
@@ -449,7 +415,7 @@ def _complete_blocks(ctx: EvalContext, sig: Signature,
         if not all(l.ell <= truncation.ell_max for l in us):
             continue
         if not all(l.s <= truncation.s_max
-                   and int(l.M - l.T - 1) <= truncation.depth for l in ts):
+                   and l.depth() <= truncation.depth for l in ts):
             continue
         out[w] = weyl_block(ctx, sig, w)
     return out
@@ -555,13 +521,14 @@ def check_intertwiner(sig: Signature, truncation: Truncation,
     return _report("intertwiner", float(worst), where, pairs, tolerance)
 
 
-def check_projector(sig: Signature, t_value, truncation: Truncation,
-                    ctx: EvalContext,
+def check_projector(rep: TruncatedRep, t_value,
                     tolerance: float = 1e-10) -> List[CheckReport]:
     """Extremal projector identities on the T0 = T+1 subspace.
 
-    P = sum_r c_r T+^r T-^r with c_r = projector_t_coeff.  On the span of
-    all truncated T-basis labels with M = T+1 the following are checked:
+    P = sum_r c_r T+^r T-^r with c_r = projector_t_coeff.  rep is a float
+    T-basis rep, and every T+ or T- factor is its stored A23 or A32 entry,
+    so the identities test the T table's ladder rows.  On the span of the
+    rep's labels with M = T+1 the following are checked:
 
     * P equals the diagonal picking out spin-T labels (kills T' < T,
       fixes T' = T), hence P^2 = P and P on the (T, T+1) vector is 1;
@@ -571,76 +538,76 @@ def check_projector(sig: Signature, t_value, truncation: Truncation,
       with a note when eigenvalues degenerate at this q);
     * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth headroom.
     """
+    if rep.basis != "t":
+        raise ValueError("check_projector needs a T-basis rep")
+    fctx = rep.ctx
+    if fctx.is_exact():
+        raise ValueError("projector checks run in floating mode")
     T = Fraction(t_value)
-    fctx = ctx if not ctx.is_exact() else ctx.as_float()
     tol = tolerance
-    labels = [l for l in enumerate_t_basis(sig, truncation.s_max, truncation.depth)
-              if l.M == T + 1]
+    cols = [j for j, l in enumerate(rep.labels) if l.M == T + 1]
     reports: List[CheckReport] = []
-    if not labels:
+    if not cols:
         return [CheckReport("projector", True, 0.0, tol, "", 0,
                             f"T={T}: no coverage")]
-    # chains stay inside one (s, p) multiplet: T+ and T- only move M
-    def raise_chain(spin, m_start, steps: int):
-        """Coefficient of T+^steps from weight m_start, None past the window."""
-        coeff = fctx.one()
-        m = m_start
-        for _ in range(steps):
-            if int(m - spin - 1) >= truncation.depth:
-                return None
-            coeff *= fctx.sqrt(fctx.qnum(m - spin) * fctx.qnum(spin + m + 1))
-            m += 1
-        return coeff
+    # T+ and T- only move M inside one (s, p) multiplet, so each column of
+    # A23 and A32 holds at most one entry: column -> (row, factor)
+    up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
+    down_step = {j: (i, v) for (i, j), v in rep.matrices["A32"].items()}
 
-    def lower_chain(spin, m_start, steps: int):
-        """Coefficient of T-^steps from weight m_start (0 at the floor)."""
+    def chain(step, j: int, steps: int):
+        """(product of `steps` ladder factors from column j, end column).
+
+        None once a factor is missing: T+ left the window, or T- hit the
+        multiplet floor.
+        """
         coeff = fctx.one()
-        m = m_start
         for _ in range(steps):
-            if m - spin - 1 == 0:
-                return fctx.zero()
-            coeff *= -fctx.sqrt(fctx.qnum(spin + m) * fctx.qnum(m - spin - 1))
-            m -= 1
-        return coeff
+            if j not in step:
+                return None
+            j, v = step[j]
+            coeff *= v
+        return coeff, j
 
     two_t = int(2 * T)
 
-    def p_diag(lab: TBasisLabel):
-        """P on |lab>, a scalar: P is diagonal within each multiplet here."""
+    def p_diag(j: int):
+        """P on column j, a scalar: P is diagonal within each multiplet here."""
         total = fctx.zero()
         for r in range(0, two_t + 1):
             c_r = projector_t_coeff(fctx, T, r)
             if c_r == 0:
                 continue
-            down = lower_chain(lab.T, lab.M, r)
-            if down == 0:
+            down = chain(down_step, j, r)
+            if down is None:
                 continue
-            up = raise_chain(lab.T, lab.M - r, r)
-            total += c_r * up * down
+            up, _ = chain(up_step, down[1], r)
+            total += c_r * up * down[0]
         return total
 
     worst_diag = fctx.zero()
     where_diag = ""
-    for lab in labels:
-        val = p_diag(lab)
+    for j in cols:
+        lab = rep.labels[j]
         want = fctx.one() if lab.T == T else fctx.zero()
-        mag = abs(val - want)
+        mag = abs(p_diag(j) - want)
         if mag > worst_diag:
             worst_diag, where_diag = mag, f"T={T} col={lab}"
     reports.append(_report(f"projector-diagonal-T{T}", float(worst_diag),
-                           where_diag, len(labels), tol))
+                           where_diag, len(cols), tol))
 
     # T- P = 0: P column is diag scalar, then one lowering step
     worst_low = fctx.zero()
     where_low = ""
-    for lab in labels:
-        val = p_diag(lab)
-        down = lower_chain(lab.T, lab.M, 1)
-        mag = abs(val * down)
+    for j in cols:
+        down = chain(down_step, j, 1)
+        if down is None:
+            continue
+        mag = abs(p_diag(j) * down[0])
         if mag > worst_low:
-            worst_low, where_low = mag, f"T={T} col={lab}"
+            worst_low, where_low = mag, f"T={T} col={rep.labels[j]}"
     reports.append(_report(f"projector-annihilation-T{T}", float(worst_low),
-                           where_low, len(labels), tol))
+                           where_low, len(cols), tol))
 
     # leading coefficient is 1 (r = 0 term)
     c0 = projector_t_coeff(fctx, T, 0)
@@ -648,7 +615,7 @@ def check_projector(sig: Signature, t_value, truncation: Truncation,
                            float(abs(c0 - fctx.one())), "r=0", 1, tol))
 
     # spectral projector from C2 by interpolation over distinct T' present
-    tprimes = sorted({l.T for l in labels})
+    tprimes = sorted({rep.labels[j].T for j in cols})
     lam = {tp: fctx.qbracket_half_sq(int(2 * tp) + 1)
            for tp in set(tprimes) | {T}}
     degenerate = any(
@@ -656,42 +623,43 @@ def check_projector(sig: Signature, t_value, truncation: Truncation,
         for i, a in enumerate(tprimes) for b in tprimes[i + 1:])
     if degenerate:
         reports.append(CheckReport(f"projector-spectral-T{T}", True, 0.0, tol,
-                                   "", len(labels),
+                                   "", len(cols),
                                    "degenerate Casimir eigenvalues, skipped"))
     else:
         worst_sp = fctx.zero()
         where_sp = ""
-        for lab in labels:
+        for j in cols:
+            lab = rep.labels[j]
             # C2 acts on |lab> diagonally with eigenvalue lam[lab.T]
             val = fctx.one()
             for tp in tprimes:
                 if tp == T:
                     continue
                 val *= (lam[lab.T] - lam[tp]) / (lam[T] - lam[tp])
-            pval = p_diag(lab)
-            mag = abs(pval - val)
+            mag = abs(p_diag(j) - val)
             if mag > worst_sp:
                 worst_sp, where_sp = mag, f"T={T} col={lab}"
         reports.append(_report(f"projector-spectral-T{T}", float(worst_sp),
-                               where_sp, len(labels), tol))
+                               where_sp, len(cols), tol))
 
     # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace
-    spin_t = [l for l in labels if l.T == T]
     worst_x = fctx.zero()
     where_x = ""
     checked = 0
-    for lab in spin_t:
-        for x in range(1, truncation.depth + 1):
-            up = raise_chain(lab.T, lab.M, x)
+    for j in cols:
+        if rep.labels[j].T != T:
+            continue
+        for x in range(1, rep.truncation.depth + 1):
+            up = chain(up_step, j, x)
             if up is None:
                 break
-            lhs = lower_chain(lab.T, lab.M + x, x) * up
+            lhs = chain(down_step, up[1], x)[0] * up[0]
             sign = -1 if x % 2 else 1
             rhs = sign * norm_su11_sq(fctx, T, T + 1 + x)
             mag = abs(lhs - rhs)
             checked += 1
             if mag > worst_x:
-                worst_x, where_x = mag, f"T={T} x={x} col={lab}"
+                worst_x, where_x = mag, f"T={T} x={x} col={rep.labels[j]}"
     reports.append(_report(f"projector-power-T{T}", float(worst_x), where_x,
                            checked, tol))
     return reports
@@ -711,20 +679,26 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
 
     mode 'exact' runs the su11, Casimir and norm checks in exact rational
     arithmetic; matrix checks that need square roots always run in floating
-    point at the given precision.
+    point at the given precision.  An unknown check or flip_entry raises
+    ValueError before any check runs.
     """
     trunc = truncation or Truncation(6, 6, 6)
     wanted = set(checks or DEFAULT_CHECKS)
     unknown = wanted - set(DEFAULT_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if flip_entry is not None and flip_entry not in _ENTRY_IDS:
+        raise ValueError(f"unknown table entry {flip_entry!r}; expected one "
+                         "of U1..U10, T1..T10")
     fctx = EvalContext.floating(q, precision=precision)
     ectx = EvalContext.exact(q) if mode == "exact" else None
     reports: List[CheckReport] = []
-    reps = {}
     if wanted & {"su11", "hermiticity", "casimir", "intertwiner"}:
-        for b in ("u", "t"):
-            reps[b] = TruncatedRep(fctx, sig, b, trunc, flip_entry=flip_entry)
+        bases = ("u", "t")
+    else:
+        bases = ("t",) if "projector" in wanted else ()
+    reps = {b: TruncatedRep(fctx, sig, b, trunc, flip_entry=flip_entry)
+            for b in bases}
     if ectx is not None and wanted & {"su11", "casimir"}:
         reps["t-exact"] = TruncatedRep(ectx, sig, "t", trunc,
                                        flip_entry=flip_entry)
@@ -752,6 +726,6 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
         t_min = Fraction(sig.f2 - sig.f3 - 2, 2)
         t = t_min
         while t <= projector_t_cap:
-            reports += check_projector(sig, t, trunc, fctx, tolerance)
+            reports += check_projector(reps["t"], t, tolerance)
             t += Fraction(1, 2)
     return reports

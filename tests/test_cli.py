@@ -247,8 +247,10 @@ class TestVerify:
         assert "CHECKS FAILED" in out
         assert "generator=A31" in out
 
-    def test_unknown_flip_entry_is_usage_error(self, capsys):
-        code, out, err = run(capsys, *self.COMMON, "--checks", "intertwiner",
+    @pytest.mark.parametrize("checks", ["intertwiner", "orthogonality",
+                                        "norms"])
+    def test_unknown_flip_entry_is_usage_error(self, capsys, checks):
+        code, out, err = run(capsys, *self.COMMON, "--checks", checks,
                              "--flip-entry", "U99")
         assert code == 2
         assert "error" in err and "U99" in err

@@ -127,6 +127,16 @@ class TestIndividualChecks:
         assert sep.passed and sep.columns_checked > 0
         assert sep.note == "no weight holds two T values"
 
+    def test_exact_residual_is_the_largest_entry(self):
+        rep = TruncatedRep(EvalContext.exact(Q), SIG, "t", Truncation(2, 2, 2))
+        entries = {(0, 0): SignedRadical.from_rational(Fraction(1, 10**12)),
+                   (1, 1): SignedRadical.from_rational(Fraction(5))}
+        report = verify_mod._report("scan", *verify_mod._worst(rep, entries),
+                                    1e-10, "exact")
+        assert not report.passed
+        assert report.max_residual == 5.0
+        assert report.location == f"row={rep.labels[1]} col={rep.labels[1]}"
+
     def test_norm_recursions(self):
         rep = check_norm_recursions(SIG, Q, ell_max=4, s_max=4)
         assert rep.passed
@@ -140,15 +150,22 @@ class TestIndividualChecks:
         assert ortho.columns_checked > 0 and inter.columns_checked > 0
 
     def test_projector_reports(self):
-        trunc = Truncation(4, 4, 4)
-        reports = check_projector(SIG, Fraction(2), trunc, float_ctx())
+        rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(4, 4, 4))
+        reports = check_projector(rep, Fraction(2))
         assert all(r.passed for r in reports)
         names = {r.name for r in reports}
         assert any(n.startswith("projector-") for n in names)
 
+    @pytest.mark.parametrize("ctx, basis", [(float_ctx(), "u"),
+                                            (EvalContext.exact(Q), "t")])
+    def test_projector_needs_float_t_rep(self, ctx, basis):
+        rep = TruncatedRep(ctx, SIG, basis, Truncation(2, 2, 2))
+        with pytest.raises(ValueError):
+            check_projector(rep, Fraction(2))
+
     def test_projector_no_coverage(self):
-        reports = check_projector(SIG, Fraction(40), Truncation(2, 2, 2),
-                                  float_ctx())
+        rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(2, 2, 2))
+        reports = check_projector(rep, Fraction(40))
         assert len(reports) == 1
         assert reports[0].passed
         assert "no coverage" in reports[0].note
@@ -253,6 +270,19 @@ class TestOnePass:
                   + len(enumerate_t_basis(SIG, trunc.s_max, trunc.depth)))
         assert calls["basis_action"] == len(GENERATORS) * window
 
+    def test_projector_alone_builds_only_the_t_rep(self, monkeypatch):
+        built = []
+        rep_cls = verify_mod.TruncatedRep
+
+        def recording_rep(ctx, sig, basis, *args, **kwargs):
+            built.append(basis)
+            return rep_cls(ctx, sig, basis, *args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "TruncatedRep", recording_rep)
+        run_all_checks(SIG, Q, truncation=Truncation(2, 2, 2),
+                       checks=("projector",))
+        assert built == ["t"]
+
     @pytest.mark.parametrize(
         "eid", [e.eid for b in ("u", "t") for e in table_entries(b)])
     def test_intertwiner_catches_every_flipped_entry(self, eid):
@@ -260,3 +290,28 @@ class TestOnePass:
                                  flip_entry=eid, checks=("intertwiner",))
         assert len(reports) == 1
         assert not reports[0].passed
+
+    @pytest.mark.parametrize("eid, mode, checks", [
+        ("T9", "float", ("projector",)),
+        ("T10", "float", ("projector",)),
+        ("T9", "exact", ("su11", "casimir")),
+    ])
+    def test_rep_checks_catch_flipped_ladder(self, eid, mode, checks):
+        reports = run_all_checks(SIG, Q, mode=mode,
+                                 truncation=Truncation(3, 3, 3),
+                                 flip_entry=eid, checks=checks)
+        failed = [r for r in reports if not r.passed]
+        assert failed
+        if mode == "exact":
+            assert all("[exact]" in r.line() for r in failed)
+
+    def test_reports_match_golden_reprs(self):
+        lines = []
+        for sig in (Signature(3, 1, -1), Signature(7, 7, 4)):
+            for q in (Fraction(1), Q):
+                for mode in ("float", "exact"):
+                    lines += [repr(r) for r in run_all_checks(
+                        sig, q, mode=mode, truncation=Truncation(4, 4, 4))]
+        golden = Path(__file__).parent / "golden" / "verify_reprs.txt"
+        with open(golden, newline="") as fh:
+            assert lines == fh.read().splitlines()
