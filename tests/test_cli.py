@@ -247,9 +247,16 @@ class TestVerify:
         assert "CHECKS FAILED" in out
         assert "generator=A31" in out
 
-    @pytest.mark.parametrize("checks", ["intertwiner", "orthogonality",
-                                        "norms"])
-    def test_unknown_flip_entry_is_usage_error(self, capsys, checks):
+    def test_unknown_flip_entry_is_usage_error(self, capsys):
+        code, out, err = run(capsys, *self.COMMON, "--checks", "intertwiner",
+                             "--flip-entry", "U99")
+        assert code == 2
+        assert "error" in err and "U99" in err
+        assert "passed" not in out
+
+    @pytest.mark.parametrize("checks", ["orthogonality", "norms"])
+    def test_unknown_flip_entry_is_usage_error_for_other_checks(self, capsys,
+                                                               checks):
         code, out, err = run(capsys, *self.COMMON, "--checks", checks,
                              "--flip-entry", "U99")
         assert code == 2
