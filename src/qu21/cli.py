@@ -83,6 +83,13 @@ def _parse_half_integer(text: str) -> Fraction:
     return v
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """A tolerance must be a finite positive number (not NaN)."""
+    if not 0 < tolerance < float("inf"):
+        raise UsageError(f"--tolerance must be finite and positive, "
+                         f"got {tolerance!r}")
+
+
 def _mpf_to_fraction(value) -> Fraction:
     sgn, man, exp, _ = value._mpf_
     man, exp = int(man), int(exp)
@@ -208,6 +215,7 @@ def cmd_matrix(args, out) -> int:
 def cmd_weyl(args, out) -> int:
     sig = Signature.parse(args.sig)
     q, _ = _parse_q(args.q)
+    _check_tolerance(args.tolerance)
     ctx = EvalContext.floating(q, precision=args.precision)
     weight = _parse_weight(args.weight)
     block = weyl_block(ctx, sig, weight)
@@ -264,6 +272,7 @@ def cmd_verify(args, out) -> int:
     q, decimal_q = _parse_q(args.q)
     if args.mode == "exact" and decimal_q:
         raise UsageError("exact mode needs a rational q (use a/b form)")
+    _check_tolerance(args.tolerance)
     trunc = Truncation(args.lmax, args.smax, args.depth)
     checks = tuple(args.checks.split(",")) if args.checks else None
     reports = run_all_checks(sig, q, mode=args.mode, truncation=trunc,
@@ -376,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             code = handler(args, sys.stdout)
         return code
-    except (UsageError, QAlgebraError, ValueError) as exc:
+    except (UsageError, QAlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

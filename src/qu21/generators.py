@@ -5,8 +5,10 @@ diagonal ones act by the plain integer weight components.  Every
 off-diagonal matrix element is table driven, in one table per basis: each
 row is a record holding the label shifts, an overall sign, an integer
 q-power, and the bracket factors of the radicand, so that the closed forms
-live in exactly one place and one function, basis_action, serves both
-bases.  Besides the rows that change multiplet, each table holds the two
+live in exactly one place and one evaluator, _key_action, serves both
+bases.  It works on integer label keys; basis_action wraps it for one
+label and generator, and the truncated reps of verify call it directly.
+Besides the rows that change multiplet, each table holds the two
 ladder rows inside a multiplet: A12/A21, the compact su_q(2) ladder of the
 U basis, and A23/A32, the noncompact su_q(1,1) ladder of the T basis.
 
@@ -28,6 +30,8 @@ from .repspace import (
     Signature,
     TBasisLabel,
     UBasisLabel,
+    _check_t_key,
+    _check_u_key,
     require_t_label,
     require_u_label,
     t_label,
@@ -401,37 +405,99 @@ def _radical_from_entry(ctx: EvalContext, entry: TableEntry, env, flip_entry=Non
     return SignedRadical.make(sign, entry.qexp(env), radicand)
 
 
-def _u_env(sig: Signature, lab: UBasisLabel) -> _UEnv:
-    return _UEnv(sig.f1, sig.f2, sig.f3, lab.k, lab.ell,
-                 _as_int(2 * lab.U), _as_int(2 * lab.MU))
+# Integer keys: a U-basis label (k, ell, U, MU) is keyed (k, ell, 2MU) and a
+# T-basis label (s, p, T, M) is keyed (s, p, 2M); the spin follows from the
+# signature, so a key names its label.
 
 
-def _t_env(sig: Signature, lab: TBasisLabel) -> _TEnv:
-    return _TEnv(sig.f1, sig.f2, sig.f3, lab.s, lab.p,
-                 _as_int(2 * lab.T), _as_int(2 * lab.M))
+def _label_key(basis: str, lab) -> Tuple[int, int, int]:
+    """Integer key of a U-basis ('u') or T-basis ('t') label."""
+    if basis == "u":
+        return (lab.k, lab.ell, _as_int(2 * lab.MU))
+    return (lab.s, lab.p, _as_int(2 * lab.M))
 
 
-def _u_target(sig: Signature, lab: UBasisLabel, entry: TableEntry) -> UBasisLabel:
-    return u_label(sig, lab.k + entry.d1, lab.ell + entry.d2,
-                   lab.MU + Fraction(entry.dtwoM, 2))
+def _u_env(sig: Signature, key) -> _UEnv:
+    k, ell, twoMU = key
+    return _UEnv(sig.f1, sig.f2, sig.f3, k, ell,
+                 _check_u_key(sig, k, ell, twoMU), twoMU)
 
 
-def _t_target(sig: Signature, lab: TBasisLabel, entry: TableEntry) -> TBasisLabel:
-    return t_label(sig, lab.s + entry.d1, lab.p + entry.d2,
-                   lab.M + Fraction(entry.dtwoM, 2))
+def _t_env(sig: Signature, key) -> _TEnv:
+    s, p, twoM = key
+    return _TEnv(sig.f1, sig.f2, sig.f3, s, p,
+                 _check_t_key(sig, s, p, twoM), twoM)
 
 
-# per basis: label check, weight, table environment, target label
+def _u_label_at(sig: Signature, key) -> UBasisLabel:
+    return u_label(sig, key[0], key[1], Fraction(key[2], 2))
+
+
+def _t_label_at(sig: Signature, key) -> TBasisLabel:
+    return t_label(sig, key[0], key[1], Fraction(key[2], 2))
+
+
+# per basis: label check, weight, key -> table environment, key -> label
 _BASES = {
-    "u": (require_u_label, weight_of_u, _u_env, _u_target),
-    "t": (require_t_label, weight_of_t, _t_env, _t_target),
+    "u": (require_u_label, weight_of_u, _u_env, _u_label_at),
+    "t": (require_t_label, weight_of_t, _t_env, _t_label_at),
 }
-# table rows of each generator, in table order
-_ROWS = {b: {g: tuple(e for e in table_entries(b) if e.gen == g)
+
+
+def _target_order(basis: str):
+    """Sort key on a row's shifts that orders the targets of one source by
+    their sort_key: (ell, k, MU) in the U basis, (s, p, M) in the T basis."""
+    if basis == "u":
+        return lambda e: (e.d2, e.d1, e.dtwoM)
+    return lambda e: (e.d1, e.d2, e.dtwoM)
+
+
+# table rows of each generator, in the order of their targets
+_ROWS = {b: {g: tuple(sorted((e for e in table_entries(b) if e.gen == g),
+                             key=_target_order(b)))
              for g in GENERATORS} for b in _BASES}
 _ENTRY_IDS = frozenset(e.eid for b in _BASES for e in table_entries(b))
 # component of the weight on which each diagonal generator acts
 _DIAGONAL = {"A11": 0, "A22": 1, "A33": 2}
+
+
+def _check_flip_entry(flip_entry: str | None) -> None:
+    """Raise ValueError unless flip_entry is None or names a table row."""
+    if flip_entry is not None and flip_entry not in _ENTRY_IDS:
+        raise ValueError(f"unknown table entry {flip_entry!r}; expected one "
+                         "of U1..U10, T1..T10")
+
+
+def _key_action(ctx: EvalContext, sig: Signature, basis: str, key, weight,
+                gens, flip_entry: str | None = None):
+    """Action of each generator in gens on the basis vector with this key.
+
+    The one evaluator of the tables: basis_action and the truncated reps
+    of verify both go through it.  weight is the vector's weight (the
+    eigenvalues of the diagonal generators).  Returns one list per
+    generator of (target key, SignedRadical) pairs in the targets'
+    sort_key order.  The key and every target are checked against the
+    label domain, so a row that leaves it raises ConstraintViolation.
+    """
+    env_of = _BASES[basis][2]
+    env = env_of(sig, key)
+    rows = _ROWS[basis]
+    a, b, c = key
+    out = []
+    for gen in gens:
+        if gen in _DIAGONAL:
+            m = weight[_DIAGONAL[gen]]
+            out.append([(key, SignedRadical.from_rational(Fraction(m)))])
+            continue
+        terms = []
+        for entry in rows[gen]:
+            coeff = _radical_from_entry(ctx, entry, env, flip_entry)
+            if coeff is not None:
+                target = (a + entry.d1, b + entry.d2, c + entry.dtwoM)
+                env_of(sig, target)  # a target that is no label raises
+                terms.append((target, coeff))
+        out.append(terms)
+    return out
 
 
 def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
@@ -444,21 +510,11 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
-    if flip_entry is not None and flip_entry not in _ENTRY_IDS:
-        raise ValueError(f"unknown table entry {flip_entry!r}; expected one "
-                         "of U1..U10, T1..T10")
-    require, weight_of, env_of, target_of = _BASES[basis]
+    _check_flip_entry(flip_entry)
+    require, weight_of, _, label_at = _BASES[basis]
     require(sig, lab)
-    if gen in _DIAGONAL:
-        m = weight_of(sig, lab)[_DIAGONAL[gen]]
-        return [ActionTerm(lab, SignedRadical.from_rational(Fraction(m)))]
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    env = env_of(sig, lab)
-    terms = []
-    for entry in _ROWS[basis][gen]:
-        coeff = _radical_from_entry(ctx, entry, env, flip_entry)
-        if coeff is not None:
-            terms.append(ActionTerm(target_of(sig, lab, entry), coeff))
-    terms.sort(key=lambda t: t.target.sort_key())
-    return terms
+    [terms] = _key_action(ctx, sig, basis, _label_key(basis, lab),
+                          weight_of(sig, lab), (gen,), flip_entry)
+    return [ActionTerm(label_at(sig, key), coeff) for key, coeff in terms]

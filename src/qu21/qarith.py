@@ -56,11 +56,15 @@ class EvalContext:
                    on a private mpmath context, so instances never interfere
                    with each other or with the global mpmath state.
 
-    All operations are pure; the only internal mutation is memoization of
-    q-brackets and q-factorials.
+    All operations are pure; the only internal mutation is memoization, one
+    dict per function keyed by its integer argument: q-powers (qpow),
+    q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
+    A memoized value is the one the first call computed, so repeated calls
+    return bit-identical results.
     """
 
-    __slots__ = ("mode", "q", "precision", "_mp", "_qnum_memo", "_qfact_memo")
+    __slots__ = ("mode", "q", "precision", "_mp", "_qpow_memo", "_qnum_memo",
+                 "_qfact_memo", "_qfact_inv_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
         if mode not in (_EXACT, _FLOAT):
@@ -88,8 +92,10 @@ class EvalContext:
             if qf <= 0:
                 raise ValueError("q must be positive")
             self.q = qf
+        self._qpow_memo = {}
         self._qnum_memo = {}
         self._qfact_memo = {0: self.one()}
+        self._qfact_inv_memo = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -134,9 +140,13 @@ class EvalContext:
     def qpow(self, w) -> Scalar:
         """q**w for integer w."""
         w = _as_int(w)
-        if self.mode == _EXACT:
-            return self.q ** w
-        return self._mp.power(self.q, w)
+        memo = self._qpow_memo
+        if w not in memo:
+            if self.mode == _EXACT:
+                memo[w] = self.q ** w
+            else:
+                memo[w] = self._mp.power(self.q, w)
+        return memo[w]
 
     # -- brackets and factorials --------------------------------------------
 
@@ -173,9 +183,10 @@ class EvalContext:
         summation code never precomputes bounds independently.
         """
         n = _as_int(n)
-        if n < 0:
-            return self.zero()
-        return 1 / self.qfact(n)
+        memo = self._qfact_inv_memo
+        if n not in memo:
+            memo[n] = self.zero() if n < 0 else 1 / self.qfact(n)
+        return memo[n]
 
     def qbracket_half_sq(self, two_x) -> Scalar:
         """[x]^2 for the half-integer x = two_x / 2.

@@ -143,40 +143,66 @@ class TBasisLabel:
         return f"s={self.s} p={self.p} T={self.T} M={self.M}"
 
 
-def u_label(sig: Signature, k: int, ell: int, MU) -> UBasisLabel:
-    """Validated U-basis label; MU may be an int or Fraction."""
-    if not 0 <= k <= sig.f1 - sig.f2:
+def _check_u_key(sig: Signature, k: int, ell: int, twoMU) -> int:
+    """2U of the U-basis label (k, ell, MU = twoMU / 2), checked in integers.
+
+    Raises ConstraintViolation outside the domain.  twoMU may also be a
+    Fraction; then it is an integer exactly when MU is a half-integer.
+    """
+    f12 = sig.f1 - sig.f2
+    if not 0 <= k <= f12:
         raise ConstraintViolation(
-            f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {sig.f1 - sig.f2}")
+            f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {f12}")
     if ell < 0:
         raise ConstraintViolation(f"ell >= 0 violated: ell = {ell}")
-    U = Fraction(sig.f1 - sig.f2 - k + ell, 2)
+    twoU = f12 - k + ell
+    if (twoU - twoMU) % 2:
+        raise ConstraintViolation(
+            f"U - MU must be an integer: U = {Fraction(twoU, 2)}, "
+            f"MU = {Fraction(twoMU, 2)}")
+    if not -twoU <= twoMU <= twoU:
+        raise ConstraintViolation(
+            f"-U <= MU <= U violated: U = {Fraction(twoU, 2)}, "
+            f"MU = {Fraction(twoMU, 2)}")
+    return twoU
+
+
+def _check_t_key(sig: Signature, s: int, p: int, twoM) -> int:
+    """2T of the T-basis label (s, p, M = twoM / 2), checked in integers.
+
+    Raises ConstraintViolation outside the domain.  twoM may also be a
+    Fraction; then it is an integer exactly when M is a half-integer.
+    """
+    f12 = sig.f1 - sig.f2
+    if not 0 <= p <= f12:
+        raise ConstraintViolation(
+            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {f12}")
+    if s < 0:
+        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
+    twoT = sig.f2 - sig.f3 + p + s - 2
+    if (twoM - twoT) % 2:
+        raise ConstraintViolation(
+            f"M - T must be an integer: T = {Fraction(twoT, 2)}, "
+            f"M = {Fraction(twoM, 2)}")
+    if twoM < twoT + 2:
+        raise ConstraintViolation(
+            f"M >= T + 1 violated: T = {Fraction(twoT, 2)}, "
+            f"M = {Fraction(twoM, 2)}")
+    return twoT
+
+
+def u_label(sig: Signature, k: int, ell: int, MU) -> UBasisLabel:
+    """Validated U-basis label; MU may be an int or Fraction."""
     MU = Fraction(MU)
-    if (U - MU).denominator != 1:
-        raise ConstraintViolation(
-            f"U - MU must be an integer: U = {U}, MU = {MU}")
-    if not -U <= MU <= U:
-        raise ConstraintViolation(
-            f"-U <= MU <= U violated: U = {U}, MU = {MU}")
-    return UBasisLabel(k, ell, U, MU)
+    twoU = _check_u_key(sig, k, ell, 2 * MU)
+    return UBasisLabel(k, ell, Fraction(twoU, 2), MU)
 
 
 def t_label(sig: Signature, s: int, p: int, M) -> TBasisLabel:
     """Validated T-basis label; M may be an int or Fraction."""
-    if not 0 <= p <= sig.f1 - sig.f2:
-        raise ConstraintViolation(
-            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {sig.f1 - sig.f2}")
-    if s < 0:
-        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
-    T = Fraction(sig.f2 - sig.f3 + p + s - 2, 2)
     M = Fraction(M)
-    if (M - T).denominator != 1:
-        raise ConstraintViolation(
-            f"M - T must be an integer: T = {T}, M = {M}")
-    if M < T + 1:
-        raise ConstraintViolation(
-            f"M >= T + 1 violated: T = {T}, M = {M}")
-    return TBasisLabel(s, p, T, M)
+    twoT = _check_t_key(sig, s, p, 2 * M)
+    return TBasisLabel(s, p, Fraction(twoT, 2), M)
 
 
 def enumerate_u_basis(sig: Signature, ell_max: int) -> List[UBasisLabel]:

@@ -19,7 +19,15 @@ only on columns whose images under up to d successive generator applications
 stay inside the truncation (interior masks, computed for d <= 2).  Checks on
 an empty interior pass vacuously and say so in their report.
 
-One pass: run_all_checks builds each object once.  The float U and T reps
+One pass: each TruncatedRep visits each of its labels once.  The label's
+integer key (k, ell, 2MU) or (s, p, 2M) is checked and turned into its
+table environment once, one call of generators._key_action gives the terms
+of all nine generators, and targets are looked up by key.  A float rep
+converts each distinct radical to a float once.  Each matrix is
+filled column by column, each column's terms in sort_key order, so every
+later sum adds in the same order.
+
+run_all_checks builds each object once.  The float U and T reps
 serve the su11, hermiticity and Casimir checks and the intertwiner, which
 reads M_U(g) and M_T(g) from their sparse matrices and sums only stored
 entries; the float T rep also serves the projector check, which reads its
@@ -35,10 +43,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .generators import (
-    _ENTRY_IDS,
     GENERATORS,
     WEIGHT_SHIFTS,
-    basis_action,
+    _check_flip_entry,
+    _key_action,
+    _label_key,
+    basis_action,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     casimir_su11_eigenvalue,
     norm_su11_sq,
     norm_t_sq,
@@ -120,6 +130,7 @@ class TruncatedRep:
                  truncation: Truncation, flip_entry: Optional[str] = None):
         if basis not in ("u", "t"):
             raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
+        _check_flip_entry(flip_entry)
         self.ctx = ctx
         self.sig = sig
         self.basis = basis
@@ -132,23 +143,31 @@ class TruncatedRep:
             self.weights = tuple(weight_of_t(sig, l) for l in labels)
         self.labels = tuple(labels)
         self.index = {l: i for i, l in enumerate(self.labels)}
-        self.matrices: Dict[str, Entries] = {}
+        keys = [_label_key(basis, l) for l in self.labels]
+        key_index = {key: i for i, key in enumerate(keys)}
+        self.matrices: Dict[str, Entries] = {g: {} for g in GENERATORS}
+        mats = tuple(self.matrices.values())
         n = len(self.labels)
         stays_in = [True] * n
         reach: List[set] = [set() for _ in range(n)]
-        use_float = not ctx.is_exact()
-        for g in GENERATORS:
-            m: Entries = {}
-            for j, lab in enumerate(self.labels):
-                for tgt, coeff in basis_action(ctx, sig, basis, g, lab,
-                                               flip_entry=flip_entry):
-                    i = self.index.get(tgt)
+        # float reps convert each distinct radical once
+        floats = None if ctx.is_exact() else {}
+        for j, (key, w) in enumerate(zip(keys, self.weights)):
+            actions = _key_action(ctx, sig, basis, key, w, GENERATORS,
+                                  flip_entry)
+            for m, terms in zip(mats, actions):
+                for tgt, coeff in terms:
+                    i = key_index.get(tgt)
                     if i is None:
                         stays_in[j] = False
-                    else:
-                        reach[j].add(i)
-                        m[(i, j)] = coeff.to_float(ctx) if use_float else coeff
-            self.matrices[g] = m
+                        continue
+                    reach[j].add(i)
+                    if floats is not None:
+                        value = floats.get(coeff)
+                        if value is None:
+                            value = floats[coeff] = coeff.to_float(ctx)
+                        coeff = value
+                    m[(i, j)] = coeff
         self.interior1 = tuple(stays_in)
         self.interior2 = tuple(
             stays_in[j] and all(stays_in[i] for i in reach[j])
@@ -687,9 +706,7 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
     unknown = wanted - set(DEFAULT_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if flip_entry is not None and flip_entry not in _ENTRY_IDS:
-        raise ValueError(f"unknown table entry {flip_entry!r}; expected one "
-                         "of U1..U10, T1..T10")
+    _check_flip_entry(flip_entry)
     fctx = EvalContext.floating(q, precision=precision)
     ectx = EvalContext.exact(q) if mode == "exact" else None
     reports: List[CheckReport] = []

@@ -279,6 +279,27 @@ class TestVerify:
         assert "rational q" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-10"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sig", "4,2,-2", "--lmax", "1", "--smax", "1", "--depth", "1"],
+    ["weyl", "--sig", "4,2,-2", "--weight", "4,2,-2", "--via-racah"],
+], ids=["verify", "weyl"])
+def test_bad_tolerance_is_usage_error(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, f"--tolerance={tolerance}")
+    assert code == 2
+    assert err.startswith("error:") and "--tolerance" in err
+    assert out == ""
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "basis", "--sig", "4,2,-2", "--out",
+                         str(target))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == "" and not target.exists()
+
+
 @pytest.mark.parametrize("env, argv", [
     (None, ["basis", "--sig", "4,2,-2", "--q", "0"]),
     (None, ["matrix", "--sig", "4,2,-2", "--gen", "A12", "--q", "0"]),

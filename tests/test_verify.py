@@ -1,5 +1,6 @@
 """Truncated-window representation checks: construction and the check suite."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,10 @@ import pytest
 
 import qu21.verify as verify_mod
 from qu21 import cli
-from qu21.generators import GENERATORS, WEIGHT_SHIFTS, table_entries
+import qu21.generators as generators_mod
+from qu21.errors import ConstraintViolation
+from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, _label_key,
+                             basis_action, table_entries)
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, enumerate_t_basis, enumerate_u_basis,
                            lowest_t_label, lowest_u_label)
@@ -76,6 +80,42 @@ class TestTruncatedRep:
             assert not any(j == ju for (_, j) in repu.matrices[g])
         for g in ("A31", "A32", "A12"):
             assert not any(j == jt for (_, j) in rept.matrices[g])
+
+    @pytest.mark.parametrize("flip", [None, "T9"])
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    @pytest.mark.parametrize("ctx", [float_ctx(), EvalContext.exact(Q)],
+                             ids=["float", "exact"])
+    def test_entries_equal_basis_action(self, ctx, basis, flip):
+        sig = Signature(5, 2, -1)
+        rep = TruncatedRep(ctx, sig, basis, Truncation(3, 3, 3),
+                           flip_entry=flip)
+        for g in GENERATORS:
+            want = {}
+            for j, lab in enumerate(rep.labels):
+                terms = basis_action(ctx, sig, basis, g, lab, flip_entry=flip)
+                for tgt, coeff in sorted(terms,
+                                         key=lambda t: t.target.sort_key()):
+                    if tgt in rep.index:
+                        want[(rep.index[tgt], j)] = (
+                            coeff if ctx.is_exact() else coeff.to_float(ctx))
+            assert list(rep.matrices[g].items()) == list(want.items())
+
+    @pytest.mark.parametrize("basis, gen", [("u", "A12"), ("t", "A23")])
+    def test_row_leaving_the_domain_raises(self, monkeypatch, basis, gen):
+        # shift the ladder row of gen by one step in k (resp. p): at the top
+        # of that range the target is no label, which must not pass as a
+        # target outside the window
+        [row] = generators_mod._ROWS[basis][gen]
+        shifted = dataclasses.replace(row, d1=row.d1 + (basis == "u"),
+                                      d2=row.d2 + (basis == "t"))
+        monkeypatch.setitem(generators_mod._ROWS[basis], gen, (shifted,))
+        with pytest.raises(ConstraintViolation):
+            TruncatedRep(float_ctx(), SIG, basis, Truncation(2, 2, 2))
+
+    def test_unknown_flip_entry_rejected(self):
+        with pytest.raises(ValueError, match="U99"):
+            TruncatedRep(float_ctx(), SIG, "u", Truncation(2, 2, 2),
+                         flip_entry="U99")
 
     def test_exact_rep_stores_radicals(self):
         rep = TruncatedRep(EvalContext.exact(Q), SIG, "t", Truncation(2, 2, 2))
@@ -249,26 +289,29 @@ class TestOnePass:
 
     def test_each_block_and_rep_built_once(self, monkeypatch):
         trunc = Truncation(3, 3, 3)
-        calls = {"weyl_block": [], "basis_action": 0}
-        weyl_block, basis_action = verify_mod.weyl_block, verify_mod.basis_action
+        calls = {"weyl_block": [], "key_action": []}
+        weyl_block, key_action = verify_mod.weyl_block, verify_mod._key_action
 
         def counting_weyl_block(ctx, sig, weight):
             calls["weyl_block"].append(weight)
             return weyl_block(ctx, sig, weight)
 
-        def counting_basis_action(*args, **kwargs):
-            calls["basis_action"] += 1
-            return basis_action(*args, **kwargs)
+        def counting_key_action(ctx, sig, basis, key, *args):
+            calls["key_action"].append((basis, key))
+            return key_action(ctx, sig, basis, key, *args)
 
         monkeypatch.setattr(verify_mod, "weyl_block", counting_weyl_block)
-        monkeypatch.setattr(verify_mod, "basis_action", counting_basis_action)
+        monkeypatch.setattr(verify_mod, "_key_action", counting_key_action)
         reports = run_all_checks(SIG, Q, truncation=trunc)
         ortho = next(r for r in reports if r.name == "weyl-orthogonality")
         assert len(calls["weyl_block"]) == ortho.columns_checked > 0
         assert len(set(calls["weyl_block"])) == len(calls["weyl_block"])
-        window = (len(enumerate_u_basis(SIG, trunc.ell_max))
-                  + len(enumerate_t_basis(SIG, trunc.s_max, trunc.depth)))
-        assert calls["basis_action"] == len(GENERATORS) * window
+        # one table evaluation per label of each rep, all generators at once
+        labels = ([("u", _label_key("u", l))
+                   for l in enumerate_u_basis(SIG, trunc.ell_max)]
+                  + [("t", _label_key("t", l))
+                     for l in enumerate_t_basis(SIG, trunc.s_max, trunc.depth)])
+        assert sorted(calls["key_action"]) == sorted(labels)
 
     def test_projector_alone_builds_only_the_t_rep(self, monkeypatch):
         built = []
@@ -313,5 +356,14 @@ class TestOnePass:
                     lines += [repr(r) for r in run_all_checks(
                         sig, q, mode=mode, truncation=Truncation(4, 4, 4))]
         golden = Path(__file__).parent / "golden" / "verify_reprs.txt"
+        with open(golden, newline="") as fh:
+            assert lines == fh.read().splitlines()
+
+    def test_large_reports_match_golden_reprs(self):
+        # ROADMAP's large config, as the benchmark runs it
+        lines = [repr(r) for r in run_all_checks(
+            Signature(8, 2, -2), Q, truncation=Truncation(10, 10, 10),
+            precision=50)]
+        golden = Path(__file__).parent / "golden" / "verify_large_reprs.txt"
         with open(golden, newline="") as fh:
             assert lines == fh.read().splitlines()
