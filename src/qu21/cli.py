@@ -6,8 +6,9 @@ Subcommands:
              (U basis) the triangular pattern of each label
     matrix   nonzero matrix elements of one generator in one basis, with
              exact sign / q-power / radicand and a floating value
-    weyl     the transformation block at one weight, optionally compared
-             against its q-Racah evaluation
+    weyl     the transformation block at one weight (exact mode adds sign /
+             q-power / radicand), optionally compared against its q-Racah
+             evaluation; exit code 1 if any entry is out of tolerance
     racah    a single q-Racah coefficient from six half-integer arguments
     verify   the full identity-check suite; exit code 1 on any failure
 
@@ -214,34 +215,44 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_weyl(args, out) -> int:
     sig = Signature.parse(args.sig)
-    q, _ = _parse_q(args.q)
+    q, decimal_q = _parse_q(args.q)
+    exact = args.mode == "exact"
+    if exact and decimal_q:
+        raise UsageError("exact mode needs a rational q (use a/b form)")
     _check_tolerance(args.tolerance)
-    ctx = EvalContext.floating(q, precision=args.precision)
+    fctx = EvalContext.floating(q, precision=args.precision)
     weight = _parse_weight(args.weight)
-    block = weyl_block(ctx, sig, weight)
+    block = weyl_block(EvalContext.exact(q) if exact else fctx, sig, weight)
     rows = []
     digits = args.precision
+    all_within = True
     for i, ul in enumerate(block.u_labels):
         for j, tl in enumerate(block.t_labels):
-            row = {
-                "u_label": str(ul), "t_label": str(tl),
-                "value": format_float(block.entries[i][j], digits),
-            }
+            entry = block.entries[i][j]
+            row = {"u_label": str(ul), "t_label": str(tl)}
+            if exact:
+                row["sign"] = str(entry.sign)
+                row["qpower"] = str(entry.qpower)
+                row["radicand"] = _frac_str(entry.radicand)
+                value = entry.to_float(fctx)
+            else:
+                value = entry
+            row["value"] = format_float(value, digits)
             if args.via_racah:
-                va = weyl_via_racah(ctx, sig, ul, tl, form="a")
-                vb = weyl_via_racah(ctx, sig, ul, tl, form="b")
-                diff = max(abs(block.entries[i][j] - va),
-                           abs(block.entries[i][j] - vb), abs(va - vb))
+                va = weyl_via_racah(fctx, sig, ul, tl, form="a")
+                vb = weyl_via_racah(fctx, sig, ul, tl, form="b")
+                diff = max(abs(value - va), abs(value - vb), abs(va - vb))
+                within = float(diff) <= args.tolerance
+                all_within = all_within and within
                 row["racah_form_a"] = format_float(va, digits)
                 row["racah_form_b"] = format_float(vb, digits)
                 row["difference"] = format_float(diff, 3)
-                row["within_tolerance"] = str(
-                    float(diff) <= args.tolerance).lower()
+                row["within_tolerance"] = str(within).lower()
             rows.append(row)
     cfg = _base_config(args, q)
     cfg["weight"] = args.weight
     emit(cfg, rows, args.format, out)
-    return 0
+    return 0 if all_within else 1
 
 
 def cmd_racah(args, out) -> int:

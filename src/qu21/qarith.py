@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Union
 
@@ -25,6 +26,10 @@ Scalar = Union[Fraction, mpmath.mpf]
 
 _EXACT = "exact"
 _FLOAT = "float"
+
+# Float contexts at this many distinct precisions keep their mpmath context
+# (about 42 KiB each); a context evicted beyond that is rebuilt on demand.
+_MP_CONTEXTS = 8
 
 
 def _as_int(n) -> int:
@@ -47,20 +52,32 @@ def sqrt_fraction(value: Fraction):
     return None
 
 
+@lru_cache(maxsize=_MP_CONTEXTS)
+def _mp_context(precision: int):
+    """The mpmath context shared by every float EvalContext at this precision."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = precision
+    return ctx
+
+
 class EvalContext:
     """Immutable evaluation backend for all q-arithmetic.
 
     mode 'exact':  q is a positive rational (Fraction); every operation returns
-                   a Fraction and is exact.
+                   a Fraction and is exact.  No mpmath context is built.
     mode 'float':  q is a positive real carried at ``precision`` decimal digits
-                   on a private mpmath context, so instances never interfere
-                   with each other or with the global mpmath state.
+                   on an mpmath context that every float EvalContext of that
+                   precision shares (one per precision, from a bounded memo).
+                   No code may change that context's precision; so instances
+                   never interfere with each other or with the global mpmath
+                   state.
 
     All operations are pure; the only internal mutation is memoization, one
-    dict per function keyed by its integer argument: q-powers (qpow),
-    q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    A memoized value is the one the first call computed, so repeated calls
-    return bit-identical results.
+    dict per function and per instance, keyed by its integer argument:
+    q-powers (qpow), q-brackets (qnum), q-factorials (qfact) and their
+    inverses (qfact_inv).  A fresh instance recomputes every value; a memoized
+    value is the one the first call computed, so repeated calls return
+    bit-identical results.
     """
 
     __slots__ = ("mode", "q", "precision", "_mp", "_qpow_memo", "_qnum_memo",
@@ -80,9 +97,7 @@ class EvalContext:
             self.q = q
             self._mp = None
         else:
-            ctx = mpmath.mp.clone()
-            ctx.dps = self.precision
-            self._mp = ctx
+            ctx = self._mp = _mp_context(self.precision)
             if isinstance(q, Fraction):
                 qf = ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
             elif isinstance(q, str):
@@ -335,10 +350,3 @@ class SignedRadical:
             return fctx.zero()
         return self.sign * fctx.qpow(self.qpower) * fctx.sqrt(self.radicand)
 
-
-def radical_sum(terms, ctx: EvalContext) -> SignedRadical:
-    """Exact sum of SignedRadicals that are pairwise compatible under ctx."""
-    acc = SignedRadical.zero()
-    for term in terms:
-        acc = acc.add_exact(term, ctx)
-    return acc

@@ -698,9 +698,12 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
 
     mode 'exact' runs the su11, Casimir and norm checks in exact rational
     arithmetic; matrix checks that need square roots always run in floating
-    point at the given precision.  An unknown check or flip_entry raises
-    ValueError before any check runs.
+    point at the given precision.  An unknown check or flip_entry, or a
+    tolerance that is not finite and positive, raises ValueError before any
+    check runs.
     """
+    if not 0 < tolerance < float("inf"):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     trunc = truncation or Truncation(6, 6, 6)
     wanted = set(checks or DEFAULT_CHECKS)
     unknown = wanted - set(DEFAULT_CHECKS)

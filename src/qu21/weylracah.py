@@ -18,6 +18,11 @@ what the verify module checks.
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
 non-half-integer or negative arguments.
+
+Half-integer arguments are read once as doubled integers (2a, 2U, 2M, ...),
+and every q-factorial argument is formed from them in integer arithmetic.
+One integer test on the doubled arguments decides the triangle conditions,
+for racah_triangles_ok, the q-Racah sum and racah_args_from_rep alike.
 """
 
 from __future__ import annotations
@@ -55,19 +60,33 @@ def _check_match(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> None:
             f"labels live at different weights: {u} -> {wu}, {t} -> {wt}")
 
 
+def _two(x) -> int:
+    """2x as an int for a half-integer x (an int or Fraction)."""
+    den = x.denominator
+    if den == 1:
+        return 2 * x.numerator
+    if den == 2:
+        return x.numerator
+    raise TypeError(f"expected a half-integer, got {x!r}")
+
+
 def weyl_prefactor_sq(ctx: EvalContext, sig: Signature,
                       u: UBasisLabel, t: TBasisLabel) -> Scalar:
-    """Square of the positive prefactor of the bracket <U|T>_q."""
+    """Square of the positive prefactor of the bracket <U|T>_q.
+
+    u and t must be valid labels at one weight; weyl_coefficient checks that.
+    """
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     k, ell, s, p = u.k, u.ell, t.s, t.p
-    x = t.M - t.T - 1
-    num = (ctx.qnum(2 * u.U + 1) * ctx.qnum(2 * t.T + 1)
-           * ctx.qfact(k) * ctx.qfact(x) * ctx.qfact(u.U + u.MU)
-           * ctx.qfact(t.T + t.M)
+    twoU, twoMU, twoT, twoM = _two(u.U), _two(u.MU), _two(t.T), _two(t.M)
+    x = (twoM - twoT) // 2 - 1
+    num = (ctx.qnum(twoU + 1) * ctx.qnum(twoT + 1)
+           * ctx.qfact(k) * ctx.qfact(x) * ctx.qfact((twoU + twoMU) // 2)
+           * ctx.qfact((twoT + twoM) // 2)
            * ctx.qfact(f12 - k) * ctx.qfact(f12 + ell + 1)
            * ctx.qfact(f23 + s - 2) * ctx.qfact(f23 + p - 2))
     den = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(ell)
-           * ctx.qfact(u.U - u.MU) * ctx.qfact(f13 + s - 1)
+           * ctx.qfact((twoU - twoMU) // 2) * ctx.qfact(f13 + s - 1)
            * ctx.qfact(f12 - p) * ctx.qfact(f23 + k - 2)
            * ctx.qfact(f13 + ell - 1))
     return num / den
@@ -78,14 +97,15 @@ def weyl_sum(ctx: EvalContext, sig: Signature,
     """The balanced q-factorial sum of the bracket, indexed by n."""
     f13, f23 = sig.f1 - sig.f3, sig.f2 - sig.f3
     k, ell, s, p = u.k, u.ell, t.s, t.p
-    drop = int(u.U - u.MU)
+    twoU, twoMU = _two(u.U), _two(u.MU)
+    drop = (twoU - twoMU) // 2
     total = ctx.zero()
     for n in range(0, k + 1):
         sign = -1 if (k + n) % 2 else 1
         term = (ctx.qfact(drop + k - n) * ctx.qfact(ell + k - n)
                 * ctx.qfact(f13 + ell + k - n - 1)
                 * ctx.qfact_inv(n) * ctx.qfact_inv(k - n)
-                * ctx.qfact_inv(int(2 * u.U) + 1 + k - n)
+                * ctx.qfact_inv(twoU + 1 + k - n)
                 * ctx.qfact_inv(ell - s + k - n)
                 * ctx.qfact_inv(f23 + p + ell + k - n - 1))
         total = total + sign * term
@@ -102,8 +122,8 @@ def _signed_root(ctx: EvalContext, sign: int, pref: Scalar, total: Scalar):
                               pref * total * total)
 
 
-def _weyl(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
-    _check_match(sig, u, t)
+def _bracket(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
+    """<U|T>_q for labels already known to be valid and at one weight."""
     return _signed_root(ctx, 1, weyl_prefactor_sq(ctx, sig, u, t),
                         weyl_sum(ctx, sig, u, t))
 
@@ -113,7 +133,8 @@ def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
     """<U|T>_q as an exact SignedRadical (requires an exact-mode context)."""
     if not ctx.is_exact():
         raise ValueError("weyl_coefficient_exact requires an exact-mode context")
-    return _weyl(ctx, sig, u, t)
+    _check_match(sig, u, t)
+    return _bracket(ctx, sig, u, t)
 
 
 def weyl_coefficient(ctx: EvalContext, sig: Signature,
@@ -121,7 +142,8 @@ def weyl_coefficient(ctx: EvalContext, sig: Signature,
     """<U|T>_q as a context scalar (float contexts; real valued)."""
     if ctx.is_exact():
         raise ValueError("use weyl_coefficient_exact for exact-mode contexts")
-    return _weyl(ctx, sig, u, t)
+    _check_match(sig, u, t)
+    return _bracket(ctx, sig, u, t)
 
 
 @dataclass(frozen=True)
@@ -129,7 +151,8 @@ class WeylBlock:
     """Orthogonal change-of-basis block at one weight.
 
     rows follow u_labels (ascending U), columns follow t_labels (ascending T);
-    entries[i][j] = <u_i | t_j>_q.  At full label range the block is square.
+    entries[i][j] = <u_i | t_j>_q, a context scalar, or a SignedRadical in
+    exact mode.  At full label range the block is square.
     """
 
     weight: Weight
@@ -139,13 +162,20 @@ class WeylBlock:
 
 
 def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
-    """The complete (full-range) block at a weight; EmptyWeightSpace if none."""
+    """The complete (full-range) block at a weight; EmptyWeightSpace if none.
+
+    Labels are checked once per block, each against the first label of the
+    other basis, not once per entry.  Entries are SignedRadicals in exact mode.
+    """
     us = u_labels_at_weight(sig, weight)
     ts = t_labels_at_weight(sig, weight)
     if not us or not ts:
         raise EmptyWeightSpace(f"no basis labels at weight {weight} of {sig}")
-    entries = tuple(tuple(weyl_coefficient(ctx, sig, u, t) for t in ts)
-                    for u in us)
+    for u in us:
+        _check_match(sig, u, ts[0])
+    for t in ts[1:]:
+        _check_match(sig, us[0], t)
+    entries = tuple(tuple(_bracket(ctx, sig, u, t) for t in ts) for u in us)
     return WeylBlock(weight, tuple(us), tuple(ts), entries)
 
 
@@ -178,46 +208,64 @@ class RacahArgs:
         return (self.a, self.b, self.e, self.d, self.c, self.f)
 
 
-def _triangle(x: Fraction, y: Fraction, z: Fraction) -> bool:
-    """Triangle condition with integer perimeter."""
-    if (x + y + z).denominator != 1:
+def _triangles_ok(a: int, b: int, e: int, d: int, c: int, f: int) -> bool:
+    """The q-Racah argument test on doubled arguments (2a, 2b, 2e, 2d, 2c, 2f).
+
+    All six are nonnegative, and (a,b,c), (a,e,f), (c,d,e), (b,d,f) are
+    triangles with integral perimeters (even doubled sums).
+    """
+    if min(a, b, e, d, c, f) < 0:
         return False
-    return x + y - z >= 0 and x - y + z >= 0 and -x + y + z >= 0
+    for x, y, z in ((a, b, c), (a, e, f), (c, d, e), (b, d, f)):
+        if (x + y + z) % 2 or x + y < z or x + z < y or y + z < x:
+            return False
+    return True
+
+
+def _doubled(args: RacahArgs):
+    """(2a, 2b, 2e, 2d, 2c, 2f) as ints if the arguments pass the triangle
+    test; None if they do not or are not all half-integers."""
+    try:
+        twice = tuple(map(_two, args.as_tuple()))
+    except TypeError:
+        return None
+    return twice if _triangles_ok(*twice) else None
 
 
 def racah_triangles_ok(args: RacahArgs) -> bool:
-    a, b, e, d, c, f = args.as_tuple()
-    for x in args.as_tuple():
-        if x < 0 or (2 * x).denominator != 1:
-            return False
-    return (_triangle(a, b, c) and _triangle(a, e, f)
-            and _triangle(c, d, e) and _triangle(b, d, f))
+    """True when U_q(a b e d; c f) is inside its triangles (see _triangles_ok)."""
+    return _doubled(args) is not None
 
 
 def _qracah_parts(ctx: EvalContext, args: RacahArgs):
     """(phase_sign, prefactor_square, sum) of U_q; the sum is 0 out of triangle."""
-    if not racah_triangles_ok(args):
+    twice = _doubled(args)
+    if twice is None:
         return 1, ctx.zero(), ctx.zero()
-    a, b, e, d, c, f = args.as_tuple()
-    phase = -1 if int(a + d - c - f) % 2 else 1
-    pref_num = (ctx.qnum(2 * c + 1) * ctx.qnum(2 * f + 1)
-                * ctx.qfact(a + b + c + 1) * ctx.qfact(b + d + f + 1)
-                * ctx.qfact(a - b + c) * ctx.qfact(-a + b + c)
-                * ctx.qfact(a + e - f) * ctx.qfact(b - d + f)
-                * ctx.qfact(-b + d + f) * ctx.qfact(-c + d + e))
-    pref_den = (ctx.qfact(a + e + f + 1) * ctx.qfact(c + d + e + 1)
-                * ctx.qfact(a + b - c) * ctx.qfact(a - e + f)
-                * ctx.qfact(b + d - f) * ctx.qfact(c + d - e)
-                * ctx.qfact(c - d + e) * ctx.qfact(-a + e + f))
-    n_hi = int(min(-a + b + c, b - d + f))
+    # from here on a..f hold the doubled arguments 2a..2f; every halved sum
+    # below is an integer (an even doubled sum) by the triangle test
+    a, b, e, d, c, f = twice
+    phase = -1 if (a + d - c - f) % 4 else 1
+    abc, bdf = (a + b + c) // 2, (b + d + f) // 2
+    pref_num = (ctx.qnum(c + 1) * ctx.qnum(f + 1)
+                * ctx.qfact(abc + 1) * ctx.qfact(bdf + 1)
+                * ctx.qfact((a - b + c) // 2) * ctx.qfact((-a + b + c) // 2)
+                * ctx.qfact((a + e - f) // 2) * ctx.qfact((b - d + f) // 2)
+                * ctx.qfact((-b + d + f) // 2) * ctx.qfact((-c + d + e) // 2))
+    pref_den = (ctx.qfact((a + e + f) // 2 + 1) * ctx.qfact((c + d + e) // 2 + 1)
+                * ctx.qfact((a + b - c) // 2) * ctx.qfact((a - e + f) // 2)
+                * ctx.qfact((b + d - f) // 2) * ctx.qfact((c + d - e) // 2)
+                * ctx.qfact((c - d + e) // 2) * ctx.qfact((-a + e + f) // 2))
+    bc_a, bf_d = (-a + b + c) // 2, (b - d + f) // 2
+    bcf_e, bcef = (b + c - e + f) // 2, (b + c + e + f) // 2
     total = ctx.zero()
-    for n in range(0, n_hi + 1):
+    for n in range(0, min(bc_a, bf_d) + 1):
         sign = -1 if n % 2 else 1
-        term = (ctx.qfact(2 * b - n) * ctx.qfact(b + c - e + f - n)
-                * ctx.qfact(b + c + e + f + 1 - n)
-                * ctx.qfact_inv(n) * ctx.qfact_inv(-a + b + c - n)
-                * ctx.qfact_inv(b - d + f - n) * ctx.qfact_inv(a + b + c + 1 - n)
-                * ctx.qfact_inv(b + d + f + 1 - n))
+        term = (ctx.qfact(b - n) * ctx.qfact(bcf_e - n)
+                * ctx.qfact(bcef + 1 - n)
+                * ctx.qfact_inv(n) * ctx.qfact_inv(bc_a - n)
+                * ctx.qfact_inv(bf_d - n) * ctx.qfact_inv(abc + 1 - n)
+                * ctx.qfact_inv(bdf + 1 - n))
         total = total + sign * term
     return phase, pref_num / pref_den, total
 
@@ -247,12 +295,13 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
     """
     _check_match(sig, u, t)
     k, ell, s, p = u.k, u.ell, t.s, t.p
-    j3 = Fraction(ell + k, 2)
-    j2 = Fraction(sig.f2 - sig.f3 + p - s + ell + k - 2, 2)
-    j1 = Fraction(sig.f1 - sig.f3 - p + s - 2, 2)
-    j = Fraction(sig.f1 - sig.f2, 2)
-    args = RacahArgs(t.T, j3, j1, u.U, j2, j)
-    if not racah_triangles_ok(args):
+    twice = (sig.f2 - sig.f3 + p + s - 2, ell + k,             # 2T, 2 j3
+             sig.f1 - sig.f3 - p + s - 2,                      # 2 j1
+             sig.f1 - sig.f2 - k + ell,                        # 2U
+             sig.f2 - sig.f3 + p - s + ell + k - 2,            # 2 j2
+             sig.f1 - sig.f2)                                  # 2 j
+    args = RacahArgs(*(Fraction(x, 2) for x in twice))
+    if not _triangles_ok(*twice):
         raise InconsistentLabels(f"arguments {args} violate a triangle condition")
     return args
 
@@ -270,8 +319,8 @@ def weyl_via_racah(ctx: EvalContext, sig: Signature,
     a, b, e, d, c, f = args.as_tuple()
     if form == "a":
         sign = -1 if t.s % 2 else 1
-        ratio = (ctx.qnum(2 * d + 1) * ctx.qnum(2 * a + 1)
-                 / (ctx.qnum(2 * c + 1) * ctx.qnum(2 * f + 1)))
+        ratio = (ctx.qnum(_two(d) + 1) * ctx.qnum(_two(a) + 1)
+                 / (ctx.qnum(_two(c) + 1) * ctx.qnum(_two(f) + 1)))
         return sign * ctx.sqrt(ratio) * qracah(ctx, args)
     if form == "b":
         sign = -1 if u.k % 2 else 1

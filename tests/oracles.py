@@ -3,16 +3,25 @@
 Everything here is deliberately brute force and classical (q = 1): explicit
 Clebsch-Gordan sums assembled into recoupling brackets with exact radical
 arithmetic.  Nothing imports from the q-series code paths being tested
-except the SignedRadical container itself.
+except the SignedRadical container itself.  The Fraction form of the
+q-Racah triangle test is kept here as the reference for the integer test.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from qu21.qarith import EvalContext, SignedRadical, radical_sum
+from qu21.qarith import EvalContext, SignedRadical
 
 CTX1 = EvalContext.exact(1)
+
+
+def radical_sum(terms, ctx: EvalContext) -> SignedRadical:
+    """Exact sum of SignedRadicals that are pairwise compatible under ctx."""
+    acc = SignedRadical.zero()
+    for term in terms:
+        acc = acc.add_exact(term, ctx)
+    return acc
 
 
 def _fact(n: Fraction) -> int:
@@ -97,3 +106,25 @@ def recoupling_exact(a, b, e, d, c, f) -> SignedRadical:
 def half_integers(upto_twice: int):
     """0, 1/2, 1, ... up to upto_twice/2."""
     return [Fraction(t, 2) for t in range(upto_twice + 1)]
+
+
+@lru_cache(maxsize=None)
+def triangle_fraction(x, y, z) -> bool:
+    """Triangle condition with integer perimeter, in Fraction arithmetic."""
+    if (x + y + z).denominator != 1:
+        return False
+    return x + y - z >= 0 and x - y + z >= 0 and -x + y + z >= 0
+
+
+@lru_cache(maxsize=None)
+def _nonnegative_half_integer(x) -> bool:
+    return x >= 0 and (2 * x).denominator == 1
+
+
+def racah_triangles_fraction(a, b, e, d, c, f) -> bool:
+    """The q-Racah argument test of U_q(a b e d; c f) in Fraction arithmetic:
+    nonnegative half-integers forming the triangles (a,b,c), (a,e,f),
+    (c,d,e), (b,d,f), each with an integral perimeter."""
+    return (all(map(_nonnegative_half_integer, (a, b, e, d, c, f)))
+            and triangle_fraction(a, b, c) and triangle_fraction(a, e, f)
+            and triangle_fraction(c, d, e) and triangle_fraction(b, d, f))

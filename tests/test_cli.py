@@ -11,7 +11,7 @@ import pytest
 
 from qu21 import cli
 from qu21.generators import GENERATORS
-from qu21.qarith import EvalContext
+from qu21.qarith import EvalContext, SignedRadical
 from qu21.weylracah import RacahArgs, qracah_exact
 from qu21.repspace import Signature, enumerate_u_basis, u_labels_at_weight, \
     weight_of_u
@@ -161,6 +161,54 @@ class TestWeyl:
                            "99,0,-99")
         assert code == 2
         assert "no basis labels" in err
+
+    def test_out_of_tolerance_via_racah_exits_1(self, capsys):
+        # the direct 50-digit sum loses its digits to cancellation at q=3
+        code, out, _ = run(capsys, "weyl", "--sig", "8,2,-2", "--q", "3",
+                           "--weight", "16,14,-22", "--via-racah")
+        assert code == 1
+        flags = [row["within_tolerance"] for row in json.loads(out)["rows"]]
+        assert flags.count("false") == 39
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_desk_weight_via_racah_exits_0(self, capsys, mode):
+        code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",
+                           "--weight", "4,4,-4", "--via-racah", "--mode", mode)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 9
+        assert all(row["within_tolerance"] == "true" for row in rows)
+
+    def test_exact_mode_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",
+                           "--weight", "4,4,-4", "--mode", "exact",
+                           "--format", "csv")
+        assert code == 0
+        assert out == golden_text("weyl_exact_desk.csv")
+
+    def test_exact_values_are_the_rounded_radicals(self, capsys):
+        # each value is sign * q^qpower * sqrt(radicand) rounded to 50
+        # digits; the float-mode sum may differ from it in the last digit
+        argv = ("weyl", "--sig", "4,2,-2", "--q", "13/10", "--weight",
+                "4,4,-4", "--format", "csv")
+        _, out_e, _ = run(capsys, *argv, "--mode", "exact")
+        _, out_f, _ = run(capsys, *argv)
+        exact = list(csv.DictReader(io.StringIO(out_e)))
+        approx = list(csv.DictReader(io.StringIO(out_f)))
+        assert len(exact) == len(approx) == 9
+        ref = EvalContext.floating(Fraction(13, 10), 120)
+        for e, f in zip(exact, approx):
+            assert (e["u_label"], e["t_label"]) == (f["u_label"], f["t_label"])
+            rad = SignedRadical.make(int(e["sign"]), int(e["qpower"]),
+                                     Fraction(e["radicand"]))
+            assert e["value"] == cli.format_float(rad.to_float(ref), 50)
+            assert abs(Decimal(e["value"]) - Decimal(f["value"])) <= Decimal("1e-50")
+
+    def test_exact_mode_rejects_decimal_q(self, capsys):
+        code, _, err = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "1.3",
+                           "--weight", "4,4,-4", "--mode", "exact")
+        assert code == 2
+        assert "rational q" in err
 
 
 class TestRacah:

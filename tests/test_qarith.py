@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qu21 import qarith
 from qu21.errors import NegativeFactorial, RadicalIncompatible
-from qu21.qarith import EvalContext, SignedRadical, radical_sum, sqrt_fraction
+from qu21.qarith import EvalContext, SignedRadical, sqrt_fraction
+
+from oracles import radical_sum
 
 rationals_q = st.fractions(min_value=Fraction(1, 9), max_value=Fraction(9),
                            max_denominator=40).filter(lambda x: x > 0)
@@ -128,6 +132,37 @@ class TestContexts:
         assert e.sqrt(Fraction(9, 4)) == Fraction(3, 2)
         with pytest.raises(ValueError):
             e.sqrt(Fraction(2))
+
+    def test_float_contexts_share_mpmath_context_not_memos(self):
+        q = Fraction(13, 10)
+        a = EvalContext.floating(q, 50)
+        b = EvalContext.floating(q, 50)
+        assert a._mp is b._mp
+        for name in EvalContext.__slots__:
+            if name.endswith("_memo"):
+                assert getattr(a, name) is not getattr(b, name)
+        want = [a.qfact(12)._mpf_, a.qnum(7)._mpf_, a.qpow(-3)._mpf_]
+        assert 12 not in b._qfact_memo and 7 not in b._qnum_memo
+        assert -3 not in b._qpow_memo
+
+        global_dps = mpmath.mp.dps
+        low, high = EvalContext.floating(q, 20), EvalContext.floating(q, 80)
+        assert low._mp is not a._mp and high._mp is not a._mp
+        assert (low._mp.dps, high._mp.dps) == (20, 80)
+        low.qfact(12), high.qfact(12)
+        assert mpmath.mp.dps == global_dps
+        assert a._mp.dps == 50
+        fresh = EvalContext.floating(q, 50)
+        assert [fresh.qfact(12)._mpf_, fresh.qnum(7)._mpf_,
+                fresh.qpow(-3)._mpf_] == want
+        assert [b.qfact(12)._mpf_, b.qnum(7)._mpf_, b.qpow(-3)._mpf_] == want
+
+    def test_exact_context_builds_no_mpmath_context(self):
+        before = qarith._mp_context.cache_info()
+        e = EvalContext.exact(Fraction(7, 3))
+        assert e._mp is None
+        after = qarith._mp_context.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestSqrtFraction:

@@ -250,6 +250,20 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all_checks(SIG, Q, checks=("norms", "spectra"))
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0,
+                                           -1.0])
+    def test_bad_tolerance_raises_before_any_check(self, monkeypatch,
+                                                   tolerance):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("TruncatedRep", "check_norm_recursions",
+                     "_complete_blocks"):
+            monkeypatch.setattr(verify_mod, name, no_work)
+        with pytest.raises(ValueError, match="tolerance"):
+            run_all_checks(SIG, Q, truncation=Truncation(1, 1, 1),
+                           tolerance=tolerance)
+
     def test_projector_cap_limits_spins(self):
         reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
                                  checks=("projector",),

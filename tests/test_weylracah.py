@@ -1,7 +1,9 @@
 """Transformation brackets between the two reduction chains, and q-Racah values."""
 
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,8 @@ from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
                             weyl_block, weyl_coefficient,
                             weyl_coefficient_exact, weyl_via_racah)
 
-from oracles import half_integers, recoupling_exact
+from oracles import (half_integers, racah_triangles_fraction,
+                     recoupling_exact, triangle_fraction)
 
 SIGS = [Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1)]
 
@@ -216,3 +219,95 @@ class TestDictionary:
         with pytest.raises(ValueError):
             weyl_via_racah(ctx, sig, lowest_u_label(sig), lowest_t_label(sig),
                            form="c")
+
+
+# ----------------------------------------------------------------------------
+# bit-level golden: every float and exact value of a fixed input set
+# ----------------------------------------------------------------------------
+
+BITS_QS = (Fraction(1, 2), Fraction(1), Fraction(13, 10), Fraction(3))
+BITS_SIGS = (Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1),
+             Signature(8, 2, -2), Signature(6, 6, 3))
+
+
+def _mpf_bits(x) -> str:
+    sign, man, exp, bc = x._mpf_
+    return f"({sign},{hex(man)},{exp},{bc})"
+
+
+def _radical_bits(r: SignedRadical) -> str:
+    return f"({r.sign},{r.qpower},{r.radicand})"
+
+
+def _racah_bit_args(rng):
+    """40 argument sets with spins <= 10 that pass the triangle test, then
+    10 that fail it (two with a negative or a non-half-integer argument)."""
+    halves = [Fraction(n, 2) for n in range(21)]
+    inside = []
+    while len(inside) < 40:
+        a, b, d = (rng.choice(halves) for _ in range(3))
+        c = rng.choice([x for x in halves if triangle_fraction(a, b, x)])
+        e = rng.choice([x for x in halves if triangle_fraction(c, d, x)])
+        fs = [x for x in halves
+              if triangle_fraction(a, e, x) and triangle_fraction(b, d, x)]
+        if fs:
+            inside.append(RacahArgs(a, b, e, d, c, rng.choice(fs)))
+    outside = [RacahArgs.make(Fraction(-1, 2), Fraction(1, 2), 0, 0, 0, 0),
+               RacahArgs.make(Fraction(1, 3), 1, 1, 1, 1, 1)]
+    while len(outside) < 10:
+        args = RacahArgs(*(rng.choice(halves) for _ in range(6)))
+        if not racah_triangles_fraction(*args.as_tuple()):
+            outside.append(args)
+    return inside + outside
+
+
+def _bracket_bit_labels(rng):
+    """25 (signature, U label, T label) triples at one weight, ell <= 4."""
+    out = []
+    while len(out) < 25:
+        sig = rng.choice(BITS_SIGS)
+        u = rng.choice(enumerate_u_basis(sig, 4))
+        out.append((sig, u, rng.choice(match_labels(sig, u))))
+    return out
+
+
+def racah_bit_lines():
+    """One line per input: the _mpf_ of every float value and the
+    (sign, qpower, radicand) of every exact value, at 50 digits."""
+    rng = random.Random(2003)
+    lines = []
+    for q in BITS_QS:
+        fctx, ectx = EvalContext.floating(q, 50), EvalContext.exact(q)
+        for args in _racah_bit_args(rng):
+            lines.append(
+                f"racah q={q} args={','.join(map(str, args.as_tuple()))}"
+                f" float={_mpf_bits(qracah(fctx, args))}"
+                f" exact={_radical_bits(qracah_exact(ectx, args))}")
+        for sig, u, t in _bracket_bit_labels(rng):
+            values = (weyl_coefficient(fctx, sig, u, t),
+                      weyl_via_racah(fctx, sig, u, t, form="a"),
+                      weyl_via_racah(fctx, sig, u, t, form="b"))
+            lines.append(
+                f"weyl q={q} sig={sig} u=({u}) t=({t}) "
+                + " ".join(f"{name}={_mpf_bits(v)}" for name, v in
+                           zip(("direct", "form_a", "form_b"), values))
+                + f" exact={_radical_bits(weyl_coefficient_exact(ectx, sig, u, t))}")
+    return lines
+
+
+class TestBitIdentity:
+    def test_values_match_golden_bits(self):
+        golden = Path(__file__).parent / "golden" / "racah_bits.txt"
+        assert racah_bit_lines() == golden.read_text().splitlines()
+
+    def test_integer_triangle_test_matches_fraction_definition(self):
+        values = ([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]
+                  + [Fraction(n, 2) for n in range(1, 7)])
+        mismatched, passed = [], 0
+        for tup in itertools.product(values, repeat=6):
+            ok = racah_triangles_ok(RacahArgs(*tup))
+            if ok != racah_triangles_fraction(*tup):
+                mismatched.append(tup)
+            passed += ok
+        assert mismatched == []
+        assert passed > 0
