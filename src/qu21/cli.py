@@ -317,6 +317,18 @@ def _res_fraction(x: float) -> Fraction:
 # ----------------------------------------------------------------------------
 
 
+def _window_bound(text: str) -> int:
+    """argparse type of --lmax, --smax and --depth: a nonnegative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a nonnegative integer, got {text!r}")
+
+
 def _add_common(sp, *, sig=True, trunc=True):
     if sig:
         sp.add_argument("--sig", required=True,
@@ -329,9 +341,12 @@ def _add_common(sp, *, sig=True, trunc=True):
                     default=os.environ.get("QU21_PRECISION", str(DEFAULT_PRECISION)),
                     help="working precision in decimal digits")
     if trunc:
-        sp.add_argument("--lmax", type=int, default=6, help="U-basis ell bound")
-        sp.add_argument("--smax", type=int, default=6, help="T-basis s bound")
-        sp.add_argument("--depth", type=int, default=6, help="T-basis M - T - 1 bound")
+        sp.add_argument("--lmax", type=_window_bound, default=6,
+                        help="U-basis ell bound")
+        sp.add_argument("--smax", type=_window_bound, default=6,
+                        help="T-basis s bound")
+        sp.add_argument("--depth", type=_window_bound, default=6,
+                        help="T-basis M - T - 1 bound")
     sp.add_argument("--out", default=None, help="write output to this file")
 
 

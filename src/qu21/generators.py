@@ -139,12 +139,6 @@ def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scal
     return acc
 
 
-def norm_su2_sq(ctx: EvalContext, U, MU) -> Scalar:
-    """Squared norm [2U]! [U - MU]! / [U + MU]! of the su_q(2) ladder state."""
-    return (ctx.qfact(_as_int(2 * Fraction(U))) * ctx.qfact(Fraction(U) - Fraction(MU))
-            / ctx.qfact(Fraction(U) + Fraction(MU)))
-
-
 def norm_su11_sq(ctx: EvalContext, T, M) -> Scalar:
     """Squared norm [M - T - 1]! [T + M]! / [2T + 1]! of the su_q(1,1) ladder state."""
     T, M = Fraction(T), Fraction(M)
@@ -154,15 +148,6 @@ def norm_su11_sq(ctx: EvalContext, T, M) -> Scalar:
 # ----------------------------------------------------------------------------
 # extremal projectors and the Casimir operator
 # ----------------------------------------------------------------------------
-
-def projector_u_coeff(ctx: EvalContext, U, r: int) -> Scalar:
-    """Coefficient of A21^r A12^r in the su_q(2) extremal projector at spin U."""
-    if r < 0:
-        raise ConstraintViolation(f"r >= 0 violated: r = {r}")
-    twoU = _as_int(2 * Fraction(U))
-    sign = -1 if r % 2 else 1
-    return sign * ctx.qfact(twoU + 1) * ctx.qfact_inv(r) * ctx.qfact_inv(twoU + r + 1)
-
 
 def projector_t_coeff(ctx: EvalContext, T, r: int) -> Scalar:
     """Coefficient of T+^r T-^r in the su_q(1,1) extremal projector at spin T.
@@ -215,19 +200,19 @@ class TableEntry:
     """One closed-form matrix element of an off-diagonal generator.
 
     (d1, d2) are the shifts of (k, ell) in the U table and of (s, p) in the
-    T table.  dtwoJ and dtwoM are the shifts of 2U, 2MU (resp. 2T, 2M): +1
-    or -1 on rows that change multiplet, 0 and +2 or -2 on the ladder rows
-    inside a multiplet (d1 = d2 = 0).  qexp maps the integer environment to
-    the q-power; num/den map it to the bracket arguments of the radicand.
-    A zero bracket in num drops the term before the denominator is ever
-    evaluated.
+    T table.  dtwoM is the shift of 2MU (resp. 2M): +1 or -1 on rows that
+    change multiplet, +2 or -2 on the ladder rows inside a multiplet
+    (d1 = d2 = 0).  The spin shift follows from (d1, d2): d2 - d1 for 2U,
+    d1 + d2 for 2T; _key_action checks every target against the label
+    domain.  qexp maps the integer environment to the q-power; num/den map
+    it to the bracket arguments of the radicand.  A zero bracket in num
+    drops the term before the denominator is ever evaluated.
     """
 
     eid: str
     gen: str
     d1: int
     d2: int
-    dtwoJ: int
     dtwoM: int
     sign: int
     qexp: Callable
@@ -236,56 +221,56 @@ class TableEntry:
 
 
 TABLE_U = (
-    TableEntry("U1", "A13", 0, +1, +1, +1, +1,
+    TableEntry("U1", "A13", 0, +1, +1, +1,
                lambda e: (e.twoMU - e.twoU) // 2,
                (lambda e: e.ell + 1,
                 lambda e: e.f1 - e.f3 + e.ell,
                 lambda e: e.twoU + e.k + 2,
                 lambda e: (e.twoU + e.twoMU) // 2 + 1),
                (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U2", "A23", 0, +1, +1, -1, +1,
+    TableEntry("U2", "A23", 0, +1, -1, +1,
                lambda e: 0,
                (lambda e: e.ell + 1,
                 lambda e: e.f1 - e.f3 + e.ell,
                 lambda e: e.twoU + e.k + 2,
                 lambda e: (e.twoU - e.twoMU) // 2 + 1),
                (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U3", "A13", +1, 0, -1, +1, -1,
+    TableEntry("U3", "A13", +1, 0, +1, -1,
                lambda e: (e.twoU + e.twoMU) // 2 + 1,
                (lambda e: e.k + 1,
                 lambda e: e.f2 - e.f3 + e.k - 1,
                 lambda e: e.twoU - e.ell,
                 lambda e: (e.twoU - e.twoMU) // 2),
                (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U4", "A23", +1, 0, -1, -1, +1,
+    TableEntry("U4", "A23", +1, 0, -1, +1,
                lambda e: 0,
                (lambda e: e.k + 1,
                 lambda e: e.f2 - e.f3 + e.k - 1,
                 lambda e: e.twoU - e.ell,
                 lambda e: (e.twoU + e.twoMU) // 2),
                (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U5", "A31", 0, -1, -1, -1, -1,
+    TableEntry("U5", "A31", 0, -1, -1, -1,
                lambda e: (e.twoU - e.twoMU) // 2,
                (lambda e: e.ell,
                 lambda e: e.f1 - e.f3 + e.ell - 1,
                 lambda e: e.twoU + e.k + 1,
                 lambda e: (e.twoU + e.twoMU) // 2),
                (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U6", "A32", 0, -1, -1, +1, -1,
+    TableEntry("U6", "A32", 0, -1, +1, -1,
                lambda e: 0,
                (lambda e: e.ell,
                 lambda e: e.f1 - e.f3 + e.ell - 1,
                 lambda e: e.twoU + e.k + 1,
                 lambda e: (e.twoU - e.twoMU) // 2),
                (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U7", "A31", -1, 0, +1, -1, +1,
+    TableEntry("U7", "A31", -1, 0, -1, +1,
                lambda e: -(e.twoU + e.twoMU) // 2 - 1,
                (lambda e: e.k,
                 lambda e: e.f2 - e.f3 + e.k - 2,
                 lambda e: e.twoU - e.ell + 1,
                 lambda e: (e.twoU - e.twoMU) // 2 + 1),
                (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U8", "A32", -1, 0, +1, +1, -1,
+    TableEntry("U8", "A32", -1, 0, +1, -1,
                lambda e: 0,
                (lambda e: e.k,
                 lambda e: e.f2 - e.f3 + e.k - 2,
@@ -293,12 +278,12 @@ TABLE_U = (
                 lambda e: (e.twoU + e.twoMU) // 2 + 1),
                (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
     # su_q(2) ladder inside the multiplet
-    TableEntry("U9", "A12", 0, 0, 0, +2, +1,
+    TableEntry("U9", "A12", 0, 0, +2, +1,
                lambda e: 0,
                (lambda e: (e.twoU - e.twoMU) // 2,
                 lambda e: (e.twoU + e.twoMU) // 2 + 1),
                ()),
-    TableEntry("U10", "A21", 0, 0, 0, -2, +1,
+    TableEntry("U10", "A21", 0, 0, -2, +1,
                lambda e: 0,
                (lambda e: (e.twoU + e.twoMU) // 2,
                 lambda e: (e.twoU - e.twoMU) // 2 + 1),
@@ -306,56 +291,56 @@ TABLE_U = (
 )
 
 TABLE_T = (
-    TableEntry("T1", "A12", +1, 0, +1, -1, +1,
+    TableEntry("T1", "A12", +1, 0, -1, +1,
                lambda e: 0,
                (lambda e: e.s + 1,
                 lambda e: e.f1 - e.f3 + e.s,
                 lambda e: e.twoT - e.p + 1,
                 lambda e: (e.twoM - e.twoT) // 2 - 1),
                (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T2", "A13", +1, 0, +1, +1, +1,
+    TableEntry("T2", "A13", +1, 0, +1, +1,
                lambda e: (e.twoT - e.twoM) // 2 + 1,
                (lambda e: e.s + 1,
                 lambda e: e.f1 - e.f3 + e.s,
                 lambda e: e.twoT - e.p + 1,
                 lambda e: (e.twoT + e.twoM) // 2 + 1),
                (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T3", "A12", 0, -1, -1, -1, +1,
+    TableEntry("T3", "A12", 0, -1, -1, +1,
                lambda e: 0,
                (lambda e: e.p,
                 lambda e: e.f1 - e.f2 - e.p + 1,
                 lambda e: e.twoT - e.s,
                 lambda e: (e.twoT + e.twoM) // 2),
                (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T4", "A13", 0, -1, -1, +1, +1,
+    TableEntry("T4", "A13", 0, -1, +1, +1,
                lambda e: -(e.twoT + e.twoM) // 2,
                (lambda e: e.p,
                 lambda e: e.f1 - e.f2 - e.p + 1,
                 lambda e: e.twoT - e.s,
                 lambda e: (e.twoM - e.twoT) // 2),
                (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T5", "A21", -1, 0, -1, +1, +1,
+    TableEntry("T5", "A21", -1, 0, +1, +1,
                lambda e: 0,
                (lambda e: e.s,
                 lambda e: e.f1 - e.f3 + e.s - 1,
                 lambda e: e.twoT - e.p,
                 lambda e: (e.twoM - e.twoT) // 2),
                (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T6", "A31", -1, 0, -1, -1, -1,
+    TableEntry("T6", "A31", -1, 0, -1, -1,
                lambda e: (e.twoM - e.twoT) // 2 - 1,
                (lambda e: e.s,
                 lambda e: e.f1 - e.f3 + e.s - 1,
                 lambda e: e.twoT - e.p,
                 lambda e: (e.twoT + e.twoM) // 2),
                (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T7", "A21", 0, +1, +1, +1, +1,
+    TableEntry("T7", "A21", 0, +1, +1, +1,
                lambda e: 0,
                (lambda e: e.p + 1,
                 lambda e: e.f1 - e.f2 - e.p,
                 lambda e: e.twoT - e.s + 1,
                 lambda e: (e.twoT + e.twoM) // 2 + 1),
                (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T8", "A31", 0, +1, +1, -1, -1,
+    TableEntry("T8", "A31", 0, +1, -1, -1,
                lambda e: (e.twoT + e.twoM) // 2,
                (lambda e: e.p + 1,
                 lambda e: e.f1 - e.f2 - e.p,
@@ -363,12 +348,12 @@ TABLE_T = (
                 lambda e: (e.twoM - e.twoT) // 2 - 1),
                (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
     # su_q(1,1) ladder inside the multiplet; T- carries the noncompact sign
-    TableEntry("T9", "A23", 0, 0, 0, +2, +1,
+    TableEntry("T9", "A23", 0, 0, +2, +1,
                lambda e: 0,
                (lambda e: (e.twoM - e.twoT) // 2,
                 lambda e: (e.twoT + e.twoM) // 2 + 1),
                ()),
-    TableEntry("T10", "A32", 0, 0, 0, -2, -1,
+    TableEntry("T10", "A32", 0, 0, -2, -1,
                lambda e: 0,
                (lambda e: (e.twoT + e.twoM) // 2,
                 lambda e: (e.twoM - e.twoT) // 2 - 1),

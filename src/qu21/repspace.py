@@ -304,25 +304,6 @@ def label_from_gg(pattern: GGPattern) -> Tuple[Signature, UBasisLabel]:
     return sig, UBasisLabel(k, ell, U, MU)
 
 
-def match_labels(sig: Signature, lab: UBasisLabel) -> List[TBasisLabel]:
-    """All T-basis labels sharing the weight of a U-basis label, by ascending T.
-
-    The weight match forces U - MU = p - s + ell and M - T - 1 = ell + k - s,
-    leaving s as the free parameter.  At full range the list is never empty
-    and its length equals the dimension of that weight's space.
-    """
-    a = int(lab.U - lab.MU)
-    s_lo = max(0, lab.ell - a)
-    s_hi = min(lab.ell + lab.k, lab.ell - a + (sig.f1 - sig.f2))
-    out = []
-    for s in range(s_lo, s_hi + 1):
-        p = a - lab.ell + s
-        T = Fraction(sig.f2 - sig.f3 + p + s - 2, 2)
-        M = T + 1 + (lab.ell + lab.k - s)
-        out.append(TBasisLabel(s, p, T, M))
-    return out
-
-
 def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
     """Every U-basis label of the full module at weight w, by ascending U."""
     if w.m1 + w.m2 + w.m3 != sig.f1 + sig.f2 + sig.f3:

@@ -4,9 +4,7 @@ The overlap <U|T>_q between a U-basis and a T-basis vector of the same weight
 is computed two independent ways:
 
 1. directly, from its closed-form square-root prefactor and single balanced
-   q-factorial sum, in one summation convention (over n; the printed
-   alternative over r = k - n is the same sum re-indexed, so it is no
-   independent check);
+   q-factorial sum, indexed by n;
 2. through the general q-Racah coefficient U_q(a b e d; c f) under the
    substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) built from the two
    labels, times a dimension factor and phase.
@@ -14,6 +12,12 @@ is computed two independent ways:
 The agreement of the two paths, together with orthogonality of the resulting
 weight blocks and the intertwining property against the generator tables, is
 what the verify module checks.
+
+Both closed forms have one shape: a signed square root of a q-factorial
+ratio times a single alternating q-factorial sum.  One private evaluator,
+_racah_form, computes that shape in either mode; the bracket and the q-Racah
+coefficient only build its argument lists from their own formulas, so the
+two paths above stay independent.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
@@ -29,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from functools import reduce
+from operator import mul
+from typing import Tuple
 
 from .errors import EmptyWeightSpace, InconsistentLabels, WeightMismatch
 from .qarith import EvalContext, Scalar, SignedRadical
@@ -70,62 +76,49 @@ def _two(x) -> int:
     raise TypeError(f"expected a half-integer, got {x!r}")
 
 
-def weyl_prefactor_sq(ctx: EvalContext, sig: Signature,
-                      u: UBasisLabel, t: TBasisLabel) -> Scalar:
-    """Square of the positive prefactor of the bracket <U|T>_q.
+def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
+                tops, bottoms):
+    """sign * sqrt(P) * S, the shape of both the bracket and U_q.
 
-    u and t must be valid labels at one weight; weyl_coefficient checks that.
+    With dims = (x, y):
+        P = [x][y] prod_{a in pref_num} [a]! / prod_{b in pref_den} [b]!,
+        S = sum_n (-1)^n prod_{t in tops} [t - n]!
+                         / ([n]! prod_{u in bottoms} [u - n]!),
+    over n = 0..min(bottoms), the range on which no 1/[u - n]! vanishes.
+    Factors are multiplied left to right in the order given.  Returns a
+    context scalar, or a SignedRadical in exact mode.
     """
-    f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    twoU, twoMU, twoT, twoM = _two(u.U), _two(u.MU), _two(t.T), _two(t.M)
-    x = (twoM - twoT) // 2 - 1
-    num = (ctx.qnum(twoU + 1) * ctx.qnum(twoT + 1)
-           * ctx.qfact(k) * ctx.qfact(x) * ctx.qfact((twoU + twoMU) // 2)
-           * ctx.qfact((twoT + twoM) // 2)
-           * ctx.qfact(f12 - k) * ctx.qfact(f12 + ell + 1)
-           * ctx.qfact(f23 + s - 2) * ctx.qfact(f23 + p - 2))
-    den = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(ell)
-           * ctx.qfact((twoU - twoMU) // 2) * ctx.qfact(f13 + s - 1)
-           * ctx.qfact(f12 - p) * ctx.qfact(f23 + k - 2)
-           * ctx.qfact(f13 + ell - 1))
-    return num / den
-
-
-def weyl_sum(ctx: EvalContext, sig: Signature,
-             u: UBasisLabel, t: TBasisLabel) -> Scalar:
-    """The balanced q-factorial sum of the bracket, indexed by n."""
-    f13, f23 = sig.f1 - sig.f3, sig.f2 - sig.f3
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    twoU, twoMU = _two(u.U), _two(u.MU)
-    drop = (twoU - twoMU) // 2
+    qfact, qfact_inv = ctx.qfact, ctx.qfact_inv
+    x, y = dims
+    pref = (reduce(mul, map(qfact, pref_num), ctx.qnum(x) * ctx.qnum(y))
+            / reduce(mul, map(qfact, pref_den)))
     total = ctx.zero()
-    for n in range(0, k + 1):
-        sign = -1 if (k + n) % 2 else 1
-        term = (ctx.qfact(drop + k - n) * ctx.qfact(ell + k - n)
-                * ctx.qfact(f13 + ell + k - n - 1)
-                * ctx.qfact_inv(n) * ctx.qfact_inv(k - n)
-                * ctx.qfact_inv(twoU + 1 + k - n)
-                * ctx.qfact_inv(ell - s + k - n)
-                * ctx.qfact_inv(f23 + p + ell + k - n - 1))
-        total = total + sign * term
-    return total
-
-
-def _signed_root(ctx: EvalContext, sign: int, pref: Scalar, total: Scalar):
-    """sign * sqrt(pref) * total: a scalar, or a SignedRadical in exact mode."""
+    for n in range(min(bottoms) + 1):
+        term = reduce(mul, [qfact(t - n) for t in tops] + [qfact_inv(n)]
+                      + [qfact_inv(u - n) for u in bottoms])
+        total = total - term if n % 2 else total + term
     if not ctx.is_exact():
         return sign * ctx.sqrt(pref) * total
     if total == 0:
         return SignedRadical.zero()
-    return SignedRadical.make(sign * (1 if total > 0 else -1), 0,
+    return SignedRadical.make(sign if total > 0 else -sign, 0,
                               pref * total * total)
 
 
 def _bracket(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
     """<U|T>_q for labels already known to be valid and at one weight."""
-    return _signed_root(ctx, 1, weyl_prefactor_sq(ctx, sig, u, t),
-                        weyl_sum(ctx, sig, u, t))
+    f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
+    k, ell, s, p = u.k, u.ell, t.s, t.p
+    twoU, twoMU, twoT, twoM = _two(u.U), _two(u.MU), _two(t.T), _two(t.M)
+    drop = (twoU - twoMU) // 2
+    # the sum's sign (-1)^(k + n) contributes its (-1)^k to the overall sign
+    return _racah_form(
+        ctx, -1 if k % 2 else 1, (twoU + 1, twoT + 1),
+        (k, (twoM - twoT) // 2 - 1, (twoU + twoMU) // 2, (twoT + twoM) // 2,
+         f12 - k, f12 + ell + 1, f23 + s - 2, f23 + p - 2),
+        (s, p, ell, drop, f13 + s - 1, f12 - p, f23 + k - 2, f13 + ell - 1),
+        (drop + k, ell + k, f13 + ell + k - 1),
+        (k, twoU + 1 + k, ell - s + k, f23 + p + ell + k - 1))
 
 
 def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
@@ -237,51 +230,39 @@ def racah_triangles_ok(args: RacahArgs) -> bool:
     return _doubled(args) is not None
 
 
-def _qracah_parts(ctx: EvalContext, args: RacahArgs):
-    """(phase_sign, prefactor_square, sum) of U_q; the sum is 0 out of triangle."""
+def _qracah(ctx: EvalContext, args: RacahArgs):
+    """U_q(a b e d; c f) in either mode; 0 outside the triangles."""
     twice = _doubled(args)
     if twice is None:
-        return 1, ctx.zero(), ctx.zero()
+        return SignedRadical.zero() if ctx.is_exact() else ctx.zero()
     # from here on a..f hold the doubled arguments 2a..2f; every halved sum
     # below is an integer (an even doubled sum) by the triangle test
     a, b, e, d, c, f = twice
-    phase = -1 if (a + d - c - f) % 4 else 1
     abc, bdf = (a + b + c) // 2, (b + d + f) // 2
-    pref_num = (ctx.qnum(c + 1) * ctx.qnum(f + 1)
-                * ctx.qfact(abc + 1) * ctx.qfact(bdf + 1)
-                * ctx.qfact((a - b + c) // 2) * ctx.qfact((-a + b + c) // 2)
-                * ctx.qfact((a + e - f) // 2) * ctx.qfact((b - d + f) // 2)
-                * ctx.qfact((-b + d + f) // 2) * ctx.qfact((-c + d + e) // 2))
-    pref_den = (ctx.qfact((a + e + f) // 2 + 1) * ctx.qfact((c + d + e) // 2 + 1)
-                * ctx.qfact((a + b - c) // 2) * ctx.qfact((a - e + f) // 2)
-                * ctx.qfact((b + d - f) // 2) * ctx.qfact((c + d - e) // 2)
-                * ctx.qfact((c - d + e) // 2) * ctx.qfact((-a + e + f) // 2))
-    bc_a, bf_d = (-a + b + c) // 2, (b - d + f) // 2
-    bcf_e, bcef = (b + c - e + f) // 2, (b + c + e + f) // 2
-    total = ctx.zero()
-    for n in range(0, min(bc_a, bf_d) + 1):
-        sign = -1 if n % 2 else 1
-        term = (ctx.qfact(b - n) * ctx.qfact(bcf_e - n)
-                * ctx.qfact(bcef + 1 - n)
-                * ctx.qfact_inv(n) * ctx.qfact_inv(bc_a - n)
-                * ctx.qfact_inv(bf_d - n) * ctx.qfact_inv(abc + 1 - n)
-                * ctx.qfact_inv(bdf + 1 - n))
-        total = total + sign * term
-    return phase, pref_num / pref_den, total
+    return _racah_form(
+        ctx, -1 if (a + d - c - f) % 4 else 1, (c + 1, f + 1),
+        (abc + 1, bdf + 1, (a - b + c) // 2, (-a + b + c) // 2,
+         (a + e - f) // 2, (b - d + f) // 2, (-b + d + f) // 2,
+         (-c + d + e) // 2),
+        ((a + e + f) // 2 + 1, (c + d + e) // 2 + 1, (a + b - c) // 2,
+         (a - e + f) // 2, (b + d - f) // 2, (c + d - e) // 2,
+         (c - d + e) // 2, (-a + e + f) // 2),
+        (b, (b + c - e + f) // 2, (b + c + e + f) // 2 + 1),
+        ((-a + b + c) // 2, (b - d + f) // 2, abc + 1, bdf + 1))
 
 
 def qracah_exact(ctx: EvalContext, args: RacahArgs) -> SignedRadical:
     """U_q(a b e d; c f) as an exact SignedRadical (exact-mode context)."""
     if not ctx.is_exact():
         raise ValueError("qracah_exact requires an exact-mode context")
-    return _signed_root(ctx, *_qracah_parts(ctx, args))
+    return _qracah(ctx, args)
 
 
 def qracah(ctx: EvalContext, args: RacahArgs) -> Scalar:
     """U_q(a b e d; c f) as a context scalar; 0 outside the triangles."""
     if ctx.is_exact():
         raise ValueError("exact qracah values are radicals; use qracah_exact")
-    return _signed_root(ctx, *_qracah_parts(ctx, args))
+    return _qracah(ctx, args)
 
 
 def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> RacahArgs:

@@ -372,3 +372,18 @@ def test_domain_errors_exit_2_without_traceback(capsys, monkeypatch, env, argv):
     assert code == 2
     assert "error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--lmax", "--smax", "--depth"])
+@pytest.mark.parametrize("argv", [
+    ["basis", "--sig", "4,2,-2", "--basis", "t"],
+    ["matrix", "--sig", "4,2,-2", "--gen", "A13", "--basis", "t"],
+    ["verify", "--sig", "4,2,-2"],
+], ids=["basis", "matrix", "verify"])
+def test_negative_window_bound_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, "-2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a nonnegative integer" in err
+    assert "Traceback" not in err and out == ""

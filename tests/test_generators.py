@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from qu21.errors import ConstraintViolation
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
-                             casimir_su11_eigenvalue, norm_su2_sq,
-                             norm_su11_sq, norm_t_sq, norm_t_sq_stepwise,
-                             norm_u_sq, norm_u_sq_stepwise, projector_t_coeff,
-                             projector_u_coeff, table_entries)
+                             casimir_su11_eigenvalue, norm_su11_sq,
+                             norm_t_sq, norm_t_sq_stepwise, norm_u_sq,
+                             norm_u_sq_stepwise, projector_t_coeff,
+                             table_entries)
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, classify, enumerate_t_basis,
                            enumerate_u_basis, lowest_t_label, lowest_u_label,
@@ -85,18 +85,6 @@ class TestNorms:
 
 
 class TestLadderNorms:
-    @given(q=st.sampled_from(Q_SAMPLES), two_u=st.integers(0, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_su2_recursion(self, q, two_u):
-        ctx = EvalContext.exact(q)
-        U = Fraction(two_u, 2)
-        mu = -U
-        while mu < U:
-            # lowering from MU + 1 to MU multiplies by [U - MU][U + MU + 1]
-            ratio = norm_su2_sq(ctx, U, mu) / norm_su2_sq(ctx, U, mu + 1)
-            assert ratio == ctx.qnum(U - mu) * ctx.qnum(U + mu + 1)
-            mu += 1
-
     @given(q=st.sampled_from(Q_SAMPLES), two_t=st.integers(0, 8),
            x=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -118,7 +106,6 @@ class TestProjectorCoefficients:
         ctx = EvalContext.exact(q)
         for two_t in range(0, 9):
             assert projector_t_coeff(ctx, Fraction(two_t, 2), 0) == 1
-            assert projector_u_coeff(ctx, Fraction(two_t, 2), 0) == 1
 
     def test_t_coeff_truncates(self):
         ctx = EvalContext.exact(Fraction(1, 2))
@@ -131,9 +118,6 @@ class TestProjectorCoefficients:
         # [2T - r]! / ([r]! [2T]!) at T = 1: r = 1 -> 1/[2], r = 2 -> 1/[2]^2
         assert projector_t_coeff(ctx, 1, 1) == 1 / ctx.qnum(2)
         assert projector_t_coeff(ctx, 1, 2) == 1 / ctx.qnum(2) ** 2
-        # u-side alternates in sign: -[3]!/([1]![4]!) then +[3]!/([2]![5]!)
-        assert projector_u_coeff(ctx, 1, 1) == -1 / ctx.qnum(4)
-        assert projector_u_coeff(ctx, 1, 1) < 0 < projector_u_coeff(ctx, 1, 2)
 
 
 class TestCasimirEigenvalue:

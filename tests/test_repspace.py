@@ -11,10 +11,10 @@ from qu21.errors import (ConstraintViolation, InvalidSignature,
 from qu21.repspace import (GGPattern, SeriesClass, Signature, TBasisLabel,
                            UBasisLabel, Weight, classify, enumerate_t_basis,
                            enumerate_u_basis, gg_from_label, label_from_gg,
-                           lowest_t_label, lowest_u_label, match_labels,
-                           require_t_label, require_u_label, t_label,
-                           t_labels_at_weight, u_label, u_labels_at_weight,
-                           weight_of_t, weight_of_u)
+                           lowest_t_label, lowest_u_label, require_t_label,
+                           require_u_label, t_label, t_labels_at_weight,
+                           u_label, u_labels_at_weight, weight_of_t,
+                           weight_of_u)
 
 
 def small_signatures():
@@ -220,18 +220,25 @@ class TestWeightSlices:
 
 
 class TestMatchLabels:
+    """The T labels matching a U label are t_labels_at_weight at its weight."""
+
     def test_lowest_matches_lowest(self):
         sig = Signature(3, 1, -1)
-        assert match_labels(sig, lowest_u_label(sig)) == [lowest_t_label(sig)]
+        w = weight_of_u(sig, lowest_u_label(sig))
+        assert t_labels_at_weight(sig, w) == [lowest_t_label(sig)]
 
     @given(sig=sig_strategy)
     @settings(max_examples=25, deadline=None)
     def test_matches_share_weight_and_cover_slice(self, sig):
+        # every weight of a U label with ell <= 2 has k + ell <= f1 - f2 + 2,
+        # so this window holds every T label at it (s + depth = k + ell)
+        bound = sig.f1 - sig.f2 + 2
+        window = enumerate_t_basis(sig, bound, bound)
         for lab in enumerate_u_basis(sig, 2):
             w = weight_of_u(sig, lab)
-            ms = match_labels(sig, lab)
+            ms = t_labels_at_weight(sig, w)
             assert ms, f"no partners at {lab}"
             assert all(weight_of_t(sig, t) == w for t in ms)
-            assert set(ms) == set(t_labels_at_weight(sig, w))
+            assert set(ms) == {t for t in window if weight_of_t(sig, t) == w}
             spins = [t.T for t in ms]
             assert spins == sorted(spins)

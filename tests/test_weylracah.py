@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from qu21 import weylracah
 from qu21.errors import EmptyWeightSpace, WeightMismatch
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, Weight, enumerate_u_basis,
-                           lowest_t_label, lowest_u_label, match_labels,
-                           t_labels_at_weight, u_labels_at_weight, weight_of_t,
-                           weight_of_u)
+                           lowest_t_label, lowest_u_label, t_labels_at_weight,
+                           u_labels_at_weight, weight_of_t, weight_of_u)
 from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
                             racah_args_from_rep, racah_triangles_ok,
                             weyl_block, weyl_coefficient,
@@ -38,7 +38,8 @@ class TestWeylCoefficient:
         sig = Signature(4, 2, -2)
         ctx = EvalContext.exact(Fraction(13, 10))
         u = lowest_u_label(sig)
-        ts = match_labels(sig, enumerate_u_basis(sig, 1)[-1])
+        ts = t_labels_at_weight(
+            sig, weight_of_u(sig, enumerate_u_basis(sig, 1)[-1]))
         t_other = next(t for t in ts
                        if weight_of_t(sig, t) != weight_of_u(sig, u))
         with pytest.raises(WeightMismatch):
@@ -197,7 +198,7 @@ class TestDictionary:
         sig = Signature(4, 2, -2)
         u = lowest_u_label(sig)
         far = enumerate_u_basis(sig, 2)[-1]
-        t = next(t for t in match_labels(sig, far)
+        t = next(t for t in t_labels_at_weight(sig, weight_of_u(sig, far))
                  if weight_of_t(sig, t) != weight_of_u(sig, u))
         with pytest.raises(WeightMismatch):
             racah_args_from_rep(sig, u, t)
@@ -219,6 +220,53 @@ class TestDictionary:
         with pytest.raises(ValueError):
             weyl_via_racah(ctx, sig, lowest_u_label(sig), lowest_t_label(sig),
                            form="c")
+
+
+class TestOneEvaluator:
+    """Brackets and q-Racah values all come from the one closed-form
+    evaluator, _racah_form: one call per value, none out of triangle."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        inner = weylracah._racah_form
+
+        def counting(*args):
+            seen.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(weylracah, "_racah_form", counting)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_qracah_once_per_in_triangle_value(self, calls, mode):
+        ctx = EvalContext(mode, Fraction(13, 10))
+        fn = qracah if mode == "float" else qracah_exact
+        inside = [RacahArgs.make(1, 1, 1, 1, 1, 1),
+                  RacahArgs.make(Fraction(3, 2), 1, Fraction(1, 2), 1,
+                                 Fraction(3, 2), 1)]
+        outside = [RacahArgs.make(1, 1, 5, 1, 1, 1),
+                   RacahArgs.make(Fraction(1, 3), 1, 1, 1, 1, 1)]
+        for args in inside + outside:
+            fn(ctx, args)
+        assert [racah_triangles_ok(args) for args in inside + outside] \
+            == [True, True, False, False]
+        assert len(calls) == len(inside)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_bracket_once_per_value_and_block_entry(self, calls, mode):
+        sig, w = Signature(4, 2, -2), Weight(4, 4, -4)
+        ctx = EvalContext(mode, Fraction(13, 10))
+        fn = weyl_coefficient if mode == "float" else weyl_coefficient_exact
+        us, ts = u_labels_at_weight(sig, w), t_labels_at_weight(sig, w)
+        assert len(us) == len(ts) > 1
+        for u in us:
+            for t in ts:
+                fn(ctx, sig, u, t)
+        assert len(calls) == len(us) * len(ts)
+        del calls[:]
+        weyl_block(ctx, sig, w)
+        assert len(calls) == len(us) * len(ts)
 
 
 # ----------------------------------------------------------------------------
@@ -267,7 +315,8 @@ def _bracket_bit_labels(rng):
     while len(out) < 25:
         sig = rng.choice(BITS_SIGS)
         u = rng.choice(enumerate_u_basis(sig, 4))
-        out.append((sig, u, rng.choice(match_labels(sig, u))))
+        ts = t_labels_at_weight(sig, weight_of_u(sig, u))
+        out.append((sig, u, rng.choice(ts)))
     return out
 
 
