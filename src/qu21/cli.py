@@ -28,11 +28,11 @@ import os
 import sys
 from decimal import Context as DecimalContext, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import QAlgebraError
 from .generators import (GENERATORS, basis_action, norm_t_sq, norm_u_sq)
-from .qarith import EvalContext
+from .qarith import EvalContext, SignedRadical
 from .repspace import (Signature, Weight, classify, enumerate_t_basis,
                        enumerate_u_basis, gg_from_label, weight_of_t,
                        weight_of_u)
@@ -52,16 +52,19 @@ class UsageError(Exception):
 # ----------------------------------------------------------------------------
 
 
-def _parse_q(text: str) -> Tuple[Fraction, bool]:
-    """(q as an exact Fraction, whether the spelling was decimal)."""
+def _parse_q(text: str, exact: bool) -> Fraction:
+    """q as an exact Fraction; in exact mode a decimal spelling is refused."""
+    decimal = "/" not in text and ("." in text or "e" in text.lower())
     try:
         if "/" in text:
-            return Fraction(text), False
-        if "." in text or "e" in text.lower():
-            return Fraction(Decimal(text)), True
-        return Fraction(int(text)), False
+            q = Fraction(text)
+        else:
+            q = Fraction(Decimal(text)) if decimal else Fraction(int(text))
     except (ValueError, ArithmeticError):
         raise UsageError(f"cannot parse q value {text!r}")
+    if exact and decimal:
+        raise UsageError("exact mode needs a rational q (use a/b form)")
+    return q
 
 
 def _parse_weight(text: str) -> Weight:
@@ -114,6 +117,14 @@ def _frac_str(v: Fraction) -> str:
     return f"{num}/{Decimal(v.denominator)}" if v.denominator != 1 else num
 
 
+def _radical_columns(rad: SignedRadical, fctx: EvalContext,
+                     digits: int) -> Dict[str, str]:
+    """sign / qpower / radicand of an exact radical and its rounded value."""
+    return {"sign": str(rad.sign), "qpower": str(rad.qpower),
+            "radicand": _frac_str(rad.radicand),
+            "value": format_float(rad.to_float(fctx), digits)}
+
+
 # ----------------------------------------------------------------------------
 # emitters
 # ----------------------------------------------------------------------------
@@ -156,7 +167,7 @@ def _base_config(args, q: Fraction) -> Dict[str, str]:
 
 def cmd_basis(args, out) -> int:
     sig = Signature.parse(args.sig)
-    q, _ = _parse_q(args.q)
+    q = _parse_q(args.q, exact=False)
     ctx = EvalContext.exact(q)
     rows: List[Dict[str, str]] = []
     if args.basis == "u":
@@ -187,7 +198,7 @@ def cmd_basis(args, out) -> int:
 
 def cmd_matrix(args, out) -> int:
     sig = Signature.parse(args.sig)
-    q, _ = _parse_q(args.q)
+    q = _parse_q(args.q, exact=False)
     if args.gen not in GENERATORS:
         raise UsageError(f"unknown generator {args.gen!r}; expected one of "
                          + ", ".join(GENERATORS))
@@ -200,12 +211,8 @@ def cmd_matrix(args, out) -> int:
     rows = []
     for lab in labels:
         for tgt, coeff in basis_action(ectx, sig, args.basis, args.gen, lab):
-            rows.append({
-                "source": str(lab), "target": str(tgt),
-                "sign": str(coeff.sign), "qpower": str(coeff.qpower),
-                "radicand": _frac_str(coeff.radicand),
-                "value": format_float(coeff.to_float(fctx), args.precision),
-            })
+            rows.append({"source": str(lab), "target": str(tgt),
+                         **_radical_columns(coeff, fctx, args.precision)})
     cfg = _base_config(args, q)
     cfg["basis"] = args.basis
     cfg["gen"] = args.gen
@@ -215,10 +222,8 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_weyl(args, out) -> int:
     sig = Signature.parse(args.sig)
-    q, decimal_q = _parse_q(args.q)
     exact = args.mode == "exact"
-    if exact and decimal_q:
-        raise UsageError("exact mode needs a rational q (use a/b form)")
+    q = _parse_q(args.q, exact)
     _check_tolerance(args.tolerance)
     fctx = EvalContext.floating(q, precision=args.precision)
     weight = _parse_weight(args.weight)
@@ -231,14 +236,11 @@ def cmd_weyl(args, out) -> int:
             entry = block.entries[i][j]
             row = {"u_label": str(ul), "t_label": str(tl)}
             if exact:
-                row["sign"] = str(entry.sign)
-                row["qpower"] = str(entry.qpower)
-                row["radicand"] = _frac_str(entry.radicand)
-                value = entry.to_float(fctx)
+                row.update(_radical_columns(entry, fctx, digits))
             else:
-                value = entry
-            row["value"] = format_float(value, digits)
+                row["value"] = format_float(entry, digits)
             if args.via_racah:
+                value = entry.to_float(fctx) if exact else entry
                 va = weyl_via_racah(fctx, sig, ul, tl, form="a")
                 vb = weyl_via_racah(fctx, sig, ul, tl, form="b")
                 diff = max(abs(value - va), abs(value - vb), abs(va - vb))
@@ -256,33 +258,25 @@ def cmd_weyl(args, out) -> int:
 
 
 def cmd_racah(args, out) -> int:
-    q, decimal_q = _parse_q(args.q)
+    exact = args.mode == "exact"
+    q = _parse_q(args.q, exact)
     vals = [_parse_half_integer(t) for t in args.args]
     racah_args = RacahArgs(*vals)
-    mode = args.mode
-    if mode == "exact" and decimal_q:
-        raise UsageError("exact mode needs a rational q (use a/b form)")
     row = {k: _frac_str(v) for k, v in
            zip("abedcf", racah_args.as_tuple())}
-    if mode == "exact":
+    fctx = EvalContext.floating(q, precision=args.precision)
+    if exact:
         rad = qracah_exact(EvalContext.exact(q), racah_args)
-        row["sign"] = str(rad.sign)
-        row["qpower"] = str(rad.qpower)
-        row["radicand"] = _frac_str(rad.radicand)
-        fctx = EvalContext.floating(q, precision=args.precision)
-        row["value"] = format_float(rad.to_float(fctx), args.precision)
+        row.update(_radical_columns(rad, fctx, args.precision))
     else:
-        ctx = EvalContext.floating(q, precision=args.precision)
-        row["value"] = format_float(qracah(ctx, racah_args), args.precision)
+        row["value"] = format_float(qracah(fctx, racah_args), args.precision)
     emit(_base_config(args, q), [row], args.format, out)
     return 0
 
 
 def cmd_verify(args, out) -> int:
     sig = Signature.parse(args.sig)
-    q, decimal_q = _parse_q(args.q)
-    if args.mode == "exact" and decimal_q:
-        raise UsageError("exact mode needs a rational q (use a/b form)")
+    q = _parse_q(args.q, args.mode == "exact")
     _check_tolerance(args.tolerance)
     trunc = Truncation(args.lmax, args.smax, args.depth)
     checks = tuple(args.checks.split(",")) if args.checks else None

@@ -97,13 +97,8 @@ class EvalContext:
             self.q = q
             self._mp = None
         else:
-            ctx = self._mp = _mp_context(self.precision)
-            if isinstance(q, Fraction):
-                qf = ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-            elif isinstance(q, str):
-                qf = ctx.mpf(q)
-            else:
-                qf = ctx.mpf(q)
+            self._mp = _mp_context(self.precision)
+            qf = self.to_float(q)
             if qf <= 0:
                 raise ValueError("q must be positive")
             self.q = qf
@@ -148,9 +143,7 @@ class EvalContext:
         return Fraction(n) if self.mode == _EXACT else self._mp.mpf(n)
 
     def from_fraction(self, value: Fraction) -> Scalar:
-        if self.mode == _EXACT:
-            return Fraction(value)
-        return self._mp.mpf(value.numerator) / self._mp.mpf(value.denominator)
+        return Fraction(value) if self.mode == _EXACT else self.to_float(value)
 
     def qpow(self, w) -> Scalar:
         """q**w for integer w."""

@@ -19,6 +19,11 @@ only on columns whose images under up to d successive generator applications
 stay inside the truncation (interior masks, computed for d <= 2).  Checks on
 an empty interior pass vacuously and say so in their report.
 
+Every check takes built inputs (reps from TruncatedRep, blocks from
+complete_blocks) and returns reports; none builds its own.  Residuals are
+measured in _report only: it keeps the first largest magnitude and its
+location, and marks a check with no columns vacuous.
+
 One pass: each TruncatedRep visits each of its labels once.  The label's
 integer key (k, ell, 2MU) or (s, p, 2M) is checked and turned into its
 table environment once, one call of generators._key_action gives the terms
@@ -40,7 +45,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .generators import (
     GENERATORS,
@@ -227,41 +232,46 @@ def _mat_lin(ctx: EvalContext, terms: Sequence[Tuple[Scalar, Entries]]) -> Entri
     return out
 
 
-def _worst(rep: TruncatedRep, entries: Entries,
-           columns: Optional[Sequence[bool]] = None) -> Tuple[float, str, int]:
-    """(max |entry|, location string, columns considered).
+def _report(name: str, residuals: Iterable[Tuple[Scalar, tuple]],
+            locate: Callable[..., str], ncols: int, tol: float,
+            note: str = "") -> CheckReport:
+    """One check's report from its (magnitude, key) residual pairs.
+
+    Keeps the first strict maximum, so an all-zero residual has no location,
+    and formats the location of that one pair only, as locate(*key).  A
+    check with no columns passes vacuously with the note 'no coverage'.
+    """
+    if ncols == 0:
+        note = (note + "; " if note else "") + "no coverage"
+        return CheckReport(name, True, 0.0, tol, "", 0, note)
+    worst, worst_key = 0, None
+    for mag, key in residuals:
+        if mag > worst:
+            worst, worst_key = mag, key
+    residual = float(worst)
+    where = "" if worst_key is None else locate(*worst_key)
+    return CheckReport(name, residual <= tol, residual, tol, where, ncols, note)
+
+
+def _matrix_report(name: str, rep: TruncatedRep, entries: Entries, tol: float,
+                   columns: Optional[Sequence[bool]] = None,
+                   note: str = "") -> CheckReport:
+    """_report over a sparse residual matrix, on the columns marked True.
 
     Exact-mode entries are SignedRadicals: exact zeros are skipped and every
     other entry is measured in one float companion context.
     """
     exact = rep.ctx.is_exact()
     fctx = rep.ctx.as_float()
-    worst = fctx.zero()
-    where = ""
-    if columns is None:
-        ncols = len(rep.labels)
-    else:
-        ncols = sum(1 for c in columns if c)
-    for (i, j), v in sorted(entries.items()):
-        if columns is not None and not columns[j]:
-            continue
-        if exact:
-            if v.is_zero():
-                continue
-            v = v.to_float(fctx)
-        mag = abs(v)
-        if mag > worst:
-            worst = mag
-            where = f"row={rep.labels[i]} col={rep.labels[j]}"
-    return float(worst), where, ncols
-
-
-def _report(name: str, residual: float, where: str, ncols: int,
-            tol: float, note: str = "") -> CheckReport:
-    if ncols == 0:
-        note = (note + "; " if note else "") + "no coverage"
-        return CheckReport(name, True, 0.0, tol, "", 0, note)
-    return CheckReport(name, residual <= tol, residual, tol, where, ncols, note)
+    labels = rep.labels
+    residuals = ((abs(v.to_float(fctx) if exact else v), (i, j))
+                 for (i, j), v in sorted(entries.items())
+                 if (columns is None or columns[j])
+                 and not (exact and v.is_zero()))
+    ncols = len(labels) if columns is None else sum(columns)
+    return _report(name, residuals,
+                   lambda i, j: f"row={labels[i]} col={labels[j]}",
+                   ncols, tol, note)
 
 
 # ----------------------------------------------------------------------------
@@ -282,21 +292,19 @@ def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Ch
                         (-half, rep.matrices["A33"])])
     tp, tm = rep.matrices["A23"], rep.matrices["A32"]
     one = ctx.one()
-    reports = []
-    r1 = _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tp)),
-                        (-one, _mat_mul(ctx, tp, t0)), (-one, tp)])
-    reports.append(_report(f"su11-raising-{rep.basis}", *_worst(rep, r1),
-                           tolerance, note))
-    r2 = _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tm)),
-                        (-one, _mat_mul(ctx, tm, t0)), (one, tm)])
-    reports.append(_report(f"su11-lowering-{rep.basis}", *_worst(rep, r2),
-                           tolerance, note))
-    r3 = _mat_lin(ctx, [(one, _mat_mul(ctx, tp, tm)),
-                        (-one, _mat_mul(ctx, tm, tp)),
-                        (-one, rep.diagonal_weight_bracket())])
-    reports.append(_report(f"su11-commutator-{rep.basis}",
-                           *_worst(rep, r3, rep.interior2), tolerance, note))
-    return reports
+    residuals = [
+        ("raising", _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tp)),
+                                   (-one, _mat_mul(ctx, tp, t0)), (-one, tp)]),
+         None),
+        ("lowering", _mat_lin(ctx, [(one, _mat_mul(ctx, t0, tm)),
+                                    (-one, _mat_mul(ctx, tm, t0)), (one, tm)]),
+         None),
+        ("commutator", _mat_lin(ctx, [(one, _mat_mul(ctx, tp, tm)),
+                                      (-one, _mat_mul(ctx, tm, tp)),
+                                      (-one, rep.diagonal_weight_bracket())]),
+         rep.interior2)]
+    return [_matrix_report(f"su11-{kind}-{rep.basis}", rep, r, tolerance, cols,
+                           note) for kind, r, cols in residuals]
 
 
 def check_hermiticity(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckReport]:
@@ -315,27 +323,23 @@ def check_hermiticity(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Check
         raise ValueError("hermiticity checks run in floating mode")
     one = ctx.one()
     m = rep.matrices
-    reports = []
-    h1 = _mat_lin(ctx, [(one, _mat_transpose(m["A12"])), (-one, m["A21"])])
-    reports.append(_report(f"herm-compact-{rep.basis}", *_worst(rep, h1), tolerance))
-    h2 = _mat_lin(ctx, [(one, _mat_transpose(m["A23"])), (one, m["A32"])])
-    reports.append(_report(f"herm-noncompact-{rep.basis}", *_worst(rep, h2),
-                           tolerance))
     qq = ctx.qpow(1) - ctx.qpow(-1)
     q2 = ctx.qpow(2)
     a13t = _mat_transpose(m["A13"])
     form1 = _mat_lin(ctx, [(one, a13t), (one, m["A31"]),
                            (-qq, _mat_mul(ctx, m["A21"], m["A32"]))])
-    reports.append(_report(f"herm-a13-first-{rep.basis}",
-                           *_worst(rep, form1, rep.interior2), tolerance))
     form2 = _mat_lin(ctx, [(one, a13t), (q2, m["A31"]),
                            (-(q2 - one), _mat_mul(ctx, m["A32"], m["A21"]))])
-    reports.append(_report(f"herm-a13-second-{rep.basis}",
-                           *_worst(rep, form2, rep.interior2), tolerance))
-    agree = _mat_lin(ctx, [(one, form1), (-one, form2)])
-    reports.append(_report(f"herm-form-agreement-{rep.basis}",
-                           *_worst(rep, agree, rep.interior2), tolerance))
-    return reports
+    inner = rep.interior2
+    residuals = [
+        ("compact", _mat_lin(ctx, [(one, _mat_transpose(m["A12"])),
+                                   (-one, m["A21"])]), None),
+        ("noncompact", _mat_lin(ctx, [(one, _mat_transpose(m["A23"])),
+                                      (one, m["A32"])]), None),
+        ("a13-first", form1, inner), ("a13-second", form2, inner),
+        ("form-agreement", _mat_lin(ctx, [(one, form1), (-one, form2)]), inner)]
+    return [_matrix_report(f"herm-{kind}-{rep.basis}", rep, r, tolerance, cols)
+            for kind, r, cols in residuals]
 
 
 def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckReport]:
@@ -360,8 +364,8 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
                            for lab in rep.labels)),
         (-one, rep.diagonal(casimir_su11_eigenvalue(ctx, lab.T)
                             for lab in rep.labels))])
-    reports = [_report("casimir-eigenvalue", *_worst(rep, c2, cols_ok),
-                       tolerance, "exact" if ctx.is_exact() else "")]
+    reports = [_matrix_report("casimir-eigenvalue", rep, c2, tolerance,
+                              cols_ok, "exact" if ctx.is_exact() else "")]
 
     # eigenvalue separation per weight space at this q
     by_weight: Dict[Weight, set] = {}
@@ -388,8 +392,8 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     return reports
 
 
-def check_norm_recursions(sig: Signature, q, k_max: Optional[int] = None,
-                          ell_max: int = 8, s_max: int = 8) -> CheckReport:
+def check_norm_recursions(sig: Signature, q, ell_max: int = 8,
+                          s_max: int = 8) -> CheckReport:
     """Closed-form norms equal their iterated recursions, exactly.
 
     Runs in exact rational arithmetic (q must be rational).  Covers the U
@@ -397,32 +401,21 @@ def check_norm_recursions(sig: Signature, q, k_max: Optional[int] = None,
     0 <= p <= f1-f2, 0 <= s <= s_max.
     """
     ctx = EvalContext.exact(q)
-    kmax = sig.f1 - sig.f2 if k_max is None else min(k_max, sig.f1 - sig.f2)
-    mismatches = 0
-    first = ""
-    total = 0
-    for k in range(kmax + 1):
-        for ell in range(ell_max + 1):
-            total += 1
-            if norm_u_sq(ctx, sig, k, ell) != norm_u_sq_stepwise(ctx, sig, k, ell):
-                mismatches += 1
-                if not first:
-                    first = f"u-norm k={k} ell={ell}"
-    for p in range(kmax + 1):
-        for s in range(s_max + 1):
-            total += 1
-            if norm_t_sq(ctx, sig, s, p) != norm_t_sq_stepwise(ctx, sig, s, p):
-                mismatches += 1
-                if not first:
-                    first = f"t-norm s={s} p={p}"
-    return CheckReport("norm-recursions", mismatches == 0,
-                       float(mismatches), 0.0, first, total,
-                       f"exact at q={q}")
+    kmax = sig.f1 - sig.f2
+    cases = ([(f"u-norm k={k} ell={ell}", norm_u_sq(ctx, sig, k, ell),
+               norm_u_sq_stepwise(ctx, sig, k, ell))
+              for k in range(kmax + 1) for ell in range(ell_max + 1)]
+             + [(f"t-norm s={s} p={p}", norm_t_sq(ctx, sig, s, p),
+                 norm_t_sq_stepwise(ctx, sig, s, p))
+                for p in range(kmax + 1) for s in range(s_max + 1)])
+    bad = [where for where, closed, stepwise in cases if closed != stepwise]
+    return CheckReport("norm-recursions", not bad, float(len(bad)), 0.0,
+                       bad[0] if bad else "", len(cases), f"exact at q={q}")
 
 
-def _complete_blocks(ctx: EvalContext, sig: Signature,
-                     truncation: Truncation) -> Dict[Weight, WeylBlock]:
-    """All weights whose full label sets fit inside the truncation."""
+def complete_blocks(fctx: EvalContext, sig: Signature,
+                    truncation: Truncation) -> Dict[Weight, WeylBlock]:
+    """Float Weyl blocks of all weights whose label sets fit the truncation."""
     weights = sorted({weight_of_u(sig, l)
                       for l in enumerate_u_basis(sig, truncation.ell_max)})
     out: Dict[Weight, WeylBlock] = {}
@@ -436,38 +429,28 @@ def _complete_blocks(ctx: EvalContext, sig: Signature,
         if not all(l.s <= truncation.s_max
                    and l.depth() <= truncation.depth for l in ts):
             continue
-        out[w] = weyl_block(ctx, sig, w)
+        out[w] = weyl_block(fctx, sig, w)
     return out
 
 
-def check_weyl_orthogonality(sig: Signature, truncation: Truncation,
-                             ctx: EvalContext,
-                             tolerance: float = 1e-10,
-                             blocks: Optional[Dict[Weight, WeylBlock]] = None
-                             ) -> CheckReport:
-    """max |B^T B - I| and |B B^T - I| over every complete weight block.
+def check_weyl_orthogonality(blocks: Dict[Weight, WeylBlock],
+                             tolerance: float = 1e-10) -> CheckReport:
+    """max |B^T B - I| and |B B^T - I| over the blocks of complete_blocks."""
 
-    blocks, when given, are the float blocks of _complete_blocks for this
-    window; otherwise they are built here.
-    """
-    fctx = ctx if not ctx.is_exact() else ctx.as_float()
-    if blocks is None:
-        blocks = _complete_blocks(fctx, sig, truncation)
-    worst = fctx.zero()
-    where = ""
-    for w, blk in sorted(blocks.items()):
-        n = len(blk.u_labels)
-        e = blk.entries
-        for i in range(n):
-            for j in range(n):
-                want = fctx.one() if i == j else fctx.zero()
-                col = sum((e[r][i] * e[r][j] for r in range(n)), fctx.zero())
-                row = sum((e[i][r] * e[j][r] for r in range(n)), fctx.zero())
-                mag = max(abs(col - want), abs(row - want))
-                if mag > worst:
-                    worst, where = mag, f"weight={w} pair=({i},{j})"
-    return _report("weyl-orthogonality", float(worst), where, len(blocks),
-                   tolerance)
+    def residuals():
+        for w, blk in sorted(blocks.items()):
+            n = len(blk.u_labels)
+            e = blk.entries
+            for i in range(n):
+                for j in range(n):
+                    want = 1 if i == j else 0
+                    col = sum((e[r][i] * e[r][j] for r in range(n)), 0)
+                    row = sum((e[i][r] * e[j][r] for r in range(n)), 0)
+                    yield max(abs(col - want), abs(row - want)), (w, i, j)
+
+    return _report("weyl-orthogonality", residuals(),
+                   lambda w, i, j: f"weight={w} pair=({i},{j})",
+                   len(blocks), tolerance)
 
 
 def _block_entries(rep: TruncatedRep, g: str, rows, cols):
@@ -483,61 +466,48 @@ def _block_entries(rep: TruncatedRep, g: str, rows, cols):
             for c, j in enumerate(cols_j) if (i, j) in m]
 
 
-def check_intertwiner(sig: Signature, truncation: Truncation,
-                      ctx: EvalContext, tolerance: float = 1e-10,
-                      flip_entry: Optional[str] = None,
-                      blocks: Optional[Dict[Weight, WeylBlock]] = None,
-                      reps: Optional[Dict[str, TruncatedRep]] = None
-                      ) -> CheckReport:
+def check_intertwiner(blocks: Dict[Weight, WeylBlock],
+                      reps: Dict[str, TruncatedRep],
+                      tolerance: float = 1e-10) -> CheckReport:
     """W(target)^T M_U(g) W(source) = M_T(g) on complete block pairs.
 
-    M_U(g) and M_T(g) are read from the float rep matrices reps["u"] and
-    reps["t"], and blocks are the float blocks of _complete_blocks.  Either
-    is built here when not given, the reps with flip_entry so an injected
-    sign fault reaches the check (given reps already carry their own).
-    Each conjugated entry sums over the stored entries of M_U(g) only, in
-    (row, col) order, so skipped zeros change no digit of the residual.
+    blocks are the float blocks of complete_blocks, and M_U(g) and M_T(g)
+    are read from the float rep matrices reps["u"] and reps["t"] (a rep
+    built with flip_entry carries its sign fault here).  Each conjugated
+    entry sums over the stored entries of M_U(g) only, in (row, col) order,
+    so skipped zeros change no digit of the residual.
 
-    Worst violation is localized as (generator, weight, row, col) where row
+    A violation is localized as (generator, weight, row, col) where row
     and col are T-basis labels of the target and source weights.
     """
-    fctx = ctx if not ctx.is_exact() else ctx.as_float()
-    if blocks is None:
-        blocks = _complete_blocks(fctx, sig, truncation)
-    if reps is None:
-        reps = {b: TruncatedRep(fctx, sig, b, truncation, flip_entry=flip_entry)
-                for b in ("u", "t")}
-    worst = fctx.zero()
-    where = ""
-    pairs = 0
+    pairs = []
     for g in GENERATORS:
         dm = WEIGHT_SHIFTS[g]
         for w, blk in sorted(blocks.items()):
-            w2 = Weight(w.m1 + dm[0], w.m2 + dm[1], w.m3 + dm[2])
-            blk2 = blocks.get(w2)
-            if blk2 is None:
-                continue
-            pairs += 1
+            blk2 = blocks.get(Weight(w.m1 + dm[0], w.m2 + dm[1], w.m3 + dm[2]))
+            if blk2 is not None:
+                pairs.append((g, w, blk, blk2))
+
+    def residuals():
+        for g, w, blk, blk2 in pairs:
             mu = _block_entries(reps["u"], g, blk2.u_labels, blk.u_labels)
-            mt = [[fctx.zero()] * len(blk.t_labels) for _ in blk2.t_labels]
-            for a, b, v in _block_entries(reps["t"], g, blk2.t_labels,
-                                          blk.t_labels):
-                mt[a][b] = v
+            mt = {(a, b): v for a, b, v in _block_entries(
+                reps["t"], g, blk2.t_labels, blk.t_labels)}
             # conjugate: blk2.entries^T . M_U(g) . blk.entries; each product
             # is (e2[r][a] * v) * e1[c][b], so the left factor is reused over b
             e1, e2 = blk.entries, blk2.entries
-            for a in range(len(blk2.t_labels)):
+            for a, row in enumerate(blk2.t_labels):
                 left = [(e2[r][a] * v, c) for r, c, v in mu]
-                for b in range(len(blk.t_labels)):
-                    acc = fctx.zero()
+                for b, col in enumerate(blk.t_labels):
+                    acc = 0
                     for lv, c in left:
                         acc += lv * e1[c][b]
-                    mag = abs(acc - mt[a][b])
-                    if mag > worst:
-                        worst = mag
-                        where = (f"generator={g} weight={w} "
-                                 f"row={blk2.t_labels[a]} col={blk.t_labels[b]}")
-    return _report("intertwiner", float(worst), where, pairs, tolerance)
+                    yield abs(acc - mt.get((a, b), 0)), (g, w, row, col)
+
+    return _report("intertwiner", residuals(),
+                   lambda g, w, row, col: (f"generator={g} weight={w} "
+                                           f"row={row} col={col}"),
+                   len(pairs), tolerance)
 
 
 def check_projector(rep: TruncatedRep, t_value,
@@ -565,10 +535,10 @@ def check_projector(rep: TruncatedRep, t_value,
     T = Fraction(t_value)
     tol = tolerance
     cols = [j for j, l in enumerate(rep.labels) if l.M == T + 1]
-    reports: List[CheckReport] = []
     if not cols:
         return [CheckReport("projector", True, 0.0, tol, "", 0,
                             f"T={T}: no coverage")]
+    labels = rep.labels
     # T+ and T- only move M inside one (s, p) multiplet, so each column of
     # A23 and A32 holds at most one entry: column -> (row, factor)
     up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
@@ -588,12 +558,10 @@ def check_projector(rep: TruncatedRep, t_value,
             coeff *= v
         return coeff, j
 
-    two_t = int(2 * T)
-
     def p_diag(j: int):
         """P on column j, a scalar: P is diagonal within each multiplet here."""
         total = fctx.zero()
-        for r in range(0, two_t + 1):
+        for r in range(0, int(2 * T) + 1):
             c_r = projector_t_coeff(fctx, T, r)
             if c_r == 0:
                 continue
@@ -604,37 +572,27 @@ def check_projector(rep: TruncatedRep, t_value,
             total += c_r * up * down[0]
         return total
 
-    worst_diag = fctx.zero()
-    where_diag = ""
-    for j in cols:
-        lab = rep.labels[j]
-        want = fctx.one() if lab.T == T else fctx.zero()
-        mag = abs(p_diag(j) - want)
-        if mag > worst_diag:
-            worst_diag, where_diag = mag, f"T={T} col={lab}"
-    reports.append(_report(f"projector-diagonal-T{T}", float(worst_diag),
-                           where_diag, len(cols), tol))
+    p = {j: p_diag(j) for j in cols}
+    at_col = lambda j: f"T={T} col={labels[j]}"
+    reports = [_report(
+        f"projector-diagonal-T{T}",
+        ((abs(p[j] - (1 if labels[j].T == T else 0)), (j,)) for j in cols),
+        at_col, len(cols), tol)]
 
     # T- P = 0: P column is diag scalar, then one lowering step
-    worst_low = fctx.zero()
-    where_low = ""
-    for j in cols:
-        down = chain(down_step, j, 1)
-        if down is None:
-            continue
-        mag = abs(p_diag(j) * down[0])
-        if mag > worst_low:
-            worst_low, where_low = mag, f"T={T} col={rep.labels[j]}"
-    reports.append(_report(f"projector-annihilation-T{T}", float(worst_low),
-                           where_low, len(cols), tol))
+    lowered = ((j, chain(down_step, j, 1)) for j in cols)
+    reports.append(_report(
+        f"projector-annihilation-T{T}",
+        ((abs(p[j] * down[0]), (j,)) for j, down in lowered if down is not None),
+        at_col, len(cols), tol))
 
     # leading coefficient is 1 (r = 0 term)
-    c0 = projector_t_coeff(fctx, T, 0)
-    reports.append(_report(f"projector-leading-T{T}",
-                           float(abs(c0 - fctx.one())), "r=0", 1, tol))
+    c0 = float(abs(projector_t_coeff(fctx, T, 0) - 1))
+    reports.append(CheckReport(f"projector-leading-T{T}", c0 <= tol, c0, tol,
+                               "r=0", 1))
 
     # spectral projector from C2 by interpolation over distinct T' present
-    tprimes = sorted({rep.labels[j].T for j in cols})
+    tprimes = sorted({labels[j].T for j in cols})
     lam = {tp: fctx.qbracket_half_sq(int(2 * tp) + 1)
            for tp in set(tprimes) | {T}}
     degenerate = any(
@@ -645,28 +603,23 @@ def check_projector(rep: TruncatedRep, t_value,
                                    "", len(cols),
                                    "degenerate Casimir eigenvalues, skipped"))
     else:
-        worst_sp = fctx.zero()
-        where_sp = ""
-        for j in cols:
-            lab = rep.labels[j]
+        def spectral(j: int):
             # C2 acts on |lab> diagonally with eigenvalue lam[lab.T]
             val = fctx.one()
             for tp in tprimes:
-                if tp == T:
-                    continue
-                val *= (lam[lab.T] - lam[tp]) / (lam[T] - lam[tp])
-            mag = abs(p_diag(j) - val)
-            if mag > worst_sp:
-                worst_sp, where_sp = mag, f"T={T} col={lab}"
-        reports.append(_report(f"projector-spectral-T{T}", float(worst_sp),
-                               where_sp, len(cols), tol))
+                if tp != T:
+                    val *= (lam[labels[j].T] - lam[tp]) / (lam[T] - lam[tp])
+            return val
+
+        reports.append(_report(
+            f"projector-spectral-T{T}",
+            ((abs(p[j] - spectral(j)), (j,)) for j in cols),
+            at_col, len(cols), tol))
 
     # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace
-    worst_x = fctx.zero()
-    where_x = ""
-    checked = 0
+    power = []
     for j in cols:
-        if rep.labels[j].T != T:
+        if labels[j].T != T:
             continue
         for x in range(1, rep.truncation.depth + 1):
             up = chain(up_step, j, x)
@@ -674,26 +627,26 @@ def check_projector(rep: TruncatedRep, t_value,
                 break
             lhs = chain(down_step, up[1], x)[0] * up[0]
             sign = -1 if x % 2 else 1
-            rhs = sign * norm_su11_sq(fctx, T, T + 1 + x)
-            mag = abs(lhs - rhs)
-            checked += 1
-            if mag > worst_x:
-                worst_x, where_x = mag, f"T={T} x={x} col={rep.labels[j]}"
-    reports.append(_report(f"projector-power-T{T}", float(worst_x), where_x,
-                           checked, tol))
+            power.append((abs(lhs - sign * norm_su11_sq(fctx, T, T + 1 + x)),
+                          (x, j)))
+    reports.append(_report(f"projector-power-T{T}", power,
+                           lambda x, j: f"T={T} x={x} col={labels[j]}",
+                           len(power), tol))
     return reports
 
 
 DEFAULT_CHECKS = ("su11", "hermiticity", "casimir", "norms",
                   "orthogonality", "intertwiner", "projector")
 
+# run_all_checks checks the projector identities for spins T <= this cap
+PROJECTOR_T_CAP = Fraction(4)
+
 
 def run_all_checks(sig: Signature, q, mode: str = "float",
                    truncation: Optional[Truncation] = None,
                    tolerance: float = 1e-10, precision: int = 50,
                    flip_entry: Optional[str] = None,
-                   checks: Optional[Sequence[str]] = None,
-                   projector_t_cap: Fraction = Fraction(4)) -> List[CheckReport]:
+                   checks: Optional[Sequence[str]] = None) -> List[CheckReport]:
     """Run the whole suite; returns reports in a deterministic order.
 
     mode 'exact' runs the su11, Casimir and norm checks in exact rational
@@ -734,18 +687,15 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
         reports += check_casimir(target, tolerance)
     if "norms" in wanted:
         reports.append(check_norm_recursions(sig, q))
-    blocks = (_complete_blocks(fctx, sig, trunc)
-              if wanted & {"orthogonality", "intertwiner"} else None)
+    if wanted & {"orthogonality", "intertwiner"}:
+        blocks = complete_blocks(fctx, sig, trunc)
     if "orthogonality" in wanted:
-        reports.append(check_weyl_orthogonality(sig, trunc, fctx, tolerance,
-                                                blocks=blocks))
+        reports.append(check_weyl_orthogonality(blocks, tolerance))
     if "intertwiner" in wanted:
-        reports.append(check_intertwiner(sig, trunc, fctx, tolerance,
-                                         blocks=blocks, reps=reps))
+        reports.append(check_intertwiner(blocks, reps, tolerance))
     if "projector" in wanted:
-        t_min = Fraction(sig.f2 - sig.f3 - 2, 2)
-        t = t_min
-        while t <= projector_t_cap:
+        t = Fraction(sig.f2 - sig.f3 - 2, 2)
+        while t <= PROJECTOR_T_CAP:
             reports += check_projector(reps["t"], t, tolerance)
             t += Fraction(1, 2)
     return reports

@@ -17,7 +17,8 @@ from qu21.repspace import (Signature, classify, enumerate_t_basis,
 from qu21.verify import (TruncatedRep, Truncation, check_casimir,
                          check_hermiticity, check_intertwiner,
                          check_norm_recursions, check_su11_relations,
-                         check_weyl_orthogonality, run_all_checks)
+                         check_weyl_orthogonality, complete_blocks,
+                         run_all_checks)
 from qu21.weylracah import weyl_coefficient, weyl_via_racah, qracah_exact, \
     racah_triangles_ok, RacahArgs
 
@@ -31,6 +32,7 @@ TOL = 1e-10
 PRECISION = 50
 
 _REPS = {}
+_BLOCKS = {}
 
 
 def rep_for(sig, q, basis):
@@ -39,6 +41,14 @@ def rep_for(sig, q, basis):
         ctx = EvalContext.floating(q, PRECISION)
         _REPS[key] = TruncatedRep(ctx, sig, basis, TRUNC)
     return _REPS[key]
+
+
+def blocks_for(sig, q):
+    key = (sig, q)
+    if key not in _BLOCKS:
+        ctx = EvalContext.floating(q, PRECISION)
+        _BLOCKS[key] = complete_blocks(ctx, sig, TRUNC)
+    return _BLOCKS[key]
 
 
 def announce(num, ok, text):
@@ -103,8 +113,7 @@ def test_criterion_05_weyl_orthogonality():
     ok = True
     for sig in SIGS:
         for q in QGRID:
-            ctx = EvalContext.floating(q, PRECISION)
-            report = check_weyl_orthogonality(sig, TRUNC, ctx, TOL)
+            report = check_weyl_orthogonality(blocks_for(sig, q), TOL)
             ok = ok and report.passed
             worst = max(worst, report.max_residual)
     announce(5, ok and worst < TOL,
@@ -116,8 +125,8 @@ def test_criterion_06_intertwining():
     ok = True
     for sig in SIGS:
         for q in QGRID:
-            ctx = EvalContext.floating(q, PRECISION)
-            report = check_intertwiner(sig, TRUNC, ctx, TOL)
+            reps = {b: rep_for(sig, q, b) for b in ("u", "t")}
+            report = check_intertwiner(blocks_for(sig, q), reps, TOL)
             ok = ok and report.passed
             worst = max(worst, report.max_residual)
     announce(6, ok and worst < TOL,
@@ -215,8 +224,7 @@ def test_criterion_10_projectors():
         for q in QGRID:
             reports = run_all_checks(sig, q, truncation=TRUNC, tolerance=TOL,
                                      precision=PRECISION,
-                                     checks=("projector",),
-                                     projector_t_cap=Fraction(4))
+                                     checks=("projector",))
             ok = ok and all(r.passed for r in reports)
     announce(10, ok, "extremal projector identities on bottom subspaces "
                      "for spins up to 4")

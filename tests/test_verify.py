@@ -19,7 +19,8 @@ from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          Truncation, check_casimir, check_hermiticity,
                          check_intertwiner, check_norm_recursions,
                          check_projector, check_su11_relations,
-                         check_weyl_orthogonality, run_all_checks)
+                         check_weyl_orthogonality, complete_blocks,
+                         run_all_checks)
 
 SIG = Signature(4, 2, -2)
 Q = Fraction(13, 10)
@@ -171,8 +172,8 @@ class TestIndividualChecks:
         rep = TruncatedRep(EvalContext.exact(Q), SIG, "t", Truncation(2, 2, 2))
         entries = {(0, 0): SignedRadical.from_rational(Fraction(1, 10**12)),
                    (1, 1): SignedRadical.from_rational(Fraction(5))}
-        report = verify_mod._report("scan", *verify_mod._worst(rep, entries),
-                                    1e-10, "exact")
+        report = verify_mod._matrix_report("scan", rep, entries, 1e-10,
+                                           note="exact")
         assert not report.passed
         assert report.max_residual == 5.0
         assert report.location == f"row={rep.labels[1]} col={rep.labels[1]}"
@@ -184,10 +185,47 @@ class TestIndividualChecks:
 
     def test_orthogonality_and_intertwiner(self):
         trunc = Truncation(3, 3, 3)
-        ortho = check_weyl_orthogonality(SIG, trunc, float_ctx())
-        inter = check_intertwiner(SIG, trunc, float_ctx())
+        blocks = complete_blocks(float_ctx(), SIG, trunc)
+        reps = {b: TruncatedRep(float_ctx(), SIG, b, trunc) for b in ("u", "t")}
+        ortho = check_weyl_orthogonality(blocks)
+        inter = check_intertwiner(blocks, reps)
         assert ortho.passed and inter.passed
-        assert ortho.columns_checked > 0 and inter.columns_checked > 0
+        assert ortho.columns_checked == len(blocks) > 0
+        assert inter.columns_checked > 0
+
+    def test_block_checks_build_nothing(self, monkeypatch):
+        trunc = Truncation(2, 2, 2)
+        blocks = complete_blocks(float_ctx(), SIG, trunc)
+        reps = {b: TruncatedRep(float_ctx(), SIG, b, trunc) for b in ("u", "t")}
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a check built its own input")
+
+        for name in ("weyl_block", "TruncatedRep", "complete_blocks"):
+            monkeypatch.setattr(verify_mod, name, no_build)
+        assert check_weyl_orthogonality(blocks).passed
+        assert check_intertwiner(blocks, reps).passed
+
+    def test_report_keeps_first_maximum(self):
+        report = verify_mod._report(
+            "scan", [(1, ("a",)), (3, ("b",)), (3, ("c",)), (2, ("d",))],
+            lambda key: f"at {key}", 4, 1.0)
+        assert (report.max_residual, report.location) == (3.0, "at b")
+        assert not report.passed and report.columns_checked == 4
+
+    def test_report_zero_residual_has_no_location(self):
+        def locate(*_key):
+            raise AssertionError("a zero residual was located")
+
+        report = verify_mod._report("scan", [(0, (1,)), (0, (2,))], locate,
+                                    2, 1e-10)
+        assert report == CheckReport("scan", True, 0.0, 1e-10, "", 2, "")
+
+    @pytest.mark.parametrize("note, want", [("", "no coverage"),
+                                            ("exact", "exact; no coverage")])
+    def test_report_without_columns_is_vacuous(self, note, want):
+        report = verify_mod._report("scan", [(5, (1,))], str, 0, 1e-10, note)
+        assert report == CheckReport("scan", True, 0.0, 1e-10, "", 0, want)
 
     def test_projector_reports(self):
         rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(4, 4, 4))
@@ -258,20 +296,19 @@ class TestRunAll:
             raise AssertionError("a check ran")
 
         for name in ("TruncatedRep", "check_norm_recursions",
-                     "_complete_blocks"):
+                     "complete_blocks"):
             monkeypatch.setattr(verify_mod, name, no_work)
         with pytest.raises(ValueError, match="tolerance"):
             run_all_checks(SIG, Q, truncation=Truncation(1, 1, 1),
                            tolerance=tolerance)
 
     def test_projector_cap_limits_spins(self):
-        reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
-                                 checks=("projector",),
-                                 projector_t_cap=Fraction(2))
-        spins = {r.name.rsplit("T", 1)[-1] for r in reports
-                 if r.name.startswith("projector-")}
-        assert spins
-        assert all(Fraction(s) <= 2 for s in spins)
+        # window 5 covers spin 9/2, so only the cap stops the spins at 4
+        reports = run_all_checks(SIG, Q, truncation=Truncation(5, 5, 5),
+                                 checks=("projector",))
+        spins = {Fraction(r.name.rsplit("T", 1)[-1]) for r in reports}
+        assert verify_mod.PROJECTOR_T_CAP == 4
+        assert spins == {Fraction(n, 2) for n in range(2, 9)}
 
     def test_report_lines_render(self):
         reports = run_all_checks(SIG, Q, truncation=Truncation(2, 2, 2),
@@ -370,6 +407,20 @@ class TestOnePass:
                     lines += [repr(r) for r in run_all_checks(
                         sig, q, mode=mode, truncation=Truncation(4, 4, 4))]
         golden = Path(__file__).parent / "golden" / "verify_reprs.txt"
+        with open(golden, newline="") as fh:
+            assert lines == fh.read().splitlines()
+
+    def test_flip_failures_match_golden_reprs(self):
+        # pins which checks catch each table sign fault, and where
+        lines = []
+        for eid in [e.eid for b in ("u", "t") for e in table_entries(b)]:
+            for mode in ("float", "exact"):
+                failed = [repr(r) for r in run_all_checks(
+                    SIG, Q, mode=mode, truncation=Truncation(3, 3, 3),
+                    flip_entry=eid) if not r.passed]
+                assert failed, (eid, mode)
+                lines += failed
+        golden = Path(__file__).parent / "golden" / "verify_flip_fails.txt"
         with open(golden, newline="") as fh:
             assert lines == fh.read().splitlines()
 
