@@ -8,9 +8,18 @@ q-power, and the bracket factors of the radicand, so that the closed forms
 live in exactly one place and one evaluator, _key_action, serves both
 bases.  It works on integer label keys; basis_action wraps it for one
 label and generator, and the truncated reps of verify call it directly.
-Besides the rows that change multiplet, each table holds the two
-ladder rows inside a multiplet: A12/A21, the compact su_q(2) ladder of the
-U basis, and A23/A32, the noncompact su_q(1,1) ladder of the T basis.
+
+The rows that change multiplet come in doublets, U1/U2 ... U7/U8 and
+T1/T2 ... T7/T8: the two generators of a doublet (A13 with A23, A31 with
+A32 in the U basis; A12 with A13, A21 with A31 in the T basis) reach the
+same target multiplet.  As in the projection-operator derivation, each
+such element is a reduced part shared by the doublet (the shift, three
+numerator brackets and the denominator [2J][2J+1], J the larger of the
+source and target spins) times one M-dependent q-Clebsch-Gordan bracket
+of its own; the reduced part is stated once, in _Reduced.  Besides the
+doublets, each table holds the two ladder rows inside a multiplet: A12/A21,
+the compact su_q(2) ladder of the U basis, and A23/A32, the noncompact
+su_q(1,1) ladder of the T basis.
 
 All matrix elements are returned as SignedRadical coefficients attached to
 validated target labels.  A vanishing bracket factor in a numerator silently
@@ -31,7 +40,9 @@ from .repspace import (
     TBasisLabel,
     UBasisLabel,
     _check_t_key,
+    _check_t_multiplet,
     _check_u_key,
+    _check_u_multiplet,
     require_t_label,
     require_u_label,
     t_label,
@@ -69,11 +80,7 @@ class ActionTerm(NamedTuple):
 
 def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Scalar:
     """Squared norm N^2(k, ell) of the unnormalized U-basis construction."""
-    if not 0 <= k <= sig.f1 - sig.f2:
-        raise ConstraintViolation(
-            f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {sig.f1 - sig.f2}")
-    if ell < 0:
-        raise ConstraintViolation(f"ell >= 0 violated: ell = {ell}")
+    _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     num = (ctx.qfact(k) * ctx.qfact(ell) * ctx.qfact(f12 - k + ell + 1)
            * ctx.qfact(f12) * ctx.qfact(f23 + k - 2) * ctx.qfact(f13 + ell - 1))
@@ -90,12 +97,8 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Sc
     [k][f1 - f2 - k + 1][f2 - f3 + k - 2] / [f1 - f2 - k + ell + 2]).
     Used as an independent oracle against the closed form.
     """
+    _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    if not 0 <= k <= f12:
-        raise ConstraintViolation(
-            f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {f12}")
-    if ell < 0:
-        raise ConstraintViolation(f"ell >= 0 violated: ell = {ell}")
     acc = ctx.one()
     for j in range(1, ell + 1):
         acc = acc * ctx.qnum(j) * ctx.qnum(f13 + j - 1)
@@ -107,11 +110,7 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Sc
 
 def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
     """Squared norm N^2(s, p) of the unnormalized T-basis construction."""
-    if not 0 <= p <= sig.f1 - sig.f2:
-        raise ConstraintViolation(
-            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {sig.f1 - sig.f2}")
-    if s < 0:
-        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
+    _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     num = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(f12)
            * ctx.qfact(f13 + s - 1) * ctx.qfact(f23 + s - 2) * ctx.qfact(f23 + p - 2))
@@ -122,12 +121,8 @@ def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
 
 def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
     """N^2(s, p) from one-step ratios of the closed form (cross-check path)."""
+    _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    if not 0 <= p <= f12:
-        raise ConstraintViolation(
-            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {f12}")
-    if s < 0:
-        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
     acc = ctx.one()
     for j in range(1, s + 1):
         # ratio N^2(j, 0) / N^2(j - 1, 0)
@@ -207,6 +202,10 @@ class TableEntry:
     domain.  qexp maps the integer environment to the q-power; num/den map
     it to the bracket arguments of the radicand.  A zero bracket in num
     drops the term before the denominator is ever evaluated.
+
+    A row that changes multiplet is one of a doublet (see _Reduced): its
+    (d1, d2), its first three num brackets and its den are the doublet's
+    reduced part, and num[3] is its own M-dependent bracket.
     """
 
     eid: str
@@ -220,63 +219,59 @@ class TableEntry:
     den: Tuple[Callable, ...]
 
 
+class _Reduced(NamedTuple):
+    """The M-independent part of a doublet's two rows: their shift, their
+    first three numerator brackets and their denominator [2J][2J+1]."""
+
+    d1: int
+    d2: int
+    num: Tuple[Callable, Callable, Callable]
+    den: Tuple[Callable, Callable]
+
+
+def _row(eid: str, gen: str, part: _Reduced, dtwoM: int, sign: int,
+         qexp: Callable, own: Callable) -> TableEntry:
+    """A doublet row: the reduced part's brackets, then its own one."""
+    return TableEntry(eid, gen, part.d1, part.d2, dtwoM, sign, qexp,
+                      part.num + (own,), part.den)
+
+
+# [2J][2J+1] with J the larger spin: the spin rises (up) or falls (down)
+_U_UP = (lambda e: e.twoU + 1, lambda e: e.twoU + 2)
+_U_DOWN = (lambda e: e.twoU, lambda e: e.twoU + 1)
+_T_UP = (lambda e: e.twoT + 1, lambda e: e.twoT + 2)
+_T_DOWN = (lambda e: e.twoT, lambda e: e.twoT + 1)
+
+_U12 = _Reduced(0, +1, (lambda e: e.ell + 1,
+                        lambda e: e.f1 - e.f3 + e.ell,
+                        lambda e: e.twoU + e.k + 2), _U_UP)
+_U34 = _Reduced(+1, 0, (lambda e: e.k + 1,
+                        lambda e: e.f2 - e.f3 + e.k - 1,
+                        lambda e: e.twoU - e.ell), _U_DOWN)
+_U56 = _Reduced(0, -1, (lambda e: e.ell,
+                        lambda e: e.f1 - e.f3 + e.ell - 1,
+                        lambda e: e.twoU + e.k + 1), _U_DOWN)
+_U78 = _Reduced(-1, 0, (lambda e: e.k,
+                        lambda e: e.f2 - e.f3 + e.k - 2,
+                        lambda e: e.twoU - e.ell + 1), _U_UP)
+
 TABLE_U = (
-    TableEntry("U1", "A13", 0, +1, +1, +1,
-               lambda e: (e.twoMU - e.twoU) // 2,
-               (lambda e: e.ell + 1,
-                lambda e: e.f1 - e.f3 + e.ell,
-                lambda e: e.twoU + e.k + 2,
-                lambda e: (e.twoU + e.twoMU) // 2 + 1),
-               (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U2", "A23", 0, +1, -1, +1,
-               lambda e: 0,
-               (lambda e: e.ell + 1,
-                lambda e: e.f1 - e.f3 + e.ell,
-                lambda e: e.twoU + e.k + 2,
-                lambda e: (e.twoU - e.twoMU) // 2 + 1),
-               (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U3", "A13", +1, 0, +1, -1,
-               lambda e: (e.twoU + e.twoMU) // 2 + 1,
-               (lambda e: e.k + 1,
-                lambda e: e.f2 - e.f3 + e.k - 1,
-                lambda e: e.twoU - e.ell,
-                lambda e: (e.twoU - e.twoMU) // 2),
-               (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U4", "A23", +1, 0, -1, +1,
-               lambda e: 0,
-               (lambda e: e.k + 1,
-                lambda e: e.f2 - e.f3 + e.k - 1,
-                lambda e: e.twoU - e.ell,
-                lambda e: (e.twoU + e.twoMU) // 2),
-               (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U5", "A31", 0, -1, -1, -1,
-               lambda e: (e.twoU - e.twoMU) // 2,
-               (lambda e: e.ell,
-                lambda e: e.f1 - e.f3 + e.ell - 1,
-                lambda e: e.twoU + e.k + 1,
-                lambda e: (e.twoU + e.twoMU) // 2),
-               (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U6", "A32", 0, -1, +1, -1,
-               lambda e: 0,
-               (lambda e: e.ell,
-                lambda e: e.f1 - e.f3 + e.ell - 1,
-                lambda e: e.twoU + e.k + 1,
-                lambda e: (e.twoU - e.twoMU) // 2),
-               (lambda e: e.twoU, lambda e: e.twoU + 1)),
-    TableEntry("U7", "A31", -1, 0, -1, +1,
-               lambda e: -(e.twoU + e.twoMU) // 2 - 1,
-               (lambda e: e.k,
-                lambda e: e.f2 - e.f3 + e.k - 2,
-                lambda e: e.twoU - e.ell + 1,
-                lambda e: (e.twoU - e.twoMU) // 2 + 1),
-               (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
-    TableEntry("U8", "A32", -1, 0, +1, -1,
-               lambda e: 0,
-               (lambda e: e.k,
-                lambda e: e.f2 - e.f3 + e.k - 2,
-                lambda e: e.twoU - e.ell + 1,
-                lambda e: (e.twoU + e.twoMU) // 2 + 1),
-               (lambda e: e.twoU + 1, lambda e: e.twoU + 2)),
+    _row("U1", "A13", _U12, +1, +1, lambda e: (e.twoMU - e.twoU) // 2,
+         lambda e: (e.twoU + e.twoMU) // 2 + 1),
+    _row("U2", "A23", _U12, -1, +1, lambda e: 0,
+         lambda e: (e.twoU - e.twoMU) // 2 + 1),
+    _row("U3", "A13", _U34, +1, -1, lambda e: (e.twoU + e.twoMU) // 2 + 1,
+         lambda e: (e.twoU - e.twoMU) // 2),
+    _row("U4", "A23", _U34, -1, +1, lambda e: 0,
+         lambda e: (e.twoU + e.twoMU) // 2),
+    _row("U5", "A31", _U56, -1, -1, lambda e: (e.twoU - e.twoMU) // 2,
+         lambda e: (e.twoU + e.twoMU) // 2),
+    _row("U6", "A32", _U56, +1, -1, lambda e: 0,
+         lambda e: (e.twoU - e.twoMU) // 2),
+    _row("U7", "A31", _U78, -1, +1, lambda e: -(e.twoU + e.twoMU) // 2 - 1,
+         lambda e: (e.twoU - e.twoMU) // 2 + 1),
+    _row("U8", "A32", _U78, +1, -1, lambda e: 0,
+         lambda e: (e.twoU + e.twoMU) // 2 + 1),
     # su_q(2) ladder inside the multiplet
     TableEntry("U9", "A12", 0, 0, +2, +1,
                lambda e: 0,
@@ -290,63 +285,36 @@ TABLE_U = (
                ()),
 )
 
+_T12 = _Reduced(+1, 0, (lambda e: e.s + 1,
+                        lambda e: e.f1 - e.f3 + e.s,
+                        lambda e: e.twoT - e.p + 1), _T_UP)
+_T34 = _Reduced(0, -1, (lambda e: e.p,
+                        lambda e: e.f1 - e.f2 - e.p + 1,
+                        lambda e: e.twoT - e.s), _T_DOWN)
+_T56 = _Reduced(-1, 0, (lambda e: e.s,
+                        lambda e: e.f1 - e.f3 + e.s - 1,
+                        lambda e: e.twoT - e.p), _T_DOWN)
+_T78 = _Reduced(0, +1, (lambda e: e.p + 1,
+                        lambda e: e.f1 - e.f2 - e.p,
+                        lambda e: e.twoT - e.s + 1), _T_UP)
+
 TABLE_T = (
-    TableEntry("T1", "A12", +1, 0, -1, +1,
-               lambda e: 0,
-               (lambda e: e.s + 1,
-                lambda e: e.f1 - e.f3 + e.s,
-                lambda e: e.twoT - e.p + 1,
-                lambda e: (e.twoM - e.twoT) // 2 - 1),
-               (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T2", "A13", +1, 0, +1, +1,
-               lambda e: (e.twoT - e.twoM) // 2 + 1,
-               (lambda e: e.s + 1,
-                lambda e: e.f1 - e.f3 + e.s,
-                lambda e: e.twoT - e.p + 1,
-                lambda e: (e.twoT + e.twoM) // 2 + 1),
-               (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T3", "A12", 0, -1, -1, +1,
-               lambda e: 0,
-               (lambda e: e.p,
-                lambda e: e.f1 - e.f2 - e.p + 1,
-                lambda e: e.twoT - e.s,
-                lambda e: (e.twoT + e.twoM) // 2),
-               (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T4", "A13", 0, -1, +1, +1,
-               lambda e: -(e.twoT + e.twoM) // 2,
-               (lambda e: e.p,
-                lambda e: e.f1 - e.f2 - e.p + 1,
-                lambda e: e.twoT - e.s,
-                lambda e: (e.twoM - e.twoT) // 2),
-               (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T5", "A21", -1, 0, +1, +1,
-               lambda e: 0,
-               (lambda e: e.s,
-                lambda e: e.f1 - e.f3 + e.s - 1,
-                lambda e: e.twoT - e.p,
-                lambda e: (e.twoM - e.twoT) // 2),
-               (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T6", "A31", -1, 0, -1, -1,
-               lambda e: (e.twoM - e.twoT) // 2 - 1,
-               (lambda e: e.s,
-                lambda e: e.f1 - e.f3 + e.s - 1,
-                lambda e: e.twoT - e.p,
-                lambda e: (e.twoT + e.twoM) // 2),
-               (lambda e: e.twoT, lambda e: e.twoT + 1)),
-    TableEntry("T7", "A21", 0, +1, +1, +1,
-               lambda e: 0,
-               (lambda e: e.p + 1,
-                lambda e: e.f1 - e.f2 - e.p,
-                lambda e: e.twoT - e.s + 1,
-                lambda e: (e.twoT + e.twoM) // 2 + 1),
-               (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
-    TableEntry("T8", "A31", 0, +1, -1, -1,
-               lambda e: (e.twoT + e.twoM) // 2,
-               (lambda e: e.p + 1,
-                lambda e: e.f1 - e.f2 - e.p,
-                lambda e: e.twoT - e.s + 1,
-                lambda e: (e.twoM - e.twoT) // 2 - 1),
-               (lambda e: e.twoT + 1, lambda e: e.twoT + 2)),
+    _row("T1", "A12", _T12, -1, +1, lambda e: 0,
+         lambda e: (e.twoM - e.twoT) // 2 - 1),
+    _row("T2", "A13", _T12, +1, +1, lambda e: (e.twoT - e.twoM) // 2 + 1,
+         lambda e: (e.twoT + e.twoM) // 2 + 1),
+    _row("T3", "A12", _T34, -1, +1, lambda e: 0,
+         lambda e: (e.twoT + e.twoM) // 2),
+    _row("T4", "A13", _T34, +1, +1, lambda e: -(e.twoT + e.twoM) // 2,
+         lambda e: (e.twoM - e.twoT) // 2),
+    _row("T5", "A21", _T56, +1, +1, lambda e: 0,
+         lambda e: (e.twoM - e.twoT) // 2),
+    _row("T6", "A31", _T56, -1, -1, lambda e: (e.twoM - e.twoT) // 2 - 1,
+         lambda e: (e.twoT + e.twoM) // 2),
+    _row("T7", "A21", _T78, +1, +1, lambda e: 0,
+         lambda e: (e.twoT + e.twoM) // 2 + 1),
+    _row("T8", "A31", _T78, -1, -1, lambda e: (e.twoT + e.twoM) // 2,
+         lambda e: (e.twoM - e.twoT) // 2 - 1),
     # su_q(1,1) ladder inside the multiplet; T- carries the noncompact sign
     TableEntry("T9", "A23", 0, 0, +2, +1,
                lambda e: 0,

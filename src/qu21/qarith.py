@@ -5,9 +5,8 @@ The symmetric q-bracket is used throughout:
     [n] = (q^n - q^-n) / (q - q^-1),      [n]! = [1][2]...[n],  [0]! = 1.
 
 The classical point q = 1 is handled as an explicit limit ([n] -> n), never by
-numerically approaching it.  Truncation of all finite sums in this package is
-driven by a single mechanism: 1/[n]! evaluates to exactly zero for n < 0
-(see :meth:`EvalContext.qfact_inv`).
+numerically approaching it.  [n]! and 1/[n]! are defined for n >= 0 only; every
+finite sum in this package bounds its own range.
 """
 
 from __future__ import annotations
@@ -185,15 +184,11 @@ class EvalContext:
         return memo[n]
 
     def qfact_inv(self, n) -> Scalar:
-        """1/[n]!, extended by 0 for n < 0.
-
-        This zero extension is what bounds every finite sum in the package;
-        summation code never precomputes bounds independently.
-        """
+        """1/[n]!; raises NegativeFactorial for n < 0."""
         n = _as_int(n)
         memo = self._qfact_inv_memo
         if n not in memo:
-            memo[n] = self.zero() if n < 0 else 1 / self.qfact(n)
+            memo[n] = 1 / self.qfact(n)
         return memo[n]
 
     def qbracket_half_sq(self, two_x) -> Scalar:

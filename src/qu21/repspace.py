@@ -143,19 +143,35 @@ class TBasisLabel:
         return f"s={self.s} p={self.p} T={self.T} M={self.M}"
 
 
-def _check_u_key(sig: Signature, k: int, ell: int, twoMU) -> int:
-    """2U of the U-basis label (k, ell, MU = twoMU / 2), checked in integers.
-
-    Raises ConstraintViolation outside the domain.  twoMU may also be a
-    Fraction; then it is an integer exactly when MU is a half-integer.
-    """
+def _check_u_multiplet(sig: Signature, k: int, ell: int) -> int:
+    """2U of the U multiplet (k, ell); ConstraintViolation outside the domain."""
     f12 = sig.f1 - sig.f2
     if not 0 <= k <= f12:
         raise ConstraintViolation(
             f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {f12}")
     if ell < 0:
         raise ConstraintViolation(f"ell >= 0 violated: ell = {ell}")
-    twoU = f12 - k + ell
+    return f12 - k + ell
+
+
+def _check_t_multiplet(sig: Signature, s: int, p: int) -> int:
+    """2T of the T multiplet (s, p); ConstraintViolation outside the domain."""
+    f12 = sig.f1 - sig.f2
+    if not 0 <= p <= f12:
+        raise ConstraintViolation(
+            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {f12}")
+    if s < 0:
+        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
+    return sig.f2 - sig.f3 + p + s - 2
+
+
+def _check_u_key(sig: Signature, k: int, ell: int, twoMU) -> int:
+    """2U of the U-basis label (k, ell, MU = twoMU / 2), checked in integers.
+
+    Raises ConstraintViolation outside the domain.  twoMU may also be a
+    Fraction; then it is an integer exactly when MU is a half-integer.
+    """
+    twoU = _check_u_multiplet(sig, k, ell)
     if (twoU - twoMU) % 2:
         raise ConstraintViolation(
             f"U - MU must be an integer: U = {Fraction(twoU, 2)}, "
@@ -173,13 +189,7 @@ def _check_t_key(sig: Signature, s: int, p: int, twoM) -> int:
     Raises ConstraintViolation outside the domain.  twoM may also be a
     Fraction; then it is an integer exactly when M is a half-integer.
     """
-    f12 = sig.f1 - sig.f2
-    if not 0 <= p <= f12:
-        raise ConstraintViolation(
-            f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {f12}")
-    if s < 0:
-        raise ConstraintViolation(f"s >= 0 violated: s = {s}")
-    twoT = sig.f2 - sig.f3 + p + s - 2
+    twoT = _check_t_multiplet(sig, s, p)
     if (twoM - twoT) % 2:
         raise ConstraintViolation(
             f"M - T must be an integer: T = {Fraction(twoT, 2)}, "

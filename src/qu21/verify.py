@@ -360,7 +360,7 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     cols_ok = [lab.depth() < rep.truncation.depth for lab in rep.labels]
     c2 = _mat_lin(ctx, [
         (one, _mat_mul(ctx, tm, tp)),
-        (one, rep.diagonal(ctx.qbracket_half_sq(int(2 * lab.M) + 1)
+        (one, rep.diagonal(ctx.qbracket_half_sq(2 * lab.M + 1)
                            for lab in rep.labels)),
         (-one, rep.diagonal(casimir_su11_eigenvalue(ctx, lab.T)
                             for lab in rep.labels))])
@@ -375,8 +375,8 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     for w, ts in sorted(by_weight.items()):
         vals = sorted(ts)
         for i in range(len(vals) - 1):
-            a = fctx.qbracket_half_sq(int(2 * vals[i]) + 1)
-            b = fctx.qbracket_half_sq(int(2 * vals[i + 1]) + 1)
+            a = casimir_su11_eigenvalue(fctx, vals[i])
+            b = casimir_su11_eigenvalue(fctx, vals[i + 1])
             gap = abs(b - a)
             if min_gap is None or gap < min_gap:
                 min_gap = gap
@@ -392,22 +392,25 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     return reports
 
 
-def check_norm_recursions(sig: Signature, q, ell_max: int = 8,
-                          s_max: int = 8) -> CheckReport:
+def check_norm_recursions(sig: Signature, q,
+                          truncation: Truncation) -> CheckReport:
     """Closed-form norms equal their iterated recursions, exactly.
 
-    Runs in exact rational arithmetic (q must be rational).  Covers the U
-    table over 0 <= k <= f1-f2, 0 <= ell <= ell_max and the T table over
-    0 <= p <= f1-f2, 0 <= s <= s_max.
+    Runs in exact rational arithmetic (q must be rational).  Covers the
+    window's multiplets: the U norms over 0 <= k <= f1-f2 and
+    0 <= ell <= ell_max, the T norms over 0 <= p <= f1-f2 and
+    0 <= s <= s_max.
     """
     ctx = EvalContext.exact(q)
     kmax = sig.f1 - sig.f2
     cases = ([(f"u-norm k={k} ell={ell}", norm_u_sq(ctx, sig, k, ell),
                norm_u_sq_stepwise(ctx, sig, k, ell))
-              for k in range(kmax + 1) for ell in range(ell_max + 1)]
+              for k in range(kmax + 1)
+              for ell in range(truncation.ell_max + 1)]
              + [(f"t-norm s={s} p={p}", norm_t_sq(ctx, sig, s, p),
                  norm_t_sq_stepwise(ctx, sig, s, p))
-                for p in range(kmax + 1) for s in range(s_max + 1)])
+                for p in range(kmax + 1)
+                for s in range(truncation.s_max + 1)])
     bad = [where for where, closed, stepwise in cases if closed != stepwise]
     return CheckReport("norm-recursions", not bad, float(len(bad)), 0.0,
                        bad[0] if bad else "", len(cases), f"exact at q={q}")
@@ -523,9 +526,12 @@ def check_projector(rep: TruncatedRep, t_value,
       fixes T' = T), hence P^2 = P and P on the (T, T+1) vector is 1;
     * T- P = 0 column by column;
     * P equals the spectral projector onto the Casimir eigenvalue
-      [T + 1/2]^2 built independently from C2 by interpolation (skipped
-      with a note when eigenvalues degenerate at this q);
-    * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth headroom.
+      [T + 1/2]^2, interpolated over the spins present and evaluated at
+      C2 = T- T+ + [M + 1/2]^2, which is read from the rep's own ladder
+      entries (one up-step and one down-step), on the columns that have an
+      up-step (skipped with a note when eigenvalues degenerate at this q);
+    * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth; a column
+      at M = T+1 rises depth steps and stays inside the window.
     """
     if rep.basis != "t":
         raise ValueError("check_projector needs a T-basis rep")
@@ -562,14 +568,11 @@ def check_projector(rep: TruncatedRep, t_value,
         """P on column j, a scalar: P is diagonal within each multiplet here."""
         total = fctx.zero()
         for r in range(0, int(2 * T) + 1):
-            c_r = projector_t_coeff(fctx, T, r)
-            if c_r == 0:
-                continue
             down = chain(down_step, j, r)
             if down is None:
                 continue
             up, _ = chain(up_step, down[1], r)
-            total += c_r * up * down[0]
+            total += projector_t_coeff(fctx, T, r) * up * down[0]
         return total
 
     p = {j: p_diag(j) for j in cols}
@@ -591,30 +594,34 @@ def check_projector(rep: TruncatedRep, t_value,
     reports.append(CheckReport(f"projector-leading-T{T}", c0 <= tol, c0, tol,
                                "r=0", 1))
 
-    # spectral projector from C2 by interpolation over distinct T' present
+    # spectral projector: interpolate over the distinct T' present, and
+    # evaluate at C2 = T- T+ + [M + 1/2]^2 read from the ladder entries
     tprimes = sorted({labels[j].T for j in cols})
-    lam = {tp: fctx.qbracket_half_sq(int(2 * tp) + 1)
-           for tp in set(tprimes) | {T}}
+    lam = {tp: casimir_su11_eigenvalue(fctx, tp) for tp in set(tprimes) | {T}}
+    risen = [(j, up) for j in cols
+             if (up := chain(up_step, j, 1)) is not None]
     degenerate = any(
         abs(lam[a] - lam[b]) <= tol
         for i, a in enumerate(tprimes) for b in tprimes[i + 1:])
     if degenerate:
         reports.append(CheckReport(f"projector-spectral-T{T}", True, 0.0, tol,
-                                   "", len(cols),
+                                   "", len(risen),
                                    "degenerate Casimir eigenvalues, skipped"))
     else:
-        def spectral(j: int):
-            # C2 acts on |lab> diagonally with eigenvalue lam[lab.T]
+        m_sq = fctx.qbracket_half_sq(2 * T + 3)  # [M + 1/2]^2 at M = T + 1
+
+        def spectral(up):
+            c2 = chain(down_step, up[1], 1)[0] * up[0] + m_sq
             val = fctx.one()
             for tp in tprimes:
                 if tp != T:
-                    val *= (lam[labels[j].T] - lam[tp]) / (lam[T] - lam[tp])
+                    val *= (c2 - lam[tp]) / (lam[T] - lam[tp])
             return val
 
         reports.append(_report(
             f"projector-spectral-T{T}",
-            ((abs(p[j] - spectral(j)), (j,)) for j in cols),
-            at_col, len(cols), tol))
+            ((abs(p[j] - spectral(up)), (j,)) for j, up in risen),
+            at_col, len(risen), tol))
 
     # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace
     power = []
@@ -623,8 +630,6 @@ def check_projector(rep: TruncatedRep, t_value,
             continue
         for x in range(1, rep.truncation.depth + 1):
             up = chain(up_step, j, x)
-            if up is None:
-                break
             lhs = chain(down_step, up[1], x)[0] * up[0]
             sign = -1 if x % 2 else 1
             power.append((abs(lhs - sign * norm_su11_sq(fctx, T, T + 1 + x)),
@@ -686,7 +691,7 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
         target = reps["t-exact"] if ectx is not None else reps["t"]
         reports += check_casimir(target, tolerance)
     if "norms" in wanted:
-        reports.append(check_norm_recursions(sig, q))
+        reports.append(check_norm_recursions(sig, q, trunc))
     if wanted & {"orthogonality", "intertwiner"}:
         blocks = complete_blocks(fctx, sig, trunc)
     if "orthogonality" in wanted:

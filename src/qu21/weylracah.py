@@ -84,7 +84,7 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
         P = [x][y] prod_{a in pref_num} [a]! / prod_{b in pref_den} [b]!,
         S = sum_n (-1)^n prod_{t in tops} [t - n]!
                          / ([n]! prod_{u in bottoms} [u - n]!),
-    over n = 0..min(bottoms), the range on which no 1/[u - n]! vanishes.
+    over n = 0..min(bottoms), the range on which every [u - n]! is defined.
     Factors are multiplied left to right in the order given.  Returns a
     context scalar, or a SignedRadical in exact mode.
     """

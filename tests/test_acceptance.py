@@ -90,7 +90,7 @@ def test_criterion_03_norm_recursions_exact():
     ok = True
     for sig in SIGS:
         for q in QGRID:
-            report = check_norm_recursions(sig, q, ell_max=8, s_max=8)
+            report = check_norm_recursions(sig, q, Truncation(8, 8, 8))
             ok = ok and report.passed
     announce(3, ok, "closed-form norms equal iterated recursions exactly, "
                     "k to f1-f2 and ell, s to 8")

@@ -1,11 +1,13 @@
 """Norms, ladder coefficients, projector coefficients, generator actions."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qu21.generators as generators_mod
 from qu21.errors import ConstraintViolation
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
                              casimir_su11_eigenvalue, norm_su11_sq,
@@ -15,7 +17,7 @@ from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, classify, enumerate_t_basis,
                            enumerate_u_basis, lowest_t_label, lowest_u_label,
-                           weight_of_t, weight_of_u)
+                           t_label, u_label, weight_of_t, weight_of_u)
 
 Q_SAMPLES = [Fraction(1, 2), Fraction(9, 10), Fraction(1), Fraction(13, 10),
              Fraction(2)]
@@ -68,6 +70,22 @@ class TestNorms:
         for p in range(sig.f1 - sig.f2 + 1):
             for s in range(5):
                 assert norm_t_sq(ctx, sig, s, p) > 0
+
+    def test_domain_errors_match_the_label_checks(self):
+        ctx = EvalContext.exact(Fraction(1, 2))
+        sig = Signature(4, 2, -2)
+        for k, ell in ((3, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ConstraintViolation) as want:
+                u_label(sig, k, ell, Fraction(sig.f1 - sig.f2 - k + ell, 2))
+            for fn in (norm_u_sq, norm_u_sq_stepwise):
+                with pytest.raises(ConstraintViolation, match=re.escape(str(want.value))):
+                    fn(ctx, sig, k, ell)
+        for s, p in ((0, 3), (0, -1), (-1, 0)):
+            with pytest.raises(ConstraintViolation) as want:
+                t_label(sig, s, p, 10)
+            for fn in (norm_t_sq, norm_t_sq_stepwise):
+                with pytest.raises(ConstraintViolation, match=re.escape(str(want.value))):
+                    fn(ctx, sig, s, p)
 
     def test_domain_errors_both_paths(self):
         ctx = EvalContext.exact(Fraction(1, 2))
@@ -251,3 +269,45 @@ class TestActions:
         for lab in enumerate_t_basis(sig, 2, 2):
             assert basis_action(ctx, sig, "t", "A13", lab) == \
                 basis_action(ctx, sig, "t", "A13", lab, flip_entry="U1")
+
+
+DOUBLETS = [("U1", "U2"), ("U3", "U4"), ("U5", "U6"), ("U7", "U8"),
+            ("T1", "T2"), ("T3", "T4"), ("T5", "T6"), ("T7", "T8")]
+
+
+class TestDoublets:
+    """The multiplet-changing rows pair into doublets with one reduced part."""
+
+    def test_doublets_cover_the_multiplet_changing_rows(self):
+        changing = [e.eid for b in ("u", "t") for e in table_entries(b)
+                    if (e.d1, e.d2) != (0, 0)]
+        assert changing == [eid for pair in DOUBLETS for eid in pair]
+
+    @pytest.mark.parametrize("first, second", DOUBLETS)
+    def test_rows_share_the_shift_and_reduced_brackets(self, first, second):
+        rows = {e.eid: e for b in ("u", "t") for e in table_entries(b)}
+        a, b = rows[first], rows[second]
+        assert (a.d1, a.d2) == (b.d1, b.d2)
+        assert len(a.num) == len(b.num) == 4
+        assert a.num[:3] == b.num[:3]  # the same factor functions
+        assert a.den == b.den
+        assert a.num[3] is not b.num[3]
+        assert a.gen != b.gen and a.dtwoM == -b.dtwoM
+
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    def test_denominator_is_2j_2j_plus_1(self, basis):
+        # J is the larger of the source and target spins, on every label
+        # of the desk window (4,2,-2), window 6
+        sig = Signature(4, 2, -2)
+        labels = (enumerate_u_basis(sig, 6) if basis == "u"
+                  else enumerate_t_basis(sig, 6, 6))
+        env_of = generators_mod._BASES[basis][2]
+        rows = [e for e in table_entries(basis) if e.den]
+        assert len(rows) == 8
+        for lab in labels:
+            env = env_of(sig, generators_mod._label_key(basis, lab))
+            two_j = env.twoU if basis == "u" else env.twoT
+            for e in rows:
+                shift = e.d2 - e.d1 if basis == "u" else e.d1 + e.d2
+                top = max(two_j, two_j + shift)
+                assert tuple(f(env) for f in e.den) == (top, top + 1), e.eid

@@ -75,10 +75,11 @@ class TestFactorials:
         with pytest.raises(NegativeFactorial):
             ctx.qfact(-1)
 
-    def test_inverse_extends_by_zero(self):
-        ctx = EvalContext.exact(Fraction(3, 2))
-        assert ctx.qfact_inv(-1) == 0
-        assert ctx.qfact_inv(-7) == 0
+    @pytest.mark.parametrize("ctx", [EvalContext.exact(Fraction(3, 2)),
+                                     EvalContext.floating(Fraction(3, 2))])
+    def test_inverse_of_negative_raises(self, ctx):
+        with pytest.raises(NegativeFactorial):
+            ctx.qfact_inv(-1)
         assert ctx.qfact_inv(4) == 1 / ctx.qfact(4)
 
     @given(q=rationals_q, n=st.integers(1, 15))

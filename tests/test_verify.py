@@ -179,9 +179,16 @@ class TestIndividualChecks:
         assert report.location == f"row={rep.labels[1]} col={rep.labels[1]}"
 
     def test_norm_recursions(self):
-        rep = check_norm_recursions(SIG, Q, ell_max=4, s_max=4)
+        rep = check_norm_recursions(SIG, Q, Truncation(4, 4, 4))
         assert rep.passed
         assert rep.columns_checked == 2 * 3 * 5
+
+    def test_norm_recursions_follow_the_window(self):
+        # 3 values of k times ell <= 2, plus 3 values of p times s <= 5
+        [report] = run_all_checks(SIG, Q, truncation=Truncation(2, 5, 1),
+                                  checks=("norms",))
+        assert report.passed
+        assert report.columns_checked == 3 * 3 + 3 * 6
 
     def test_orthogonality_and_intertwiner(self):
         trunc = Truncation(3, 3, 3)
@@ -233,6 +240,26 @@ class TestIndividualChecks:
         assert all(r.passed for r in reports)
         names = {r.name for r in reports}
         assert any(n.startswith("projector-") for n in names)
+
+    def test_spectral_projector_is_its_own_check(self):
+        # C2 is read from the ladder entries, not from the label's spin, so
+        # the spectral residuals are not copies of the diagonal ones
+        reports = {r.name: r for r in run_all_checks(
+            SIG, Q, truncation=Truncation(6, 6, 6), checks=("projector",))}
+        spectral = [n for n in reports if n.startswith("projector-spectral-")]
+        assert len(spectral) == 7
+        assert all(reports[n].passed for n in spectral)
+        twins = [(reports[n], reports[n.replace("spectral", "diagonal")])
+                 for n in spectral]
+        assert any((s.max_residual, s.location) != (d.max_residual, d.location)
+                   for s, d in twins)
+
+    def test_spectral_projector_counts_columns_with_an_up_step(self):
+        rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(3, 3, 3))
+        reports = {r.name: r for r in check_projector(rep, Fraction(4))}
+        # the column s=0 p=0 T=1 M=5 sits at depth 3, the top of the window
+        assert reports["projector-diagonal-T4"].columns_checked == 6
+        assert reports["projector-spectral-T4"].columns_checked == 5
 
     @pytest.mark.parametrize("ctx, basis", [(float_ctx(), "u"),
                                             (EvalContext.exact(Q), "t")])
