@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 from typing import Union
 
 import mpmath
@@ -29,6 +29,11 @@ _FLOAT = "float"
 # Float contexts at this many distinct precisions keep their mpmath context
 # (about 42 KiB each); a context evicted beyond that is rebuilt on demand.
 _MP_CONTEXTS = 8
+
+# Contexts of this many distinct (mode, q, precision) keys keep their q-number
+# tables: room for a few q values in both modes at a couple of precisions.  A
+# key evicted beyond that gets fresh tables, which compute the same values.
+_Q_TABLES = 32
 
 
 def _as_int(n) -> int:
@@ -59,6 +64,43 @@ def _mp_context(precision: int):
     return ctx
 
 
+def _to_mpf(mp, x):
+    """An int, Fraction or mpf value as an mpf of the mpmath context mp."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mp.mpf(x)
+
+
+@lru_cache(maxsize=_Q_TABLES, typed=True)
+def _q_tables(mode: str, q, precision: int):
+    """The q-number tables of every EvalContext of this (mode, q, precision).
+
+    Returns the mpmath context (None in exact mode), the converted q and the
+    qpow, qnum, qfact and qfact_inv memos.  Every memo entry is a fixed
+    function of (mode, q, precision, n), and qfact extends its chain from its
+    largest entry, so which context fills a table, and when, never changes a
+    value.  Raises ValueError unless q is finite and positive (a raise is not
+    cached).
+    """
+    if mode == _EXACT:
+        mp, one = None, Fraction(1)
+        try:
+            value = Fraction(q)
+        except (OverflowError, TypeError, ValueError):
+            if not (q != q or q in (inf, -inf)):  # not a NaN or an infinity
+                raise
+            value = None
+    else:
+        mp = _mp_context(precision)
+        one = mp.mpf(1)
+        value = _to_mpf(mp, q)
+        if not mp.isfinite(value):
+            value = None
+    if value is None or value <= 0:
+        raise ValueError("q must be finite and positive")
+    return mp, value, {}, {}, {0: one}, {}
+
+
 class EvalContext:
     """Immutable evaluation backend for all q-arithmetic.
 
@@ -72,10 +114,17 @@ class EvalContext:
                    state.
 
     All operations are pure; the only internal mutation is memoization, one
-    dict per function and per instance, keyed by its integer argument:
-    q-powers (qpow), q-brackets (qnum), q-factorials (qfact) and their
-    inverses (qfact_inv).  A fresh instance recomputes every value; a memoized
-    value is the one the first call computed, so repeated calls return
+    dict per function, keyed by its integer argument: q-powers (qpow),
+    q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
+    Every context of one (mode, q as given, precision) shares these tables
+    and the converted q, taken at construction from a process-wide memo of
+    the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
+    entry up to the largest n that any context of its key asked for.  Equal q
+    of different types (2 as an int and as a Fraction) are different keys.  A
+    context keeps the tables it took even after its key is evicted, and a
+    later context of that key starts fresh ones.  Each entry is a fixed
+    function of (mode, q, precision, n), so a value never depends on the
+    order of calls, on sharing or on eviction: repeated calls return
     bit-identical results.
     """
 
@@ -89,22 +138,8 @@ class EvalContext:
         self.precision = int(precision)
         if self.precision < 1:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
-        if mode == _EXACT:
-            q = Fraction(q)
-            if q <= 0:
-                raise ValueError("q must be positive")
-            self.q = q
-            self._mp = None
-        else:
-            self._mp = _mp_context(self.precision)
-            qf = self.to_float(q)
-            if qf <= 0:
-                raise ValueError("q must be positive")
-            self.q = qf
-        self._qpow_memo = {}
-        self._qnum_memo = {}
-        self._qfact_memo = {0: self.one()}
-        self._qfact_inv_memo = {}
+        (self._mp, self.q, self._qpow_memo, self._qnum_memo, self._qfact_memo,
+         self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
 
     # -- constructors ------------------------------------------------------
 
@@ -219,9 +254,7 @@ class EvalContext:
         """Coerce ints, Fractions, or mpf values into this float context."""
         if self.mode == _EXACT:
             raise ValueError("to_float requires a float-mode context")
-        if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
-        return self._mp.mpf(x)
+        return _to_mpf(self._mp, x)
 
     # -- misc ----------------------------------------------------------------
 

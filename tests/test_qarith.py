@@ -134,29 +134,46 @@ class TestContexts:
         with pytest.raises(ValueError):
             e.sqrt(Fraction(2))
 
-    def test_float_contexts_share_mpmath_context_not_memos(self):
+    def test_contexts_of_one_key_share_q_tables(self):
+        memos = [name for name in EvalContext.__slots__ if name.endswith("_memo")]
         q = Fraction(13, 10)
+        qarith._q_tables.cache_clear()
         a = EvalContext.floating(q, 50)
-        b = EvalContext.floating(q, 50)
-        assert a._mp is b._mp
-        for name in EvalContext.__slots__:
-            if name.endswith("_memo"):
-                assert getattr(a, name) is not getattr(b, name)
         want = [a.qfact(12)._mpf_, a.qnum(7)._mpf_, a.qpow(-3)._mpf_]
-        assert 12 not in b._qfact_memo and 7 not in b._qnum_memo
-        assert -3 not in b._qpow_memo
+        b = EvalContext.floating(q, 50)
+        assert b._mp is a._mp and b.q is a.q
+        for name in memos:
+            assert getattr(b, name) is getattr(a, name)
+        assert 12 in b._qfact_memo and 7 in b._qnum_memo and -3 in b._qpow_memo
 
         global_dps = mpmath.mp.dps
         low, high = EvalContext.floating(q, 20), EvalContext.floating(q, 80)
-        assert low._mp is not a._mp and high._mp is not a._mp
+        others = [low, high, EvalContext.floating(Fraction(3, 2), 50),
+                  EvalContext.exact(q), EvalContext("exact", q, 50)]
+        assert EvalContext.floating(2, 50)._qnum_memo \
+            is not EvalContext.floating(Fraction(2), 50)._qnum_memo
+        for other in others:
+            for name in memos:
+                assert getattr(other, name) is not getattr(a, name)
         assert (low._mp.dps, high._mp.dps) == (20, 80)
         low.qfact(12), high.qfact(12)
         assert mpmath.mp.dps == global_dps
         assert a._mp.dps == 50
+
+        qarith._q_tables.cache_clear()
         fresh = EvalContext.floating(q, 50)
+        assert fresh._qfact_memo is not a._qfact_memo
         assert [fresh.qfact(12)._mpf_, fresh.qnum(7)._mpf_,
                 fresh.qpow(-3)._mpf_] == want
         assert [b.qfact(12)._mpf_, b.qnum(7)._mpf_, b.qpow(-3)._mpf_] == want
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf"),
+                                   mpmath.mpf("nan"), mpmath.mpf("inf")],
+                             ids=["nan", "inf", "-inf", "mpf-nan", "mpf-inf"])
+    def test_non_finite_q_is_rejected(self, mode, q):
+        with pytest.raises(ValueError, match="q must be finite and positive"):
+            EvalContext(mode, q)
 
     def test_exact_context_builds_no_mpmath_context(self):
         before = qarith._mp_context.cache_info()

@@ -3,11 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from qu21 import weylracah
+from qu21 import qarith, weylracah
 from qu21.errors import EmptyWeightSpace, WeightMismatch
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, Weight, enumerate_u_basis,
@@ -276,6 +277,8 @@ class TestOneEvaluator:
 BITS_QS = (Fraction(1, 2), Fraction(1), Fraction(13, 10), Fraction(3))
 BITS_SIGS = (Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1),
              Signature(8, 2, -2), Signature(6, 6, 3))
+MODES = ("float", "exact")
+GOLDEN_BITS = Path(__file__).parent / "golden" / "racah_bits.txt"
 
 
 def _mpf_bits(x) -> str:
@@ -320,34 +323,94 @@ def _bracket_bit_labels(rng):
     return out
 
 
-def racah_bit_lines():
-    """One line per input: the _mpf_ of every float value and the
-    (sign, qpower, radicand) of every exact value, at 50 digits."""
+def _racah_float(args, ctx):
+    return f"float={_mpf_bits(qracah(ctx, args))}"
+
+
+def _racah_exact(args, ctx):
+    return f"exact={_radical_bits(qracah_exact(ctx, args))}"
+
+
+def _weyl_float(sig, u, t, ctx):
+    values = (weyl_coefficient(ctx, sig, u, t),
+              weyl_via_racah(ctx, sig, u, t, form="a"),
+              weyl_via_racah(ctx, sig, u, t, form="b"))
+    return " ".join(f"{name}={_mpf_bits(v)}" for name, v in
+                    zip(("direct", "form_a", "form_b"), values))
+
+
+def _weyl_exact(sig, u, t, ctx):
+    return f"exact={_radical_bits(weyl_coefficient_exact(ctx, sig, u, t))}"
+
+
+def _bit_inputs():
+    """Each golden line's prefix, q and its float and exact evaluators."""
     rng = random.Random(2003)
-    lines = []
+    inputs = []
     for q in BITS_QS:
-        fctx, ectx = EvalContext.floating(q, 50), EvalContext.exact(q)
         for args in _racah_bit_args(rng):
-            lines.append(
-                f"racah q={q} args={','.join(map(str, args.as_tuple()))}"
-                f" float={_mpf_bits(qracah(fctx, args))}"
-                f" exact={_radical_bits(qracah_exact(ectx, args))}")
+            inputs.append((f"racah q={q} args={','.join(map(str, args.as_tuple()))}",
+                           q, {"float": partial(_racah_float, args),
+                               "exact": partial(_racah_exact, args)}))
         for sig, u, t in _bracket_bit_labels(rng):
-            values = (weyl_coefficient(fctx, sig, u, t),
-                      weyl_via_racah(fctx, sig, u, t, form="a"),
-                      weyl_via_racah(fctx, sig, u, t, form="b"))
-            lines.append(
-                f"weyl q={q} sig={sig} u=({u}) t=({t}) "
-                + " ".join(f"{name}={_mpf_bits(v)}" for name, v in
-                           zip(("direct", "form_a", "form_b"), values))
-                + f" exact={_radical_bits(weyl_coefficient_exact(ectx, sig, u, t))}")
-    return lines
+            inputs.append((f"weyl q={q} sig={sig} u=({u}) t=({t})",
+                           q, {"float": partial(_weyl_float, sig, u, t),
+                               "exact": partial(_weyl_exact, sig, u, t)}))
+    return inputs
+
+
+def racah_bit_lines(order=None):
+    """One line per input: the _mpf_ of every float value and the
+    (sign, qpower, radicand) of every exact value, at 50 digits.  Each
+    line's float and exact values are evaluated on fresh contexts of its q,
+    in ``order``: (line index, mode) pairs, by default line by line, float
+    first."""
+    inputs = _bit_inputs()
+    if order is None:
+        order = [(i, mode) for i in range(len(inputs)) for mode in MODES]
+    fields = {}
+    for i, mode in order:
+        _, q, evaluate = inputs[i]
+        ctx = (EvalContext.floating(q, 50) if mode == "float"
+               else EvalContext.exact(q))
+        fields[i, mode] = evaluate[mode](ctx)
+    return [f"{prefix} {fields[i, 'float']} {fields[i, 'exact']}"
+            for i, (prefix, _, _) in enumerate(inputs)]
 
 
 class TestBitIdentity:
     def test_values_match_golden_bits(self):
-        golden = Path(__file__).parent / "golden" / "racah_bits.txt"
-        assert racah_bit_lines() == golden.read_text().splitlines()
+        assert racah_bit_lines() == GOLDEN_BITS.read_text().splitlines()
+
+    def test_cold_warm_and_evicted_tables_give_the_same_bits(self):
+        golden = GOLDEN_BITS.read_text().splitlines()
+        tables = qarith._q_tables
+
+        def within_bound():
+            info = tables.cache_info()
+            return info.maxsize == qarith._Q_TABLES >= info.currsize
+
+        tables.cache_clear()
+        assert racah_bit_lines() == golden
+        assert within_bound()
+
+        # Warm: every q in both modes, interleaved.
+        order = [(i, mode) for i in range(len(golden)) for mode in MODES]
+        random.Random(10).shuffle(order)
+        qs = [q for _, q, _ in _bit_inputs()]
+        assert len({(qs[i], mode) for i, mode in order[:40]}) == 8
+        held = EvalContext.floating(Fraction(13, 10), 50)
+        assert racah_bit_lines(order) == golden
+        assert within_bound()
+
+        # Evicted: more than _Q_TABLES other keys push out all eight.
+        for k in range(qarith._Q_TABLES + 1):
+            EvalContext("float" if k % 2 else "exact", Fraction(k + 1, 97)).qfact(6)
+            assert within_bound()
+        assert EvalContext.floating(Fraction(13, 10), 50)._qfact_memo \
+            is not held._qfact_memo
+        assert racah_bit_lines(order) == golden
+        assert within_bound()
 
     def test_integer_triangle_test_matches_fraction_definition(self):
         values = ([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]
