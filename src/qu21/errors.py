@@ -25,10 +25,6 @@ class WeightMismatch(QAlgebraError):
     """Two labels expected to share a weight do not."""
 
 
-class InconsistentLabels(QAlgebraError):
-    """Recoupling arguments are not jointly realizable."""
-
-
 class EmptyWeightSpace(QAlgebraError):
     """No basis labels exist at the requested weight."""
 

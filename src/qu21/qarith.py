@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import inf, isqrt
 from typing import Union
 
@@ -75,15 +75,16 @@ def _to_mpf(mp, x):
 def _q_tables(mode: str, q, precision: int):
     """The q-number tables of every EvalContext of this (mode, q, precision).
 
-    Returns the mpmath context (None in exact mode), the converted q and the
-    qpow, qnum, qfact and qfact_inv memos.  Every memo entry is a fixed
+    Returns the mpmath context (None in exact mode), the mode's scalar
+    constructor (Fraction, or _to_mpf on that context), the converted q and
+    the qpow, qnum, qfact and qfact_inv memos.  Every memo entry is a fixed
     function of (mode, q, precision, n), and qfact extends its chain from its
     largest entry, so which context fills a table, and when, never changes a
     value.  Raises ValueError unless q is finite and positive (a raise is not
     cached).
     """
     if mode == _EXACT:
-        mp, one = None, Fraction(1)
+        mp, scalar = None, Fraction
         try:
             value = Fraction(q)
         except (OverflowError, TypeError, ValueError):
@@ -92,13 +93,13 @@ def _q_tables(mode: str, q, precision: int):
             value = None
     else:
         mp = _mp_context(precision)
-        one = mp.mpf(1)
-        value = _to_mpf(mp, q)
+        scalar = partial(_to_mpf, mp)
+        value = scalar(q)
         if not mp.isfinite(value):
             value = None
     if value is None or value <= 0:
         raise ValueError("q must be finite and positive")
-    return mp, value, {}, {}, {0: one}, {}
+    return mp, scalar, value, {}, {}, {0: scalar(1)}, {}
 
 
 class EvalContext:
@@ -126,10 +127,15 @@ class EvalContext:
     function of (mode, q, precision, n), so a value never depends on the
     order of calls, on sharing or on eviction: repeated calls return
     bit-identical results.
+
+    The mode is fixed at construction: zero, one, from_fraction and the q = 1
+    brackets build through the tables' scalar constructor with no mode test.
+    as_float converts q as the caller gave it (the tables' key) afresh, never
+    this context's q, which float mode has rounded to its own precision.
     """
 
-    __slots__ = ("mode", "q", "precision", "_mp", "_qpow_memo", "_qnum_memo",
-                 "_qfact_memo", "_qfact_inv_memo")
+    __slots__ = ("mode", "q", "precision", "_q_key", "_mp", "_scalar",
+                 "_qpow_memo", "_qnum_memo", "_qfact_memo", "_qfact_inv_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
         if mode not in (_EXACT, _FLOAT):
@@ -138,8 +144,9 @@ class EvalContext:
         self.precision = int(precision)
         if self.precision < 1:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
-        (self._mp, self.q, self._qpow_memo, self._qnum_memo, self._qfact_memo,
-         self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
+        self._q_key = q
+        (self._mp, self._scalar, self.q, self._qpow_memo, self._qnum_memo,
+         self._qfact_memo, self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
 
     # -- constructors ------------------------------------------------------
 
@@ -152,11 +159,11 @@ class EvalContext:
         return cls(_FLOAT, q, precision)
 
     def as_float(self, precision: int | None = None) -> "EvalContext":
-        """A float-mode companion context at the same q."""
+        """A float-mode companion context at q as the caller gave it."""
         if self.mode == _FLOAT and (precision is None or precision == self.precision):
             return self
         prec = self.precision if precision is None else precision
-        return EvalContext(_FLOAT, self.q, prec)
+        return EvalContext(_FLOAT, self._q_key, prec)
 
     # -- basic values ------------------------------------------------------
 
@@ -168,26 +175,20 @@ class EvalContext:
         return self.q == 1
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.mode == _EXACT else self._mp.mpf(0)
+        return self._scalar(0)
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.mode == _EXACT else self._mp.mpf(1)
-
-    def from_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.mode == _EXACT else self._mp.mpf(n)
+        return self._scalar(1)
 
     def from_fraction(self, value: Fraction) -> Scalar:
-        return Fraction(value) if self.mode == _EXACT else self.to_float(value)
+        return self._scalar(value)
 
     def qpow(self, w) -> Scalar:
         """q**w for integer w."""
         w = _as_int(w)
         memo = self._qpow_memo
         if w not in memo:
-            if self.mode == _EXACT:
-                memo[w] = self.q ** w
-            else:
-                memo[w] = self._mp.power(self.q, w)
+            memo[w] = self.q ** w
         return memo[w]
 
     # -- brackets and factorials --------------------------------------------
@@ -198,7 +199,7 @@ class EvalContext:
         memo = self._qnum_memo
         if n not in memo:
             if self.is_classical():
-                memo[n] = self.from_int(n)
+                memo[n] = self._scalar(n)
             else:
                 q = self.q
                 memo[n] = (q ** n - q ** (-n)) / (q - q ** -1)
@@ -234,9 +235,7 @@ class EvalContext:
         """
         two_x = _as_int(two_x)
         if self.is_classical():
-            if self.mode == _EXACT:
-                return Fraction(two_x, 2) ** 2
-            return (self.from_int(two_x) / 2) ** 2
+            return (self._scalar(two_x) / 2) ** 2
         q = self.q
         return (self.qpow(two_x) - 2 + self.qpow(-two_x)) / (q - q ** -1) ** 2
 
@@ -254,7 +253,7 @@ class EvalContext:
         """Coerce ints, Fractions, or mpf values into this float context."""
         if self.mode == _EXACT:
             raise ValueError("to_float requires a float-mode context")
-        return _to_mpf(self._mp, x)
+        return self._scalar(x)
 
     # -- misc ----------------------------------------------------------------
 

@@ -350,22 +350,22 @@ def t_labels_at_weight(sig: Signature, w: Weight) -> List[TBasisLabel]:
 def require_u_label(sig: Signature, lab: UBasisLabel) -> None:
     """Raise LabelOutOfDomain unless lab is a valid label for sig."""
     try:
-        check = u_label(sig, lab.k, lab.ell, lab.MU)
+        twoU = _check_u_key(sig, lab.k, lab.ell, 2 * Fraction(lab.MU))
     except ConstraintViolation as exc:
         raise LabelOutOfDomain(str(exc)) from exc
-    if check.U != lab.U:
+    if 2 * lab.U != twoU:
         raise LabelOutOfDomain(
             f"U = {lab.U} inconsistent with (k, ell) = ({lab.k}, {lab.ell}): "
-            f"expected {check.U}")
+            f"expected {Fraction(twoU, 2)}")
 
 
 def require_t_label(sig: Signature, lab: TBasisLabel) -> None:
     """Raise LabelOutOfDomain unless lab is a valid label for sig."""
     try:
-        check = t_label(sig, lab.s, lab.p, lab.M)
+        twoT = _check_t_key(sig, lab.s, lab.p, 2 * Fraction(lab.M))
     except ConstraintViolation as exc:
         raise LabelOutOfDomain(str(exc)) from exc
-    if check.T != lab.T:
+    if 2 * lab.T != twoT:
         raise LabelOutOfDomain(
             f"T = {lab.T} inconsistent with (s, p) = ({lab.s}, {lab.p}): "
-            f"expected {check.T}")
+            f"expected {Fraction(twoT, 2)}")

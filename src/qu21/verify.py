@@ -425,8 +425,6 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
     for w in weights:
         us = u_labels_at_weight(sig, w)
         ts = t_labels_at_weight(sig, w)
-        if not us or not ts:
-            continue
         if not all(l.ell <= truncation.ell_max for l in us):
             continue
         if not all(l.s <= truncation.s_max

@@ -26,7 +26,12 @@ non-half-integer or negative arguments.
 Half-integer arguments are read once as doubled integers (2a, 2U, 2M, ...),
 and every q-factorial argument is formed from them in integer arithmetic.
 One integer test on the doubled arguments decides the triangle conditions,
-for racah_triangles_ok, the q-Racah sum and racah_args_from_rep alike.
+for racah_triangles_ok and the q-Racah sum alike.
+
+A label is checked where a caller hands it in, and trusted after that:
+weyl_block takes the labels repspace enumerates at its weight unchecked, and
+racah_args_from_rep does not re-test the triangles that any U and T label of
+one weight satisfy.  The tests hold both facts.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import reduce
 from operator import mul
 from typing import Tuple
 
-from .errors import EmptyWeightSpace, InconsistentLabels, WeightMismatch
+from .errors import EmptyWeightSpace, WeightMismatch
 from .qarith import EvalContext, Scalar, SignedRadical
 from .repspace import (
     Signature,
@@ -157,17 +162,13 @@ class WeylBlock:
 def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
     """The complete (full-range) block at a weight; EmptyWeightSpace if none.
 
-    Labels are checked once per block, each against the first label of the
-    other basis, not once per entry.  Entries are SignedRadicals in exact mode.
+    The labels are those repspace enumerates at this weight, so none is
+    checked again.  Entries are SignedRadicals in exact mode.
     """
     us = u_labels_at_weight(sig, weight)
     ts = t_labels_at_weight(sig, weight)
     if not us or not ts:
         raise EmptyWeightSpace(f"no basis labels at weight {weight} of {sig}")
-    for u in us:
-        _check_match(sig, u, ts[0])
-    for t in ts[1:]:
-        _check_match(sig, us[0], t)
     entries = tuple(tuple(_bracket(ctx, sig, u, t) for t in ts) for u in us)
     return WeylBlock(weight, tuple(us), tuple(ts), entries)
 
@@ -269,10 +270,10 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
     """The substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j).
 
     j3 = (ell + k)/2, j2 = (f2 - f3 + p - s + ell + k - 2)/2,
-    j1 = (f1 - f3 - p + s - 2)/2, j = (f1 - f2)/2.  Raises WeightMismatch for
-    labels at different weights and InconsistentLabels if the resulting
-    arguments are not jointly realizable (which cannot happen for matched
-    valid labels; the check guards corrupted inputs).
+    j1 = (f1 - f3 - p + s - 2)/2, j = (f1 - f2)/2.  Raises LabelOutOfDomain
+    for a label outside sig and WeightMismatch for labels at different
+    weights.  Valid labels of one weight always give arguments inside all
+    four triangles, so the arguments are not tested again.
     """
     _check_match(sig, u, t)
     k, ell, s, p = u.k, u.ell, t.s, t.p
@@ -281,10 +282,7 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
              sig.f1 - sig.f2 - k + ell,                        # 2U
              sig.f2 - sig.f3 + p - s + ell + k - 2,            # 2 j2
              sig.f1 - sig.f2)                                  # 2 j
-    args = RacahArgs(*(Fraction(x, 2) for x in twice))
-    if not _triangles_ok(*twice):
-        raise InconsistentLabels(f"arguments {args} violate a triangle condition")
-    return args
+    return RacahArgs(*(Fraction(x, 2) for x in twice))
 
 
 def weyl_via_racah(ctx: EvalContext, sig: Signature,

@@ -254,6 +254,12 @@ class TestRacah:
         assert code == 0
         assert json.loads(out)["config"]["q"] == "13/10"
 
+    def test_value_outside_the_triangles_prints_zero(self, capsys):
+        code, out, _ = run(capsys, "racah", "--q", "13/10", "--",
+                           "1", "1", "1", "1", "1", "5")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["value"] == "0"
+
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QU21_PRECISION", "15")
         code, out, _ = run(capsys, "racah", "--q", "13/10",

@@ -119,6 +119,16 @@ class TestContexts:
         assert f.precision == 30
         assert abs(f.qpow(1) - f.from_fraction(Fraction(13, 10))) == 0
 
+    def test_as_float_converts_the_given_q_afresh(self):
+        # a 50-digit context's q is rounded to 50 digits; a 100-digit
+        # companion must not carry that rounding into its own values
+        fresh = EvalContext.floating(Fraction(13, 10), 100)
+        for ctx in (EvalContext.floating(Fraction(13, 10), 50),
+                    EvalContext.exact(Fraction(13, 10))):
+            f = ctx.as_float(100)
+            assert f.q._mpf_ == fresh.q._mpf_
+            assert f.qnum(40)._mpf_ == fresh.qnum(40)._mpf_
+
     def test_to_float_requires_float_mode(self):
         e = EvalContext.exact(Fraction(2))
         with pytest.raises(ValueError):

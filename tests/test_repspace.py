@@ -15,6 +15,7 @@ from qu21.repspace import (GGPattern, SeriesClass, Signature, TBasisLabel,
                            require_u_label, t_label, t_labels_at_weight,
                            u_label, u_labels_at_weight, weight_of_t,
                            weight_of_u)
+from qu21.weylracah import racah_args_from_rep, racah_triangles_ok
 
 
 def small_signatures():
@@ -118,6 +119,13 @@ class TestLabels:
         wrong_t = TBasisLabel(0, 0, Fraction(5), Fraction(6))
         with pytest.raises(LabelOutOfDomain):
             require_t_label(sig, wrong_t)
+
+    def test_require_rejects_u_inconsistent_with_k_and_ell(self):
+        sig = Signature(4, 2, -2)
+        with pytest.raises(LabelOutOfDomain) as err:
+            require_u_label(sig, UBasisLabel(0, 0, Fraction(2), Fraction(1)))
+        assert str(err.value) == \
+            "U = 2 inconsistent with (k, ell) = (0, 0): expected 1"
 
 
 class TestEnumeration:
@@ -242,3 +250,17 @@ class TestMatchLabels:
             assert set(ms) == {t for t in window if weight_of_t(sig, t) == w}
             spins = [t.T for t in ms]
             assert spins == sorted(spins)
+
+    @given(sig=sig_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_labels_at_a_weight_are_valid_and_inside_the_triangles(self, sig):
+        # weyl_block and racah_args_from_rep rely on both facts unchecked
+        for w in {weight_of_u(sig, lab) for lab in enumerate_u_basis(sig, 3)}:
+            us, ts = u_labels_at_weight(sig, w), t_labels_at_weight(sig, w)
+            for u in us:
+                require_u_label(sig, u)
+            for t in ts:
+                require_t_label(sig, t)
+            for u in us:
+                for t in ts:
+                    assert racah_triangles_ok(racah_args_from_rep(sig, u, t))

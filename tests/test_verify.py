@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import qu21.repspace as repspace_mod
 import qu21.verify as verify_mod
+import qu21.weylracah as weylracah_mod
 from qu21 import cli
 import qu21.generators as generators_mod
 from qu21.errors import ConstraintViolation
@@ -200,6 +202,27 @@ class TestIndividualChecks:
         assert ortho.columns_checked == len(blocks) > 0
         assert inter.columns_checked > 0
 
+    def test_complete_blocks_drop_weights_whose_labels_leave_the_window(self):
+        kept = {t: complete_blocks(float_ctx(), SIG, Truncation(*t))
+                for t in ((4, 4, 4), (4, 1, 4), (4, 4, 1))}
+        assert {t: len(b) for t, b in kept.items()} == \
+            {(4, 4, 4): 25, (4, 1, 4): 13, (4, 4, 1): 13}
+        for (_, s_max, depth), blocks in kept.items():
+            assert all(l.s <= s_max and l.depth() <= depth
+                       for blk in blocks.values() for l in blk.t_labels)
+
+    def test_complete_blocks_check_no_label(self, monkeypatch):
+        # the labels come from repspace's own enumeration at each weight
+        calls = []
+        for mod in (repspace_mod, weylracah_mod):
+            for name in ("require_u_label", "require_t_label"):
+                def counting(sig, lab, _fn=getattr(mod, name)):
+                    calls.append(lab)
+                    return _fn(sig, lab)
+                monkeypatch.setattr(mod, name, counting)
+        assert complete_blocks(float_ctx(), SIG, Truncation(3, 3, 3))
+        assert calls == []
+
     def test_block_checks_build_nothing(self, monkeypatch):
         trunc = Truncation(2, 2, 2)
         blocks = complete_blocks(float_ctx(), SIG, trunc)
@@ -328,6 +351,19 @@ class TestRunAll:
         with pytest.raises(ValueError, match="tolerance"):
             run_all_checks(SIG, Q, truncation=Truncation(1, 1, 1),
                            tolerance=tolerance)
+
+    def test_degenerate_casimir_eigenvalues_are_noted(self):
+        # at tolerance 5 some Casimir eigenvalue gaps at q = 13/10 count as
+        # degenerate: the separation says so and those spectral checks skip
+        reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
+                                 tolerance=5, checks=("casimir", "projector"))
+        notes = {r.name: r.note for r in reports}
+        assert notes["casimir-separation"] == "degenerate eigenvalues at this q"
+        assert sorted(name for name, note in notes.items()
+                      if note == "degenerate Casimir eigenvalues, skipped") \
+            == ["projector-spectral-T2", "projector-spectral-T3",
+                "projector-spectral-T4"]
+        assert all(r.passed for r in reports)
 
     def test_projector_cap_limits_spins(self):
         # window 5 covers spin 9/2, so only the cap stops the spins at 4
