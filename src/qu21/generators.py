@@ -45,8 +45,6 @@ from .repspace import (
     _check_u_multiplet,
     require_t_label,
     require_u_label,
-    t_label,
-    u_label,
     weight_of_t,
     weight_of_u,
 )
@@ -371,29 +369,36 @@ def _label_key(basis: str, lab) -> Tuple[int, int, int]:
 
 
 def _u_env(sig: Signature, key) -> _UEnv:
+    """The table environment of the key of a U-basis label of sig."""
     k, ell, twoMU = key
-    return _UEnv(sig.f1, sig.f2, sig.f3, k, ell,
-                 _check_u_key(sig, k, ell, twoMU), twoMU)
+    return _UEnv(sig.f1, sig.f2, sig.f3, k, ell, sig.f1 - sig.f2 - k + ell,
+                 twoMU)
 
 
 def _t_env(sig: Signature, key) -> _TEnv:
+    """The table environment of the key of a T-basis label of sig."""
     s, p, twoM = key
-    return _TEnv(sig.f1, sig.f2, sig.f3, s, p,
-                 _check_t_key(sig, s, p, twoM), twoM)
+    return _TEnv(sig.f1, sig.f2, sig.f3, s, p, sig.f2 - sig.f3 + p + s - 2,
+                 twoM)
 
 
 def _u_label_at(sig: Signature, key) -> UBasisLabel:
-    return u_label(sig, key[0], key[1], Fraction(key[2], 2))
+    env = _u_env(sig, key)
+    return UBasisLabel(env.k, env.ell, Fraction(env.twoU, 2),
+                       Fraction(env.twoMU, 2))
 
 
 def _t_label_at(sig: Signature, key) -> TBasisLabel:
-    return t_label(sig, key[0], key[1], Fraction(key[2], 2))
+    env = _t_env(sig, key)
+    return TBasisLabel(env.s, env.p, Fraction(env.twoT, 2),
+                       Fraction(env.twoM, 2))
 
 
-# per basis: label check, weight, key -> table environment, key -> label
+# per basis: label check, weight, key -> table environment, key check,
+# key -> label; the environment and the label trust their key
 _BASES = {
-    "u": (require_u_label, weight_of_u, _u_env, _u_label_at),
-    "t": (require_t_label, weight_of_t, _t_env, _t_label_at),
+    "u": (require_u_label, weight_of_u, _u_env, _check_u_key, _u_label_at),
+    "t": (require_t_label, weight_of_t, _t_env, _check_t_key, _t_label_at),
 }
 
 
@@ -429,10 +434,11 @@ def _key_action(ctx: EvalContext, sig: Signature, basis: str, key, weight,
     of verify both go through it.  weight is the vector's weight (the
     eigenvalues of the diagonal generators).  Returns one list per
     generator of (target key, SignedRadical) pairs in the targets'
-    sort_key order.  The key and every target are checked against the
+    sort_key order.  The key must name a label of sig (both callers hand in
+    checked or enumerated labels); every target is checked against the
     label domain, so a row that leaves it raises ConstraintViolation.
     """
-    env_of = _BASES[basis][2]
+    _, _, env_of, check_key, _ = _BASES[basis]
     env = env_of(sig, key)
     rows = _ROWS[basis]
     a, b, c = key
@@ -447,7 +453,7 @@ def _key_action(ctx: EvalContext, sig: Signature, basis: str, key, weight,
             coeff = _radical_from_entry(ctx, entry, env, flip_entry)
             if coeff is not None:
                 target = (a + entry.d1, b + entry.d2, c + entry.dtwoM)
-                env_of(sig, target)  # a target that is no label raises
+                check_key(sig, *target)  # a target that is no label raises
                 terms.append((target, coeff))
         out.append(terms)
     return out
@@ -459,12 +465,14 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
 
     flip_entry is a fault-injection hook: the named table row has its sign
     flipped, so verification checks can prove they would catch a wrong sign.
-    It must name a row of either table (ValueError otherwise).
+    It must name a row of either table (ValueError otherwise).  The label
+    is checked here (LabelOutOfDomain) and each target once, in _key_action
+    (ConstraintViolation); the target labels are built from those keys.
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
     _check_flip_entry(flip_entry)
-    require, weight_of, _, label_at = _BASES[basis]
+    require, weight_of, _, _, label_at = _BASES[basis]
     require(sig, lab)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")

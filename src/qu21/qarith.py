@@ -7,6 +7,15 @@ The symmetric q-bracket is used throughout:
 The classical point q = 1 is handled as an explicit limit ([n] -> n), never by
 numerically approaching it.  [n]! and 1/[n]! are defined for n >= 0 only; every
 finite sum in this package bounds its own range.
+
+In exact mode q = r/s in lowest terms and every q-number is an integer over a
+power of z = rs (QIntegers):
+
+    [m] = G_m / z^(m-1),    [m]! = F_m / z^(m(m-1)/2),
+
+with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
+Exact [n], [n]! and 1/[n]! are read off these integer tables, each reduced
+once, and the exact q-Racah evaluator of weylracah works on them directly.
 """
 
 from __future__ import annotations
@@ -45,6 +54,47 @@ def _as_int(n) -> int:
     raise TypeError(f"expected an integer bracket argument, got {n!r}")
 
 
+class QIntegers:
+    """The integer q-number tables G_m and F_m of a rational q = r/s > 0.
+
+    G_m = sum_{i<m} r^2i s^2(m-1-i), so G_0 = 0, G_1 = 1 and G_m = m at
+    q = 1; F_m = G_1 ... G_m, with F_0 = 1.  Then [m] = G_m / z^(m-1) and
+    [m]! = F_m / z^(m(m-1)/2) with z = rs; G_m and F_m are prime to z, so
+    both fractions are already in lowest terms.  Each table grows on demand,
+    G through G_(m+1) = r^2 G_m + s^2m, and an entry never changes.
+    """
+
+    __slots__ = ("z", "_r2", "_s2", "_g", "_f")
+
+    def __init__(self, q: Fraction):
+        r, s = q.numerator, q.denominator
+        self.z = r * s
+        self._r2, self._s2 = r * r, s * s
+        self._g, self._f = [0, 1], [1, 1]
+
+    def g_table(self, n: int):
+        """The list G_0, G_1, ..., G_N for some N >= n; read, never write."""
+        g, r2, s2 = self._g, self._r2, self._s2
+        for m in range(len(g) - 1, n):
+            g.append(r2 * g[m] + s2 ** m)
+        return g
+
+    def bracket(self, n: int) -> Fraction:
+        """[n] = G_n / z^(n-1), with [0] = 0 and [-n] = -[n]."""
+        m = abs(n)
+        if m == 0:
+            return Fraction(0)
+        value = Fraction(self.g_table(m)[m], self.z ** (m - 1))
+        return value if n > 0 else -value
+
+    def factorial(self, n: int) -> Fraction:
+        """[n]! = F_n / z^(n(n-1)/2) for n >= 0."""
+        g, f = self.g_table(n), self._f
+        for m in range(len(f) - 1, n):
+            f.append(f[m] * g[m + 1])
+        return Fraction(f[n], self.z ** (n * (n - 1) // 2))
+
+
 def sqrt_fraction(value: Fraction):
     """Exact square root of a nonnegative Fraction, or None if not a square."""
     if value < 0:
@@ -76,12 +126,13 @@ def _q_tables(mode: str, q, precision: int):
     """The q-number tables of every EvalContext of this (mode, q, precision).
 
     Returns the mpmath context (None in exact mode), the mode's scalar
-    constructor (Fraction, or _to_mpf on that context), the converted q and
-    the qpow, qnum, qfact and qfact_inv memos.  Every memo entry is a fixed
-    function of (mode, q, precision, n), and qfact extends its chain from its
-    largest entry, so which context fills a table, and when, never changes a
-    value.  Raises ValueError unless q is finite and positive (a raise is not
-    cached).
+    constructor (Fraction, or _to_mpf on that context), the converted q, its
+    QIntegers (None in float mode) and the qpow, qnum, qfact and qfact_inv
+    memos.  Every table entry is a fixed function of (mode, q, precision, n):
+    exact [n] and [n]! are read off the integer tables, and float qfact
+    extends its chain from its largest entry, so which context fills a table,
+    and when, never changes a value.  Raises ValueError unless q is finite
+    and positive (a raise is not cached).
     """
     if mode == _EXACT:
         mp, scalar = None, Fraction
@@ -99,7 +150,8 @@ def _q_tables(mode: str, q, precision: int):
             value = None
     if value is None or value <= 0:
         raise ValueError("q must be finite and positive")
-    return mp, scalar, value, {}, {}, {0: scalar(1)}, {}
+    ints = QIntegers(value) if mp is None else None
+    return mp, scalar, value, ints, {}, {}, {0: scalar(1)}, {}
 
 
 class EvalContext:
@@ -117,6 +169,9 @@ class EvalContext:
     All operations are pure; the only internal mutation is memoization, one
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
+    In exact mode ``ints`` holds the integer tables G_m, F_m of q (see
+    QIntegers), from which exact qnum and qfact take their values; it is
+    None in float mode.
     Every context of one (mode, q as given, precision) shares these tables
     and the converted q, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
@@ -134,7 +189,7 @@ class EvalContext:
     this context's q, which float mode has rounded to its own precision.
     """
 
-    __slots__ = ("mode", "q", "precision", "_q_key", "_mp", "_scalar",
+    __slots__ = ("mode", "q", "precision", "ints", "_q_key", "_mp", "_scalar",
                  "_qpow_memo", "_qnum_memo", "_qfact_memo", "_qfact_inv_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
@@ -145,8 +200,9 @@ class EvalContext:
         if self.precision < 1:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
         self._q_key = q
-        (self._mp, self._scalar, self.q, self._qpow_memo, self._qnum_memo,
-         self._qfact_memo, self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
+        (self._mp, self._scalar, self.q, self.ints, self._qpow_memo,
+         self._qnum_memo, self._qfact_memo,
+         self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
 
     # -- constructors ------------------------------------------------------
 
@@ -198,7 +254,9 @@ class EvalContext:
         n = _as_int(n)
         memo = self._qnum_memo
         if n not in memo:
-            if self.is_classical():
+            if self.ints is not None:
+                memo[n] = self.ints.bracket(n)
+            elif self.is_classical():
                 memo[n] = self._scalar(n)
             else:
                 q = self.q
@@ -212,11 +270,14 @@ class EvalContext:
             raise NegativeFactorial(f"[{n}]! is undefined")
         memo = self._qfact_memo
         if n not in memo:
-            top = max(memo)
-            acc = memo[top]
-            for m in range(top + 1, n + 1):
-                acc = acc * self.qnum(m)
-                memo[m] = acc
+            if self.ints is not None:
+                memo[n] = self.ints.factorial(n)
+            else:
+                top = max(memo)
+                acc = memo[top]
+                for m in range(top + 1, n + 1):
+                    acc = acc * self.qnum(m)
+                    memo[m] = acc
         return memo[n]
 
     def qfact_inv(self, n) -> Scalar:

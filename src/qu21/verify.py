@@ -25,8 +25,9 @@ measured in _report only: it keeps the first largest magnitude and its
 location, and marks a check with no columns vacuous.
 
 One pass: each TruncatedRep visits each of its labels once.  The label's
-integer key (k, ell, 2MU) or (s, p, 2M) is checked and turned into its
-table environment once, one call of generators._key_action gives the terms
+integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not checked
+again, is turned into its table environment once; one call of
+generators._key_action, which checks every target, gives the terms
 of all nine generators, and targets are looked up by key.  A float rep
 converts each distinct radical to a float once.  Each matrix is
 filled column by column, each column's terms in sort_key order, so every

@@ -19,6 +19,13 @@ _racah_form, computes that shape in either mode; the bracket and the q-Racah
 coefficient only build its argument lists from their own formulas, so the
 two paths above stay independent.
 
+In exact mode, with q = r/s in lowest terms and z = rs, every q-factorial is
+an integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
+(qarith.QIntegers).  The prefactor becomes one integer power of each G_m
+times one power of z, the alternating sum one integer Horner recurrence over
+its term ratios, and the radicand a single Fraction: each value is reduced
+once, never term by term.
+
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
 non-half-integer or negative arguments.
@@ -30,8 +37,10 @@ for racah_triangles_ok and the q-Racah sum alike.
 
 A label is checked where a caller hands it in, and trusted after that:
 weyl_block takes the labels repspace enumerates at its weight unchecked, and
-racah_args_from_rep does not re-test the triangles that any U and T label of
-one weight satisfy.  The tests hold both facts.
+neither racah_args_from_rep nor weyl_via_racah re-tests the triangles that
+any U and T label of one weight satisfy.  weyl_via_racah checks its label
+pair once and hands the doubled substitution straight to the q-Racah
+argument map.  The tests hold these facts.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from operator import mul
 from typing import Tuple
 
 from .errors import EmptyWeightSpace, WeightMismatch
-from .qarith import EvalContext, Scalar, SignedRadical
+from .qarith import EvalContext, QIntegers, Scalar, SignedRadical
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -89,10 +98,15 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
         P = [x][y] prod_{a in pref_num} [a]! / prod_{b in pref_den} [b]!,
         S = sum_n (-1)^n prod_{t in tops} [t - n]!
                          / ([n]! prod_{u in bottoms} [u - n]!),
-    over n = 0..min(bottoms), the range on which every [u - n]! is defined.
-    Factors are multiplied left to right in the order given.  Returns a
-    context scalar, or a SignedRadical in exact mode.
+    over n = 0..min(bottoms), the range on which every [u - n]! is defined;
+    every t in tops is at least min(bottoms), and x, y >= 1.  A float
+    context multiplies the factors left to right in the order given and
+    returns a context scalar; an exact one returns a SignedRadical from
+    _racah_form_exact.
     """
+    if ctx.is_exact():
+        return _racah_form_exact(ctx.ints, sign, dims, pref_num, pref_den,
+                                 tops, bottoms)
     qfact, qfact_inv = ctx.qfact, ctx.qfact_inv
     x, y = dims
     pref = (reduce(mul, map(qfact, pref_num), ctx.qnum(x) * ctx.qnum(y))
@@ -102,12 +116,86 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
         term = reduce(mul, [qfact(t - n) for t in tops] + [qfact_inv(n)]
                       + [qfact_inv(u - n) for u in bottoms])
         total = total - term if n % 2 else total + term
-    if not ctx.is_exact():
-        return sign * ctx.sqrt(pref) * total
-    if total == 0:
+    return sign * ctx.sqrt(pref) * total
+
+
+def _tri(m: int) -> int:
+    """m(m-1)/2, the power of 1/z in [m]! (see qarith.QIntegers)."""
+    return m * (m - 1) // 2
+
+
+def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
+                      tops, bottoms) -> SignedRadical:
+    """_racah_form on the integer tables of q = r/s, z = rs (qarith.QIntegers):
+    [m] = G_m / z^(m-1) and [m]! = F_m / z^tri(m), F_m = G_1 ... G_m.
+
+    With N = min(bottoms), S = T_0 (1 + rho_0 (1 + rho_1 (... rho_(N-1)))),
+    where T_0 = prod_t [t]! / prod_u [u]! is the n = 0 term and
+
+        rho_k = T_(k+1) / T_k = -prod_u [u - k] / ([k + 1] prod_t [t - k])
+              = -(a_k / b_k) z^e_k,
+
+    a_k = prod_u G_(u-k) and b_k = G_(k+1) prod_t G_(t-k).  The Horner
+    recurrence h/d <- 1 - a_k h / (b_k d) runs from k = N - 1 down to 0 in
+    integers, with each z^e_k multiplied into a_k or b_k.  The b_k multiply
+    to F_N prod_t F_t / F_(t-N), so S = h prod_t F_(t-N) / (F_N prod_u F_u)
+    times a power of z, and d is never divided out.  The radicand P S^2 is
+    then h^2 times one power of each G_i, counted over every F_m it divides,
+    and one power of z: a single Fraction, reduced once.  h carries the sign
+    of S (d > 0).
+    """
+    x, y = dims
+    last = min(bottoms)
+    top = max(x, y, *pref_num, *pref_den, *tops, *bottoms)
+    g = ints.g_table(top)
+    z = ints.z
+    more = len(bottoms) - len(tops)
+    # e_k = sum(t - k - 1) - sum(u - k - 1) + k = base + (more + 1) k
+    base = sum(tops) - sum(bottoms) + more
+    h = d = 1
+    zpow = 0    # the power of z moved into the b_k
+    for k in range(last - 1, -1, -1):
+        a, b = 1, g[k + 1]
+        for u in bottoms:
+            a *= g[u - k]
+        for t in tops:
+            b *= g[t - k]
+        e = base + (more + 1) * k
+        if e >= 0:
+            a *= z ** e
+        else:
+            b *= z ** -e
+            zpow -= e
+        h, d = b * d - a * h, b * d
+    if h == 0:
         return SignedRadical.zero()
-    return SignedRadical.make(sign if total > 0 else -sign, 0,
-                              pref * total * total)
+    # count[m] is the power of F_m in the radicand.  First P, which is
+    # prod_m ([m]!)^count[m] with [x] = [x]! / [x - 1]!, and the power of z
+    # of P and of S^2 = (T_0 h / d)^2
+    count = [0] * (top + 1)
+    for m in (x, y, *pref_num):
+        count[m] += 1
+    for m in (x - 1, y - 1, *pref_den):
+        count[m] -= 1
+    zexp = (2 * (sum(map(_tri, bottoms)) - sum(map(_tri, tops)) - zpow)
+            - sum(c * _tri(m) for m, c in enumerate(count)))
+    # then the F_m of S^2, S = h prod_t F_(t-N) / (F_N prod_u F_u) z^...
+    for t in tops:
+        count[t - last] += 2
+    for m in (last, *bottoms):
+        count[m] -= 2
+    num, den, e = h * h, 1, 0
+    for i in range(top, 0, -1):
+        e += count[i]              # G_i is a factor of every F_m with m >= i
+        if e > 0:
+            num *= g[i] ** e
+        elif e < 0:
+            den *= g[i] ** -e
+    if zexp >= 0:
+        num *= z ** zexp
+    else:
+        den *= z ** -zexp
+    return SignedRadical(sign if h > 0 else -sign, 0, Fraction(num, den))
 
 
 def _bracket(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
@@ -236,9 +324,16 @@ def _qracah(ctx: EvalContext, args: RacahArgs):
     twice = _doubled(args)
     if twice is None:
         return SignedRadical.zero() if ctx.is_exact() else ctx.zero()
-    # from here on a..f hold the doubled arguments 2a..2f; every halved sum
-    # below is an integer (an even doubled sum) by the triangle test
-    a, b, e, d, c, f = twice
+    return _qracah_doubled(ctx, *twice)
+
+
+def _qracah_doubled(ctx: EvalContext, a: int, b: int, e: int, d: int,
+                    c: int, f: int):
+    """U_q from the doubled arguments 2a..2f, which pass _triangles_ok.
+
+    Here a..f hold the doubled arguments; every halved sum below is an
+    integer (an even doubled sum) by the triangle test.
+    """
     abc, bdf = (a + b + c) // 2, (b + d + f) // 2
     return _racah_form(
         ctx, -1 if (a + d - c - f) % 4 else 1, (c + 1, f + 1),
@@ -266,6 +361,18 @@ def qracah(ctx: EvalContext, args: RacahArgs) -> Scalar:
     return _qracah(ctx, args)
 
 
+def _rep_doubled(sig: Signature, u: UBasisLabel, t: TBasisLabel):
+    """(2T, 2 j3, 2 j1, 2U, 2 j2, 2 j): the doubled arguments (2a, 2b, 2e,
+    2d, 2c, 2f) of the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j)
+    for labels already checked.  They are inside all four triangles."""
+    k, ell, s, p = u.k, u.ell, t.s, t.p
+    return (sig.f2 - sig.f3 + p + s - 2, ell + k,              # 2T, 2 j3
+            sig.f1 - sig.f3 - p + s - 2,                       # 2 j1
+            sig.f1 - sig.f2 - k + ell,                         # 2U
+            sig.f2 - sig.f3 + p - s + ell + k - 2,             # 2 j2
+            sig.f1 - sig.f2)                                   # 2 j
+
+
 def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> RacahArgs:
     """The substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j).
 
@@ -273,36 +380,34 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
     j1 = (f1 - f3 - p + s - 2)/2, j = (f1 - f2)/2.  Raises LabelOutOfDomain
     for a label outside sig and WeightMismatch for labels at different
     weights.  Valid labels of one weight always give arguments inside all
-    four triangles, so the arguments are not tested again.
+    four triangles, so the arguments are not tested again.  This is the
+    Fraction view of the doubled arguments weyl_via_racah evaluates.
     """
     _check_match(sig, u, t)
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    twice = (sig.f2 - sig.f3 + p + s - 2, ell + k,             # 2T, 2 j3
-             sig.f1 - sig.f3 - p + s - 2,                      # 2 j1
-             sig.f1 - sig.f2 - k + ell,                        # 2U
-             sig.f2 - sig.f3 + p - s + ell + k - 2,            # 2 j2
-             sig.f1 - sig.f2)                                  # 2 j
-    return RacahArgs(*(Fraction(x, 2) for x in twice))
+    return RacahArgs(*(Fraction(x, 2) for x in _rep_doubled(sig, u, t)))
 
 
 def weyl_via_racah(ctx: EvalContext, sig: Signature,
                    u: UBasisLabel, t: TBasisLabel, form: str = "a") -> Scalar:
-    """<U|T>_q computed through the q-Racah coefficient.
+    """<U|T>_q computed through the q-Racah coefficient (float contexts).
 
     form 'a':  (-1)^s sqrt([2U+1][2T+1] / ([2 j2+1][2 j+1])) U_q(T j3 j1 U; j2 j)
     form 'b':  (-1)^k U_q(j1 j2 j j3; U T)
 
-    Both forms must agree with each other and with weyl_coefficient.
+    Both forms must agree with each other and with weyl_coefficient.  The
+    labels are checked once; both forms then take the doubled substitution
+    straight to the q-Racah argument map.
     """
-    args = racah_args_from_rep(sig, u, t)
-    a, b, e, d, c, f = args.as_tuple()
+    if ctx.is_exact():
+        raise ValueError("weyl_via_racah requires a float-mode context")
+    _check_match(sig, u, t)
+    a, b, e, d, c, f = _rep_doubled(sig, u, t)
     if form == "a":
         sign = -1 if t.s % 2 else 1
-        ratio = (ctx.qnum(_two(d) + 1) * ctx.qnum(_two(a) + 1)
-                 / (ctx.qnum(_two(c) + 1) * ctx.qnum(_two(f) + 1)))
-        return sign * ctx.sqrt(ratio) * qracah(ctx, args)
+        ratio = (ctx.qnum(d + 1) * ctx.qnum(a + 1)
+                 / (ctx.qnum(c + 1) * ctx.qnum(f + 1)))
+        return sign * ctx.sqrt(ratio) * _qracah_doubled(ctx, a, b, e, d, c, f)
     if form == "b":
         sign = -1 if u.k % 2 else 1
-        permuted = RacahArgs(e, c, f, b, d, a)
-        return sign * qracah(ctx, permuted)
+        return sign * _qracah_doubled(ctx, e, c, f, b, d, a)
     raise ValueError(f"form must be 'a' or 'b', got {form!r}")

@@ -1,10 +1,14 @@
 """Independent exact oracles used by the test suite.
 
-Everything here is deliberately brute force and classical (q = 1): explicit
-Clebsch-Gordan sums assembled into recoupling brackets with exact radical
-arithmetic.  Nothing imports from the q-series code paths being tested
-except the SignedRadical container itself.  The Fraction form of the
-q-Racah triangle test is kept here as the reference for the integer test.
+Everything here is deliberately brute force.  At the classical point q = 1:
+explicit Clebsch-Gordan sums assembled into recoupling brackets with exact
+radical arithmetic.  At any rational q: the closed form sign * sqrt(P) * S
+that weylracah's q-Racah coefficients and brackets share, evaluated as
+products of Fraction q-brackets, each reduced as it is made; weylracah
+evaluates it in integers, with one reduction per value.  Nothing imports
+from the q-series code paths being tested except the SignedRadical container
+itself.  The Fraction form of the q-Racah triangle test is kept here as the
+reference for the integer test.
 """
 
 from fractions import Fraction
@@ -101,6 +105,47 @@ def recoupling_exact(a, b, e, d, c, f) -> SignedRadical:
     if not terms:
         return SignedRadical.zero()
     return radical_sum(terms, CTX1)
+
+
+def qnum_fraction(q: Fraction, n: int) -> Fraction:
+    """[n] = (q^n - q^-n) / (q - q^-1) in Fractions, with [n] = n at q = 1."""
+    return Fraction(n) if q == 1 else (q ** n - q ** -n) / (q - 1 / q)
+
+
+@lru_cache(maxsize=None)
+def qfact_fraction(q: Fraction, n: int) -> Fraction:
+    """[n]! = [1][2]...[n] as a product of Fractions, for n >= 0."""
+    if n < 0:
+        raise ValueError(f"[{n}]! is undefined")
+    return Fraction(1) if n == 0 else qfact_fraction(q, n - 1) * qnum_fraction(q, n)
+
+
+def racah_form_fraction(q: Fraction, sign: int, dims, pref_num, pref_den,
+                        tops, bottoms) -> SignedRadical:
+    """sign * sqrt(P) * S by Fraction products, with dims = (x, y):
+
+        P = [x][y] prod_a [a]! / prod_b [b]!,
+        S = sum_n (-1)^n prod_t [t - n]! / ([n]! prod_u [u - n]!)
+
+    for n = 0..min(bottoms), the arguments of weylracah._racah_form."""
+    x, y = dims
+    pref = qnum_fraction(q, x) * qnum_fraction(q, y)
+    for a in pref_num:
+        pref *= qfact_fraction(q, a)
+    for b in pref_den:
+        pref /= qfact_fraction(q, b)
+    total = Fraction(0)
+    for n in range(min(bottoms) + 1):
+        term = 1 / qfact_fraction(q, n)
+        for t in tops:
+            term *= qfact_fraction(q, t - n)
+        for u in bottoms:
+            term /= qfact_fraction(q, u - n)
+        total += -term if n % 2 else term
+    if total == 0:
+        return SignedRadical.zero()
+    return SignedRadical.make(sign if total > 0 else -sign, 0,
+                              pref * total * total)
 
 
 def half_integers(upto_twice: int):

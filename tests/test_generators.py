@@ -1,5 +1,6 @@
 """Norms, ladder coefficients, projector coefficients, generator actions."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -8,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qu21.generators as generators_mod
-from qu21.errors import ConstraintViolation
+import qu21.repspace as repspace_mod
+from qu21.errors import ConstraintViolation, LabelOutOfDomain
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
                              casimir_su11_eigenvalue, norm_su11_sq,
                              norm_t_sq, norm_t_sq_stepwise, norm_u_sq,
                              norm_u_sq_stepwise, projector_t_coeff,
                              table_entries)
 from qu21.qarith import EvalContext, SignedRadical
-from qu21.repspace import (Signature, classify, enumerate_t_basis,
-                           enumerate_u_basis, lowest_t_label, lowest_u_label,
-                           t_label, u_label, weight_of_t, weight_of_u)
+from qu21.repspace import (Signature, TBasisLabel, UBasisLabel, classify,
+                           enumerate_t_basis, enumerate_u_basis,
+                           lowest_t_label, lowest_u_label, t_label, u_label,
+                           weight_of_t, weight_of_u)
 
 Q_SAMPLES = [Fraction(1, 2), Fraction(9, 10), Fraction(1), Fraction(13, 10),
              Fraction(2)]
@@ -238,6 +241,56 @@ class TestActions:
             basis_action(ctx, sig, "u", "A14", lowest_u_label(sig))
         with pytest.raises(ValueError):
             basis_action(ctx, sig, "x", "A12", lowest_u_label(sig))
+
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    def test_each_label_is_checked_once(self, monkeypatch, basis):
+        # the source through require_*_label, each target in _key_action;
+        # the target labels are built from those keys unchecked
+        sig = Signature(4, 2, -2)
+        ctx = EvalContext.exact(Fraction(13, 10))
+        name = f"_check_{basis}_key"
+        inner = getattr(repspace_mod, name)
+        checked = []
+
+        def counting(sig_, *key):
+            checked.append(key)
+            return inner(sig_, *key)
+
+        monkeypatch.setattr(repspace_mod, name, counting)
+        row = generators_mod._BASES[basis]
+        monkeypatch.setitem(generators_mod._BASES, basis,
+                            row[:3] + (counting,) + row[4:])
+        labels = (enumerate_u_basis(sig, 2) if basis == "u"
+                  else enumerate_t_basis(sig, 2, 2))
+        checks = 0
+        for lab in labels:
+            for g in GENERATORS:
+                del checked[:]
+                terms = basis_action(ctx, sig, basis, g, lab)
+                key = generators_mod._label_key(basis, lab)
+                targets = ([] if g in ("A11", "A22", "A33") else
+                           [generators_mod._label_key(basis, t.target)
+                            for t in terms])
+                assert checked == [key] + targets, (lab, g)
+                checks += len(checked)
+        assert checks > len(labels) * len(GENERATORS)  # targets were seen
+
+    def test_out_of_domain_source_and_target_raise(self, monkeypatch):
+        sig = Signature(4, 2, -2)
+        ctx = EvalContext.exact(Fraction(13, 10))
+        with pytest.raises(LabelOutOfDomain):
+            basis_action(ctx, sig, "u", "A13",
+                         UBasisLabel(3, 0, Fraction(-1, 2), Fraction(1, 2)))
+        with pytest.raises(LabelOutOfDomain):
+            basis_action(ctx, sig, "t", "A13",
+                         TBasisLabel(0, 0, Fraction(1), Fraction(1)))
+        # a ladder row shifted in k leaves the domain at the top of k
+        [row] = generators_mod._ROWS["u"]["A12"]
+        monkeypatch.setitem(generators_mod._ROWS["u"], "A12",
+                            (dataclasses.replace(row, d1=1),))
+        top = u_label(sig, sig.f1 - sig.f2, 1, Fraction(-1, 2))
+        with pytest.raises(ConstraintViolation, match="k <= f1 - f2"):
+            basis_action(ctx, sig, "u", "A12", top)
 
     def test_tables_hold_twenty_rows_with_distinct_ids(self):
         rows = table_entries("u") + table_entries("t")

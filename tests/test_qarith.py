@@ -11,7 +11,7 @@ from qu21 import qarith
 from qu21.errors import NegativeFactorial, RadicalIncompatible
 from qu21.qarith import EvalContext, SignedRadical, sqrt_fraction
 
-from oracles import radical_sum
+from oracles import qfact_fraction, qnum_fraction, radical_sum
 
 rationals_q = st.fractions(min_value=Fraction(1, 9), max_value=Fraction(9),
                            max_denominator=40).filter(lambda x: x > 0)
@@ -93,6 +93,38 @@ class TestFactorials:
         assert ctx.qfact(Fraction(4, 1)) == ctx.qfact(4)
         with pytest.raises(TypeError):
             ctx.qnum(Fraction(1, 2)) is not None and ctx.qfact(Fraction(1, 2))
+
+
+class TestIntegerTables:
+    """Exact [n] and [n]! come from the integer tables G_m and F_m."""
+
+    @given(q=rationals_q)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_values_match_the_fraction_definitions(self, q):
+        ctx = EvalContext.exact(q)
+        for n in range(16):
+            assert ctx.qnum(n) == qnum_fraction(q, n)
+            assert ctx.qnum(-n) == -qnum_fraction(q, n)
+            assert ctx.qfact(n) == qfact_fraction(q, n)
+            assert ctx.qfact_inv(n) == 1 / qfact_fraction(q, n)
+
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(5, 7), Fraction(3),
+                                   Fraction(13, 10)], ids=str)
+    def test_g_closed_form_and_lowest_terms(self, q):
+        r, s = q.numerator, q.denominator
+        ints = EvalContext.exact(q).ints
+        g = ints.g_table(20)
+        assert ints.z == r * s
+        fact = 1
+        for m in range(21):
+            want = m if q == 1 else (r ** (2 * m) - s ** (2 * m)) // (r * r - s * s)
+            assert g[m] == want
+            fact *= max(g[m], 1)
+            assert ints.factorial(m) == Fraction(fact, ints.z ** (m * (m - 1) // 2))
+            assert ints.factorial(m).numerator == fact
+
+    def test_float_contexts_have_no_integer_tables(self):
+        assert EvalContext.floating(Fraction(13, 10), 50).ints is None
 
 
 class TestContexts:

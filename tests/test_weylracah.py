@@ -19,8 +19,9 @@ from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
                             weyl_block, weyl_coefficient,
                             weyl_coefficient_exact, weyl_via_racah)
 
-from oracles import (half_integers, racah_triangles_fraction,
-                     recoupling_exact, triangle_fraction)
+from oracles import (half_integers, racah_form_fraction,
+                     racah_triangles_fraction, recoupling_exact,
+                     triangle_fraction)
 
 SIGS = [Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1)]
 
@@ -71,6 +72,9 @@ class TestWeylCoefficient:
             weyl_coefficient(EvalContext.exact(Fraction(1)), sig, u, t)
         with pytest.raises(ValueError):
             weyl_coefficient_exact(EvalContext.floating(Fraction(1)), sig, u, t)
+        for form in ("a", "b"):
+            with pytest.raises(ValueError):
+                weyl_via_racah(EvalContext.exact(Fraction(1)), sig, u, t, form)
 
 
 class TestWeylBlock:
@@ -268,6 +272,105 @@ class TestOneEvaluator:
         del calls[:]
         weyl_block(ctx, sig, w)
         assert len(calls) == len(us) * len(ts)
+
+
+def _in_triangle_args(rng, top_twice, a=None):
+    """Seeded arguments inside all four triangles, spins <= top_twice / 2;
+    a is drawn too unless given."""
+    halves = [Fraction(n, 2) for n in range(top_twice + 1)]
+    while True:
+        a_, b, d = (rng.choice(halves) for _ in range(3))
+        a_ = a_ if a is None else Fraction(a)
+        c = rng.choice([x for x in halves if triangle_fraction(a_, b, x)])
+        es = [x for x in halves if triangle_fraction(c, d, x)]
+        if not es:
+            continue
+        e = rng.choice(es)
+        fs = [x for x in halves
+              if triangle_fraction(a_, e, x) and triangle_fraction(b, d, x)]
+        if fs:
+            return RacahArgs(a_, b, e, d, c, rng.choice(fs))
+
+
+ORACLE_QS = (Fraction(1, 2), Fraction(1), Fraction(13, 10), Fraction(3),
+             Fraction(5, 7))
+
+
+class TestExactEvaluator:
+    """The integer evaluation of the closed form against its Fraction-product
+    evaluation (oracles.racah_form_fraction), on the very argument lists
+    each value hands to _racah_form.  q = 5/7 has r, s != 1 and q < 1."""
+
+    @pytest.fixture
+    def forms(self, monkeypatch):
+        seen = []
+        inner = weylracah._racah_form
+
+        def recording(ctx, *form):
+            value = inner(ctx, *form)
+            seen.append((ctx.q, form, value))
+            return value
+
+        monkeypatch.setattr(weylracah, "_racah_form", recording)
+        return seen
+
+    @staticmethod
+    def assert_match(forms, count):
+        assert len(forms) == count
+        for q, form, value in forms:
+            assert value == racah_form_fraction(q, *form), (q, form)
+
+    @pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+    def test_small_spins(self, forms, q):
+        rng = random.Random(q.numerator * 100 + q.denominator)
+        ctx = EvalContext.exact(q)
+        for _ in range(40):
+            qracah_exact(ctx, _in_triangle_args(rng, 12))
+        count = 40
+        for sig in SIGS:
+            for w in small_weights(sig, 3):
+                for u in u_labels_at_weight(sig, w):
+                    for t in t_labels_at_weight(sig, w):
+                        weyl_coefficient_exact(ctx, sig, u, t)
+                        count += 1
+        self.assert_match(forms, count)
+
+    def test_spin_20(self, forms):
+        qracah_exact(EvalContext.exact(Fraction(13, 10)),
+                     RacahArgs.make(20, 20, 20, 20, 20, 20))
+        self.assert_match(forms, 1)
+
+    def test_stream_shaped_top_spin_30(self, forms):
+        # a racah-stream exact request: top spin a = 30, the rest drawn
+        # below it inside the triangles
+        args = _in_triangle_args(random.Random(30), 60, a=30)
+        assert args.a == 30
+        qracah_exact(EvalContext.exact(Fraction(9, 10)), args)
+        self.assert_match(forms, 1)
+
+    def test_fraction_count_does_not_grow_with_the_sum(self, monkeypatch):
+        # J = 20: a one-term sum and an 11-term sum build the same number of
+        # Fractions (one, the radicand), so no term is reduced on its own
+        ctx = EvalContext.exact(Fraction(13, 10))
+        one_term = RacahArgs.make(20, 20, 20, 20, 0, 20)
+        eleven_terms = RacahArgs.make(20, 20, 20, 20, 20, 20)
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        counts = []
+        for args in (one_term, eleven_terms):
+            qracah_exact(ctx, args)  # fill the integer tables first
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(counting))
+                value = qracah_exact(ctx, args)
+            counts.append(len(made))
+            del made[:]
+            assert not value.is_zero()
+        assert counts == [1, 1]
 
 
 # ----------------------------------------------------------------------------
