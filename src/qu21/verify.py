@@ -10,8 +10,8 @@ identity the library relies on:
 * the quadratic Casimir T- T+ + [T0 + 1/2]^2 with eigenvalue [T + 1/2]^2;
 * exact equality of closed-form norms against their defining recursions;
 * orthogonality of the basis-change blocks at every complete weight;
-* the intertwining property: conjugating each generator's U-basis matrix by
-  the blocks reproduces its T-basis matrix;
+* the intertwining property: each generator's U-basis matrix times the
+  blocks equals the blocks times its T-basis matrix;
 * extremal projector identities on fixed-T0 subspaces.
 
 Truncation discipline: an identity of degree d in the generators is asserted
@@ -33,12 +33,11 @@ converts each distinct radical to a float once.  Each matrix is
 filled column by column, each column's terms in sort_key order, so every
 later sum adds in the same order.
 
-run_all_checks builds each object once.  The float U and T reps
-serve the su11, hermiticity and Casimir checks and the intertwiner, which
-reads M_U(g) and M_T(g) from their sparse matrices and sums only stored
-entries; the float T rep also serves the projector check, which reads its
-T+- ladder factors from A23 and A32; the complete Weyl blocks serve
-orthogonality and the intertwiner.
+run_all_checks builds each object once.  The float U and T reps serve
+the su11, hermiticity and Casimir checks and the intertwiner, which
+compares the sparse products M_U(g) W and W' M_T(g) on the complete Weyl
+blocks (these also serve orthogonality); the float T rep also serves the
+projector check, which reads its T+- ladder factors from A23 and A32.
 """
 
 from __future__ import annotations
@@ -225,11 +224,14 @@ def _mat_lin(ctx: EvalContext, terms: Sequence[Tuple[Scalar, Entries]]) -> Entri
     add = _adder(ctx)
     out: Entries = {}
     for c, a in terms:
-        if ctx.is_exact():
-            c = SignedRadical.from_rational(c)
+        if c == -1:     # v and -v are the products by 1 and -1, exactly
+            a = {k: -v for k, v in a.items()}
+        elif c != 1:
+            c = SignedRadical.from_rational(c) if ctx.is_exact() else c
+            a = {k: c * v for k, v in a.items()}
         for key, v in a.items():
             cur = out.get(key)
-            out[key] = c * v if cur is None else add(cur, c * v)
+            out[key] = v if cur is None else add(cur, v)
     return out
 
 
@@ -468,47 +470,45 @@ def _block_entries(rep: TruncatedRep, g: str, rows, cols):
             for c, j in enumerate(cols_j) if (i, j) in m]
 
 
+def _intertwiner_residuals(reps: Dict[str, TruncatedRep], g: str,
+                           blk: WeylBlock, blk2: WeylBlock):
+    """(|entry|, U row, T col) of M_U(g) W - W' M_T(g), W' = blk2, W = blk.
+
+    Each entry sums the terms of both sparse products in stored order.
+    """
+    n = len(blk.t_labels)
+    acc = [[0] * n for _ in blk2.u_labels]
+    for r, c, v in _block_entries(reps["u"], g, blk2.u_labels, blk.u_labels):
+        row, e = acc[r], blk.entries[c]
+        for b in range(n):
+            row[b] += v * e[b]
+    for a, b, v in _block_entries(reps["t"], g, blk2.t_labels, blk.t_labels):
+        for row, e in zip(acc, blk2.entries):
+            row[b] -= e[a] * v
+    for u, row in zip(blk2.u_labels, acc):
+        for t, x in zip(blk.t_labels, row):
+            yield abs(x), u, t
+
+
 def check_intertwiner(blocks: Dict[Weight, WeylBlock],
                       reps: Dict[str, TruncatedRep],
                       tolerance: float = 1e-10) -> CheckReport:
-    """W(target)^T M_U(g) W(source) = M_T(g) on complete block pairs.
+    """M_U(g) W(w) = W(w + shift) M_T(g) on complete block pairs.
 
-    blocks are the float blocks of complete_blocks, and M_U(g) and M_T(g)
-    are read from the float rep matrices reps["u"] and reps["t"] (a rep
-    built with flip_entry carries its sign fault here).  Each conjugated
-    entry sums over the stored entries of M_U(g) only, in (row, col) order,
-    so skipped zeros change no digit of the residual.
-
-    A violation is localized as (generator, weight, row, col) where row
-    and col are T-basis labels of the target and source weights.
+    blocks are from complete_blocks; M_U(g) and M_T(g) are the float rep
+    matrices reps["u"] and reps["t"], where a flip_entry fault shows.  As
+    weyl-orthogonality checks that W is orthogonal, this is the conjugated
+    W(w + shift)^T M_U(g) W(w) = M_T(g).  A11, A22 and A33 are skipped: both
+    sides are the same product m W (conjugated, they repeat orthogonality).
+    A violation is at (generator, source weight, row=U label, col=T label).
     """
-    pairs = []
-    for g in GENERATORS:
-        dm = WEIGHT_SHIFTS[g]
-        for w, blk in sorted(blocks.items()):
-            blk2 = blocks.get(Weight(w.m1 + dm[0], w.m2 + dm[1], w.m3 + dm[2]))
-            if blk2 is not None:
-                pairs.append((g, w, blk, blk2))
-
-    def residuals():
-        for g, w, blk, blk2 in pairs:
-            mu = _block_entries(reps["u"], g, blk2.u_labels, blk.u_labels)
-            mt = {(a, b): v for a, b, v in _block_entries(
-                reps["t"], g, blk2.t_labels, blk.t_labels)}
-            # conjugate: blk2.entries^T . M_U(g) . blk.entries; each product
-            # is (e2[r][a] * v) * e1[c][b], so the left factor is reused over b
-            e1, e2 = blk.entries, blk2.entries
-            for a, row in enumerate(blk2.t_labels):
-                left = [(e2[r][a] * v, c) for r, c, v in mu]
-                for b, col in enumerate(blk.t_labels):
-                    acc = 0
-                    for lv, c in left:
-                        acc += lv * e1[c][b]
-                    yield abs(acc - mt.get((a, b), 0)), (g, w, row, col)
-
-    return _report("intertwiner", residuals(),
-                   lambda g, w, row, col: (f"generator={g} weight={w} "
-                                           f"row={row} col={col}"),
+    pairs = [(g, w, blk, blocks[w2]) for g in GENERATORS
+             if any(WEIGHT_SHIFTS[g]) for w, blk in sorted(blocks.items())
+             if (w2 := Weight(*map(operator.add, w, WEIGHT_SHIFTS[g]))) in blocks]
+    residuals = ((mag, (g, w, u, t)) for g, w, blk, blk2 in pairs
+                 for mag, u, t in _intertwiner_residuals(reps, g, blk, blk2))
+    return _report("intertwiner", residuals, lambda g, w, row, col:
+                   f"generator={g} weight={w} row={row} col={col}",
                    len(pairs), tolerance)
 
 

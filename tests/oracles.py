@@ -8,7 +8,8 @@ products of Fraction q-brackets, each reduced as it is made; weylracah
 evaluates it in integers, with one reduction per value.  Nothing imports
 from the q-series code paths being tested except the SignedRadical container
 itself.  The Fraction form of the q-Racah triangle test is kept here as the
-reference for the integer test.
+reference for the integer test, and the conjugated form of the intertwining
+identity as the reference for verify's product form.
 """
 
 from fractions import Fraction
@@ -173,3 +174,39 @@ def racah_triangles_fraction(a, b, e, d, c, f) -> bool:
     return (all(map(_nonnegative_half_integer, (a, b, e, d, c, f)))
             and triangle_fraction(a, b, c) and triangle_fraction(a, e, f)
             and triangle_fraction(c, d, e) and triangle_fraction(b, d, f))
+
+
+def intertwiner_conjugated(blocks, reps):
+    """Largest |W(w + shift)^T M_U(g) W(w) - M_T(g)| over complete block pairs.
+
+    The conjugated form of the identity that verify.check_intertwiner tests
+    as M_U(g) W(w) = W(w + shift) M_T(g), taken over all nine generators
+    A_ij, whose weight shift is e_i - e_j, and every (row, col) of each
+    block pair.  blocks and reps are check_intertwiner's inputs.  Returns
+    (residual, (generator, source weight, T row label, T col label)) of the
+    first largest entry, or (0, None) when every residual is 0.
+    """
+    iu, it = reps["u"].index, reps["t"].index
+    worst, where = 0, None
+    for i in "123":
+        for j in "123":
+            g = f"A{i}{j}"
+            shift = [(k == i) - (k == j) for k in "123"]
+            mu, mt = reps["u"].matrices[g], reps["t"].matrices[g]
+            for w, blk in sorted(blocks.items()):
+                blk2 = blocks.get(type(w)(*(m + d for m, d in zip(w, shift))))
+                if blk2 is None:
+                    continue
+                for a, row in enumerate(blk2.t_labels):
+                    for b, col in enumerate(blk.t_labels):
+                        acc = 0
+                        for r, ur in enumerate(blk2.u_labels):
+                            for c, uc in enumerate(blk.u_labels):
+                                v = mu.get((iu[ur], iu[uc]))
+                                if v is not None:
+                                    acc += (blk2.entries[r][a] * v
+                                            * blk.entries[c][b])
+                        res = abs(acc - mt.get((it[row], it[col]), 0))
+                        if res > worst:
+                            worst, where = res, (g, w, row, col)
+    return worst, where

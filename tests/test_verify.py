@@ -15,8 +15,8 @@ from qu21.errors import ConstraintViolation
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, _label_key,
                              basis_action, table_entries)
 from qu21.qarith import EvalContext, SignedRadical
-from qu21.repspace import (Signature, enumerate_t_basis, enumerate_u_basis,
-                           lowest_t_label, lowest_u_label)
+from qu21.repspace import (Signature, Weight, enumerate_t_basis,
+                           enumerate_u_basis, lowest_t_label, lowest_u_label)
 from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          Truncation, check_casimir, check_hermiticity,
                          check_intertwiner, check_norm_recursions,
@@ -24,12 +24,28 @@ from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          check_weyl_orthogonality, complete_blocks,
                          run_all_checks)
 
+from oracles import intertwiner_conjugated
+
 SIG = Signature(4, 2, -2)
 Q = Fraction(13, 10)
 
 
 def float_ctx(q=Q):
     return EvalContext.floating(q, 50)
+
+
+def blocks_and_reps(sig, q, trunc, flip_entry=None):
+    """check_intertwiner's inputs: float blocks and U and T reps."""
+    return complete_blocks(float_ctx(q), sig, trunc), {
+        b: TruncatedRep(float_ctx(q), sig, b, trunc, flip_entry=flip_entry)
+        for b in ("u", "t")}
+
+
+@pytest.fixture(scope="module")
+def large_reports():
+    # ROADMAP's large config, as the benchmark runs it
+    return run_all_checks(Signature(8, 2, -2), Q,
+                          truncation=Truncation(10, 10, 10), precision=50)
 
 
 class TestTruncation:
@@ -201,6 +217,30 @@ class TestIndividualChecks:
         assert ortho.passed and inter.passed
         assert ortho.columns_checked == len(blocks) > 0
         assert inter.columns_checked > 0
+
+    def test_intertwiner_skips_only_exactly_zero_pairs(self):
+        # desk config: on every block both sides of the A11, A22 and A33
+        # identities are the same products m W, and every other generator
+        # moves the weight
+        blocks, reps = blocks_and_reps(SIG, Q, Truncation(6, 6, 6))
+        for g in ("A11", "A22", "A33"):
+            for blk in blocks.values():
+                assert all(mag == 0 for mag, _, _ in
+                           verify_mod._intertwiner_residuals(reps, g, blk, blk))
+        moving = [g for g in GENERATORS if any(WEIGHT_SHIFTS[g])]
+        pairs = sum(Weight(*(m + d for m, d in zip(w, WEIGHT_SHIFTS[g])))
+                    in blocks for g in moving for w in blocks)
+        assert check_intertwiner(blocks, reps).columns_checked == pairs == 202
+
+    @pytest.mark.parametrize("sig", [Signature(3, 1, -1), Signature(7, 7, 4)])
+    @pytest.mark.parametrize("q", [Fraction(1), Q])
+    def test_intertwiner_agrees_with_conjugated_form(self, sig, q):
+        # the configs of verify_reprs.txt; the largest ratio there is 1.68
+        blocks, reps = blocks_and_reps(sig, q, Truncation(4, 4, 4))
+        report = check_intertwiner(blocks, reps)
+        conjugated, _ = intertwiner_conjugated(blocks, reps)
+        assert report.passed and conjugated <= report.tolerance
+        assert 0 < report.max_residual <= 2 * conjugated
 
     def test_complete_blocks_drop_weights_whose_labels_leave_the_window(self):
         kept = {t: complete_blocks(float_ctx(), SIG, Truncation(*t))
@@ -443,10 +483,12 @@ class TestOnePass:
     @pytest.mark.parametrize(
         "eid", [e.eid for b in ("u", "t") for e in table_entries(b)])
     def test_intertwiner_catches_every_flipped_entry(self, eid):
-        reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
-                                 flip_entry=eid, checks=("intertwiner",))
-        assert len(reports) == 1
-        assert not reports[0].passed
+        # and so does the conjugated form, worst at the same generator
+        blocks, reps = blocks_and_reps(SIG, Q, Truncation(3, 3, 3), eid)
+        report = check_intertwiner(blocks, reps)
+        conjugated, (g, *_) = intertwiner_conjugated(blocks, reps)
+        assert not report.passed and conjugated > report.tolerance
+        assert report.location.startswith(f"generator={g} ")
 
     @pytest.mark.parametrize("eid, mode, checks", [
         ("T9", "float", ("projector",)),
@@ -487,11 +529,14 @@ class TestOnePass:
         with open(golden, newline="") as fh:
             assert lines == fh.read().splitlines()
 
-    def test_large_reports_match_golden_reprs(self):
-        # ROADMAP's large config, as the benchmark runs it
-        lines = [repr(r) for r in run_all_checks(
-            Signature(8, 2, -2), Q, truncation=Truncation(10, 10, 10),
-            precision=50)]
+    def test_large_reports_match_golden_reprs(self, large_reports):
+        lines = [repr(r) for r in large_reports]
         golden = Path(__file__).parent / "golden" / "verify_large_reprs.txt"
         with open(golden, newline="") as fh:
             assert lines == fh.read().splitlines()
+
+    def test_large_intertwiner_checks_off_diagonal_pairs(self, large_reports):
+        # 1098 block pairs less the A11, A22 and A33 pairs of 132 blocks
+        reports = {r.name: r for r in large_reports}
+        assert reports["weyl-orthogonality"].columns_checked == 132
+        assert reports["intertwiner"].columns_checked == 1098 - 3 * 132
