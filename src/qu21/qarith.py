@@ -8,14 +8,15 @@ The classical point q = 1 is handled as an explicit limit ([n] -> n), never by
 numerically approaching it.  [n]! and 1/[n]! are defined for n >= 0 only; every
 finite sum in this package bounds its own range.
 
-In exact mode q = r/s in lowest terms and every q-number is an integer over a
+At a rational q = r/s in lowest terms every q-number is an integer over a
 power of z = rs (QIntegers):
 
     [m] = G_m / z^(m-1),    [m]! = F_m / z^(m(m-1)/2),
 
 with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
 Exact [n], [n]! and 1/[n]! are read off these integer tables, each reduced
-once, and the exact q-Racah evaluator of weylracah works on them directly.
+once.  The q-Racah evaluator of weylracah works on them directly, in exact
+mode and in float mode at a q given as an int or a Fraction.
 """
 
 from __future__ import annotations
@@ -122,17 +123,20 @@ def _to_mpf(mp, x):
 
 
 @lru_cache(maxsize=_Q_TABLES, typed=True)
-def _q_tables(mode: str, q, precision: int):
+def _q_tables(mode: str, q, precision):
     """The q-number tables of every EvalContext of this (mode, q, precision).
 
+    precision is None in exact mode, whose values do not depend on it.
     Returns the mpmath context (None in exact mode), the mode's scalar
     constructor (Fraction, or _to_mpf on that context), the converted q, its
-    QIntegers (None in float mode) and the qpow, qnum, qfact and qfact_inv
-    memos.  Every table entry is a fixed function of (mode, q, precision, n):
-    exact [n] and [n]! are read off the integer tables, and float qfact
-    extends its chain from its largest entry, so which context fills a table,
-    and when, never changes a value.  Raises ValueError unless q is finite
-    and positive (a raise is not cached).
+    QIntegers and the qpow, qnum, qfact and qfact_inv memos.  A float key
+    whose q is an int or a Fraction takes the QIntegers of the exact key of
+    that q, so both modes grow one G table; any other float key has None.
+    Every table entry is a fixed function of (mode, q, precision, n): exact
+    [n] and [n]! are read off the integer tables, and float qfact extends its
+    chain from its largest entry, so which context fills a table, and when,
+    never changes a value.  Raises ValueError unless q is finite and positive
+    (a raise is not cached).
     """
     if mode == _EXACT:
         mp, scalar = None, Fraction
@@ -150,7 +154,12 @@ def _q_tables(mode: str, q, precision: int):
             value = None
     if value is None or value <= 0:
         raise ValueError("q must be finite and positive")
-    ints = QIntegers(value) if mp is None else None
+    if mp is None:
+        ints = QIntegers(value)
+    elif isinstance(q, (int, Fraction)):
+        ints = _q_tables(_EXACT, q, None)[3]
+    else:
+        ints = None
     return mp, scalar, value, ints, {}, {}, {0: scalar(1)}, {}
 
 
@@ -169,13 +178,17 @@ class EvalContext:
     All operations are pure; the only internal mutation is memoization, one
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    In exact mode ``ints`` holds the integer tables G_m, F_m of q (see
-    QIntegers), from which exact qnum and qfact take their values; it is
-    None in float mode.
+    ``ints`` holds the integer tables G_m, F_m of q (see QIntegers) whenever
+    q is given as an int or a Fraction: exact qnum and qfact take their
+    values from it, and weylracah evaluates both modes' q-Racah values and
+    brackets on it.  Float qnum and qfact never read it.  A float context of
+    a float or mpf q has None.
     Every context of one (mode, q as given, precision) shares these tables
     and the converted q, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
-    entry up to the largest n that any context of its key asked for.  Equal q
+    entry up to the largest n that any context of its key asked for.  Exact
+    contexts of one q share them at every precision, and the float contexts
+    of an int or Fraction q share the exact contexts' ``ints``.  Equal q
     of different types (2 as an int and as a Fraction) are different keys.  A
     context keeps the tables it took even after its key is evicted, and a
     later context of that key starts fresh ones.  Each entry is a fixed
@@ -202,7 +215,8 @@ class EvalContext:
         self._q_key = q
         (self._mp, self._scalar, self.q, self.ints, self._qpow_memo,
          self._qnum_memo, self._qfact_memo,
-         self._qfact_inv_memo) = _q_tables(mode, q, self.precision)
+         self._qfact_inv_memo) = _q_tables(
+             mode, q, self.precision if mode == _FLOAT else None)
 
     # -- constructors ------------------------------------------------------
 
@@ -254,7 +268,7 @@ class EvalContext:
         n = _as_int(n)
         memo = self._qnum_memo
         if n not in memo:
-            if self.ints is not None:
+            if self._mp is None:
                 memo[n] = self.ints.bracket(n)
             elif self.is_classical():
                 memo[n] = self._scalar(n)
@@ -270,7 +284,7 @@ class EvalContext:
             raise NegativeFactorial(f"[{n}]! is undefined")
         memo = self._qfact_memo
         if n not in memo:
-            if self.ints is not None:
+            if self._mp is None:
                 memo[n] = self.ints.factorial(n)
             else:
                 top = max(memo)
@@ -311,7 +325,8 @@ class EvalContext:
         return self._mp.sqrt(self.to_float(x))
 
     def to_float(self, x):
-        """Coerce ints, Fractions, or mpf values into this float context."""
+        """Coerce ints, Fractions, mpf values or mpmath (man, exp) pairs
+        into this float context; a pair is man * 2^exp rounded once."""
         if self.mode == _EXACT:
             raise ValueError("to_float requires a float-mode context")
         return self._scalar(x)

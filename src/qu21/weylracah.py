@@ -19,12 +19,15 @@ _racah_form, computes that shape in either mode; the bracket and the q-Racah
 coefficient only build its argument lists from their own formulas, so the
 two paths above stay independent.
 
-In exact mode, with q = r/s in lowest terms and z = rs, every q-factorial is
-an integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
+At a rational q = r/s in lowest terms, z = rs, every q-factorial is an
+integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
 (qarith.QIntegers).  The prefactor becomes one integer power of each G_m
-times one power of z, the alternating sum one integer Horner recurrence over
-its term ratios, and the radicand a single Fraction: each value is reduced
-once, never term by term.
+times one power of z, and the alternating sum one integer Horner recurrence
+over its term ratios, so no term is reduced on its own.  Exact mode returns
+the radicand as a Fraction, reduced through its square root part; float mode,
+when its q was given as an int or a Fraction, rounds the same exact value
+once to its precision, so cancellation in the sum costs it no digit.  Only a
+float context of a float or mpf q sums the terms in mpf arithmetic.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
@@ -48,8 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from operator import mul
 from typing import Tuple
+
+from mpmath.libmp import dps_to_prec
 
 from .errors import EmptyWeightSpace, WeightMismatch
 from .qarith import EvalContext, QIntegers, Scalar, SignedRadical
@@ -99,14 +105,35 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
         S = sum_n (-1)^n prod_{t in tops} [t - n]!
                          / ([n]! prod_{u in bottoms} [u - n]!),
     over n = 0..min(bottoms), the range on which every [u - n]! is defined;
-    every t in tops is at least min(bottoms), and x, y >= 1.  A float
-    context multiplies the factors left to right in the order given and
-    returns a context scalar; an exact one returns a SignedRadical from
-    _racah_form_exact.
+    every t in tops is at least min(bottoms), and x, y >= 1.
+
+    A context with the integer tables of q (ctx.ints: exact mode, or float
+    mode at a q given as an int or a Fraction) evaluates the value exactly
+    with _racah_form_exact.  An exact context returns it as a SignedRadical;
+    a float one rounds it once to its own precision (_rounded), so the float
+    value is within one ulp of the exact one.  A float context of a float or
+    mpf q has no integer tables: _racah_form_mpf sums the terms at the
+    context's precision, and cancellation in that sum can cost it digits.
     """
-    if ctx.is_exact():
-        return _racah_form_exact(ctx.ints, sign, dims, pref_num, pref_den,
-                                 tops, bottoms)
+    ints = ctx.ints
+    if ints is None:
+        return _racah_form_mpf(ctx, sign, dims, pref_num, pref_den,
+                               tops, bottoms)
+    sign, root_num, root_den, rest = _racah_form_exact(
+        ints, sign, dims, pref_num, pref_den, tops, bottoms)
+    if not ctx.is_exact():
+        return _rounded(ctx, sign, root_num, root_den, rest)
+    if sign == 0:
+        return SignedRadical.zero()
+    # the gcd that reduces the root runs on half the bits of the radicand;
+    # squaring it needs none, and rest is a few small factors
+    return SignedRadical(sign, 0, Fraction(root_num, root_den) ** 2 * rest)
+
+
+def _racah_form_mpf(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
+                    tops, bottoms):
+    """_racah_form in the arithmetic of a float context: the factors are
+    multiplied left to right in the order given and the terms summed."""
     qfact, qfact_inv = ctx.qfact, ctx.qfact_inv
     x, y = dims
     pref = (reduce(mul, map(qfact, pref_num), ctx.qnum(x) * ctx.qnum(y))
@@ -119,13 +146,38 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     return sign * ctx.sqrt(pref) * total
 
 
+# Bits beyond the context's precision that _rounded computes before its one
+# rounding to that precision: they keep the error under 0.5 + 2^-16 ulp.
+_GUARD_BITS = 16
+
+
+def _rounded(ctx: EvalContext, sign: int, root_num: int, root_den: int,
+             rest: int):
+    """sign * (root_num / root_den) * sqrt(rest) as a float-context mpf,
+    within one ulp of the exact value.
+
+    The value is sqrt(N / D), N = root_num^2 rest, D = root_den^2.
+    m = isqrt(floor(N 4^k / D)) has wp = precision + _GUARD_BITS bits, and
+    m 2^-k is within 2^-wp of the value, relatively; ctx.to_float rounds
+    m 2^-k once to the context's precision.
+    """
+    if sign == 0:
+        return ctx.zero()
+    num, den = root_num * root_num * rest, root_den * root_den
+    wp = dps_to_prec(ctx.precision) + _GUARD_BITS
+    k = wp + (den.bit_length() - num.bit_length() + 2) // 2
+    quot = (num << 2 * k) // den if k >= 0 else num // (den << -2 * k)
+    man = isqrt(quot)
+    return ctx.to_float((man if sign > 0 else -man, -k))
+
+
 def _tri(m: int) -> int:
     """m(m-1)/2, the power of 1/z in [m]! (see qarith.QIntegers)."""
     return m * (m - 1) // 2
 
 
 def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
-                      tops, bottoms) -> SignedRadical:
+                      tops, bottoms):
     """_racah_form on the integer tables of q = r/s, z = rs (qarith.QIntegers):
     [m] = G_m / z^(m-1) and [m]! = F_m / z^tri(m), F_m = G_1 ... G_m.
 
@@ -140,9 +192,15 @@ def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
     integers, with each z^e_k multiplied into a_k or b_k.  The b_k multiply
     to F_N prod_t F_t / F_(t-N), so S = h prod_t F_(t-N) / (F_N prod_u F_u)
     times a power of z, and d is never divided out.  The radicand P S^2 is
-    then h^2 times one power of each G_i, counted over every F_m it divides,
-    and one power of z: a single Fraction, reduced once.  h carries the sign
-    of S (d > 0).
+    then h^2 times one power of each G_i, counted over every F_m it
+    divides, and one power of z.  h carries the sign of S (d > 0).
+
+    Each power G^e splits as (G^(e // 2))^2 G^(e % 2), and so does the power
+    of z.  Returns the exact value as integers (sign, root_num, root_den,
+    rest): sign * (root_num / root_den) * sqrt(rest), where root_num takes
+    |h| and the G and z halves of positive exponent, root_den those of
+    negative exponent, the fraction is not reduced, and rest is a product of
+    distinct G_i and at most one z; (0, 0, 1, 0) when S = 0.
     """
     x, y = dims
     last = min(bottoms)
@@ -168,34 +226,40 @@ def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
             zpow -= e
         h, d = b * d - a * h, b * d
     if h == 0:
-        return SignedRadical.zero()
+        return 0, 0, 1, 0
     # count[m] is the power of F_m in the radicand.  First P, which is
     # prod_m ([m]!)^count[m] with [x] = [x]! / [x - 1]!, and the power of z
     # of P and of S^2 = (T_0 h / d)^2
+    ups, downs = (x, y, *pref_num), (x - 1, y - 1, *pref_den)
     count = [0] * (top + 1)
-    for m in (x, y, *pref_num):
+    for m in ups:
         count[m] += 1
-    for m in (x - 1, y - 1, *pref_den):
+    for m in downs:
         count[m] -= 1
     zexp = (2 * (sum(map(_tri, bottoms)) - sum(map(_tri, tops)) - zpow)
-            - sum(c * _tri(m) for m, c in enumerate(count)))
+            - sum(map(_tri, ups)) + sum(map(_tri, downs)))
     # then the F_m of S^2, S = h prod_t F_(t-N) / (F_N prod_u F_u) z^...
     for t in tops:
         count[t - last] += 2
     for m in (last, *bottoms):
         count[m] -= 2
-    num, den, e = h * h, 1, 0
+    root_num, root_den, rest = abs(h), 1, 1
+    e = 0
     for i in range(top, 0, -1):
         e += count[i]              # G_i is a factor of every F_m with m >= i
-        if e > 0:
-            num *= g[i] ** e
+        if e > 1:
+            root_num *= g[i] ** (e >> 1)
         elif e < 0:
-            den *= g[i] ** -e
+            root_den *= g[i] ** -(e >> 1)
+        if e & 1:
+            rest *= g[i]
     if zexp >= 0:
-        num *= z ** zexp
+        root_num *= z ** (zexp >> 1)
     else:
-        den *= z ** -zexp
-    return SignedRadical(sign if h > 0 else -sign, 0, Fraction(num, den))
+        root_den *= z ** -(zexp >> 1)
+    if zexp & 1:
+        rest *= z
+    return (sign if h > 0 else -sign), root_num, root_den, rest
 
 
 def _bracket(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):

@@ -162,13 +162,33 @@ class TestWeyl:
         assert code == 2
         assert "no basis labels" in err
 
-    def test_out_of_tolerance_via_racah_exits_1(self, capsys):
-        # the direct 50-digit sum loses its digits to cancellation at q=3
-        code, out, _ = run(capsys, "weyl", "--sig", "8,2,-2", "--q", "3",
-                           "--weight", "16,14,-22", "--via-racah")
+    def test_out_of_tolerance_via_racah_exits_1(self, capsys, monkeypatch):
+        # one form b value of the desk block moved by 1e-6: that row alone
+        # is out of tolerance
+        inner, moved = cli.weyl_via_racah, []
+
+        def one_row_off(ctx, sig, u, t, form="a"):
+            value = inner(ctx, sig, u, t, form)
+            if form == "b" and not moved:
+                moved.append((u, t))
+                value += ctx.from_fraction(Fraction(1, 10 ** 6))
+            return value
+
+        monkeypatch.setattr(cli, "weyl_via_racah", one_row_off)
+        code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",
+                           "--weight", "4,4,-4", "--via-racah")
         assert code == 1
         flags = [row["within_tolerance"] for row in json.loads(out)["rows"]]
-        assert flags.count("false") == 39
+        assert len(moved) == 1 and flags == ["false"] + ["true"] * 8
+
+    def test_q3_large_weight_via_racah_exits_0(self, capsys):
+        # a block whose direct 50-digit mpf sum lost every digit at q = 3
+        code, out, _ = run(capsys, "weyl", "--sig", "8,2,-2", "--q", "3",
+                           "--weight", "16,14,-22", "--via-racah")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 49
+        assert all(row["within_tolerance"] == "true" for row in rows)
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_desk_weight_via_racah_exits_0(self, capsys, mode):
@@ -188,7 +208,8 @@ class TestWeyl:
 
     def test_exact_values_are_the_rounded_radicals(self, capsys):
         # each value is sign * q^qpower * sqrt(radicand) rounded to 50
-        # digits; the float-mode sum may differ from it in the last digit
+        # digits, and float mode prints the same digits: its brackets are
+        # that radical rounded once
         argv = ("weyl", "--sig", "4,2,-2", "--q", "13/10", "--weight",
                 "4,4,-4", "--format", "csv")
         _, out_e, _ = run(capsys, *argv, "--mode", "exact")
@@ -202,7 +223,7 @@ class TestWeyl:
             rad = SignedRadical.make(int(e["sign"]), int(e["qpower"]),
                                      Fraction(e["radicand"]))
             assert e["value"] == cli.format_float(rad.to_float(ref), 50)
-            assert abs(Decimal(e["value"]) - Decimal(f["value"])) <= Decimal("1e-50")
+            assert f["value"] == e["value"]
 
     def test_exact_mode_rejects_decimal_q(self, capsys):
         code, _, err = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "1.3",
@@ -241,6 +262,17 @@ class TestRacah:
         assert Decimal(num) == rad.radicand.numerator
         assert Decimal(den or "1") == rad.radicand.denominator
         assert row["sign"] == str(rad.sign)
+
+    def test_float_q3_row_agrees_with_exact_mode(self, capsys):
+        # the 50-digit mpf sum printed -1.36e128 here
+        args = ("--q", "3", "--", "3", "10", "17/2", "1/2", "8", "19/2")
+        _, out_e, _ = run(capsys, "racah", "--mode", "exact", *args)
+        code, out_f, _ = run(capsys, "racah", "--mode", "float", *args)
+        assert code == 0
+        ve = Decimal(json.loads(out_e)["rows"][0]["value"])
+        vf = Decimal(json.loads(out_f)["rows"][0]["value"])
+        assert str(vf).startswith("-2.3086533695")
+        assert abs(vf - ve) <= abs(ve) * Decimal("1e-49")
 
     def test_exact_mode_rejects_decimal_q(self, capsys):
         code, _, err = run(capsys, "racah", "--mode", "exact", "--q", "1.3",
@@ -293,6 +325,15 @@ class TestVerify:
         code, _, err = run(capsys, *self.COMMON, "--checks", "spectra")
         assert code == 2
         assert "unknown checks" in err
+
+    def test_q3_large_config_blocks_pass(self, capsys):
+        # at q = 3 the mpf bracket sum cost the intertwiner its digits
+        # (residual 6.6e-06, FAIL)
+        code, out, _ = run(capsys, "verify", "--sig", "8,2,-2", "--q", "3",
+                           "--lmax", "10", "--smax", "10", "--depth", "10",
+                           "--checks", "orthogonality,intertwiner")
+        assert code == 0
+        assert out.splitlines()[-1] == "all checks passed: 2/2"
 
     def test_flip_entry_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, *self.COMMON, "--checks", "intertwiner",

@@ -123,8 +123,17 @@ class TestIntegerTables:
             assert ints.factorial(m) == Fraction(fact, ints.z ** (m * (m - 1) // 2))
             assert ints.factorial(m).numerator == fact
 
-    def test_float_contexts_have_no_integer_tables(self):
-        assert EvalContext.floating(Fraction(13, 10), 50).ints is None
+    def test_float_contexts_of_rational_q_share_the_exact_tables(self):
+        # weylracah reads them; float qnum and qfact still return mpf
+        exact = EvalContext.exact(Fraction(13, 10))
+        for precision in (30, 50):
+            ctx = EvalContext.floating(Fraction(13, 10), precision)
+            assert ctx.ints is exact.ints
+            for value in (ctx.qnum(7), ctx.qfact(7), ctx.qfact_inv(7)):
+                assert hasattr(value, "_mpf_")
+        assert EvalContext.floating(3, 50).ints is EvalContext.exact(3).ints
+        assert EvalContext.floating(1.3, 50).ints is None
+        assert EvalContext.floating(mpmath.mpf("1.3"), 50).ints is None
 
 
 class TestContexts:

@@ -235,12 +235,15 @@ class TestIndividualChecks:
     @pytest.mark.parametrize("sig", [Signature(3, 1, -1), Signature(7, 7, 4)])
     @pytest.mark.parametrize("q", [Fraction(1), Q])
     def test_intertwiner_agrees_with_conjugated_form(self, sig, q):
-        # the configs of verify_reprs.txt; the largest ratio there is 1.68
+        # the configs of verify_reprs.txt; the largest ratio there is 1.
+        # At q = 1 on (7,7,4) both residuals are exactly 0, so the check's
+        # coverage, not its residual, shows that it compared something
         blocks, reps = blocks_and_reps(sig, q, Truncation(4, 4, 4))
         report = check_intertwiner(blocks, reps)
         conjugated, _ = intertwiner_conjugated(blocks, reps)
         assert report.passed and conjugated <= report.tolerance
-        assert 0 < report.max_residual <= 2 * conjugated
+        assert report.columns_checked > 0
+        assert report.max_residual <= 2 * conjugated
 
     def test_complete_blocks_drop_weights_whose_labels_leave_the_window(self):
         kept = {t: complete_blocks(float_ctx(), SIG, Truncation(*t))
