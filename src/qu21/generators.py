@@ -6,8 +6,9 @@ off-diagonal matrix element is table driven, in one table per basis: each
 row is a record holding the label shifts, an overall sign, an integer
 q-power, and the bracket factors of the radicand, so that the closed forms
 live in exactly one place and one evaluator, _key_action, serves both
-bases.  It works on integer label keys; basis_action wraps it for one
-label and generator, and the truncated reps of verify call it directly.
+bases.  It works on integer label keys, whose spin, weight and label
+repspace gives: basis_action hands it the key that require_u_label or
+require_t_label returns, and verify's truncated reps call it directly.
 
 The rows that change multiplet come in doublets, U1/U2 ... U7/U8 and
 T1/T2 ... T7/T8: the two generators of a doublet (A13 with A23, A31 with
@@ -37,16 +38,18 @@ from .errors import ConstraintViolation
 from .qarith import EvalContext, SignedRadical, Scalar, _as_int
 from .repspace import (
     Signature,
-    TBasisLabel,
-    UBasisLabel,
     _check_t_key,
     _check_t_multiplet,
     _check_u_key,
     _check_u_multiplet,
+    _t_label_at,
+    _t_weight,
+    _two_t,
+    _two_u,
+    _u_label_at,
+    _u_weight,
     require_t_label,
     require_u_label,
-    weight_of_t,
-    weight_of_u,
 )
 
 GENERATORS = ("A11", "A12", "A13", "A21", "A22", "A23", "A31", "A32", "A33")
@@ -78,9 +81,9 @@ class ActionTerm(NamedTuple):
 
 def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Scalar:
     """Squared norm N^2(k, ell) of the unnormalized U-basis construction."""
-    _check_u_multiplet(sig, k, ell)
+    twoU = _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    num = (ctx.qfact(k) * ctx.qfact(ell) * ctx.qfact(f12 - k + ell + 1)
+    num = (ctx.qfact(k) * ctx.qfact(ell) * ctx.qfact(twoU + 1)
            * ctx.qfact(f12) * ctx.qfact(f23 + k - 2) * ctx.qfact(f13 + ell - 1))
     den = (ctx.qfact(f12 - k) * ctx.qfact(f12 + ell + 1)
            * ctx.qfact(f13 - 1) * ctx.qfact(f23 - 2))
@@ -108,12 +111,12 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Sc
 
 def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
     """Squared norm N^2(s, p) of the unnormalized T-basis construction."""
-    _check_t_multiplet(sig, s, p)
+    twoT = _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     num = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(f12)
            * ctx.qfact(f13 + s - 1) * ctx.qfact(f23 + s - 2) * ctx.qfact(f23 + p - 2))
     den = (ctx.qfact(f12 - p) * ctx.qfact(f13 - 1) * ctx.qfact(f23 - 2)
-           * ctx.qfact(f23 + p + s - 2))
+           * ctx.qfact(twoT))
     return num / den
 
 
@@ -356,49 +359,23 @@ def _radical_from_entry(ctx: EvalContext, entry: TableEntry, env, flip_entry=Non
     return SignedRadical.make(sign, entry.qexp(env), radicand)
 
 
-# Integer keys: a U-basis label (k, ell, U, MU) is keyed (k, ell, 2MU) and a
-# T-basis label (s, p, T, M) is keyed (s, p, 2M); the spin follows from the
-# signature, so a key names its label.
-
-
-def _label_key(basis: str, lab) -> Tuple[int, int, int]:
-    """Integer key of a U-basis ('u') or T-basis ('t') label."""
-    if basis == "u":
-        return (lab.k, lab.ell, _as_int(2 * lab.MU))
-    return (lab.s, lab.p, _as_int(2 * lab.M))
-
-
 def _u_env(sig: Signature, key) -> _UEnv:
     """The table environment of the key of a U-basis label of sig."""
     k, ell, twoMU = key
-    return _UEnv(sig.f1, sig.f2, sig.f3, k, ell, sig.f1 - sig.f2 - k + ell,
-                 twoMU)
+    return _UEnv(sig.f1, sig.f2, sig.f3, k, ell, _two_u(sig, k, ell), twoMU)
 
 
 def _t_env(sig: Signature, key) -> _TEnv:
     """The table environment of the key of a T-basis label of sig."""
     s, p, twoM = key
-    return _TEnv(sig.f1, sig.f2, sig.f3, s, p, sig.f2 - sig.f3 + p + s - 2,
-                 twoM)
+    return _TEnv(sig.f1, sig.f2, sig.f3, s, p, _two_t(sig, s, p), twoM)
 
 
-def _u_label_at(sig: Signature, key) -> UBasisLabel:
-    env = _u_env(sig, key)
-    return UBasisLabel(env.k, env.ell, Fraction(env.twoU, 2),
-                       Fraction(env.twoMU, 2))
-
-
-def _t_label_at(sig: Signature, key) -> TBasisLabel:
-    env = _t_env(sig, key)
-    return TBasisLabel(env.s, env.p, Fraction(env.twoT, 2),
-                       Fraction(env.twoM, 2))
-
-
-# per basis: label check, weight, key -> table environment, key check,
-# key -> label; the environment and the label trust their key
+# per basis: label check (returns the key), key -> weight, key -> table
+# environment, key check, key -> label; the last three trust their key
 _BASES = {
-    "u": (require_u_label, weight_of_u, _u_env, _check_u_key, _u_label_at),
-    "t": (require_t_label, weight_of_t, _t_env, _check_t_key, _t_label_at),
+    "u": (require_u_label, _u_weight, _u_env, _check_u_key, _u_label_at),
+    "t": (require_t_label, _t_weight, _t_env, _check_t_key, _t_label_at),
 }
 
 
@@ -473,9 +450,9 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
         raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
     _check_flip_entry(flip_entry)
     require, weight_of, _, _, label_at = _BASES[basis]
-    require(sig, lab)
+    key = require(sig, lab)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    [terms] = _key_action(ctx, sig, basis, _label_key(basis, lab),
-                          weight_of(sig, lab), (gen,), flip_entry)
+    [terms] = _key_action(ctx, sig, basis, key, weight_of(sig, key), (gen,),
+                          flip_entry)
     return [ActionTerm(label_at(sig, key), coeff) for key, coeff in terms]

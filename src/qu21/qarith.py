@@ -14,9 +14,9 @@ power of z = rs (QIntegers):
     [m] = G_m / z^(m-1),    [m]! = F_m / z^(m(m-1)/2),
 
 with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
-Exact [n], [n]! and 1/[n]! are read off these integer tables, each reduced
-once.  The q-Racah evaluator of weylracah works on them directly, in exact
-mode and in float mode at a q given as an int or a Fraction.
+Only the q-Racah evaluator of weylracah reads these integer tables, in exact
+mode and in float mode at a q given as an int or a Fraction.  [n], [n]! and
+1/[n]! come from the symmetric formula and the [n]! chain in both modes.
 """
 
 from __future__ import annotations
@@ -56,22 +56,22 @@ def _as_int(n) -> int:
 
 
 class QIntegers:
-    """The integer q-number tables G_m and F_m of a rational q = r/s > 0.
+    """The integer q-number table G_m of a rational q = r/s > 0, and z = rs.
 
     G_m = sum_{i<m} r^2i s^2(m-1-i), so G_0 = 0, G_1 = 1 and G_m = m at
     q = 1; F_m = G_1 ... G_m, with F_0 = 1.  Then [m] = G_m / z^(m-1) and
     [m]! = F_m / z^(m(m-1)/2) with z = rs; G_m and F_m are prime to z, so
-    both fractions are already in lowest terms.  Each table grows on demand,
-    G through G_(m+1) = r^2 G_m + s^2m, and an entry never changes.
+    both fractions are already in lowest terms.  The table of G grows on
+    demand, through G_(m+1) = r^2 G_m + s^2m, and an entry never changes.
     """
 
-    __slots__ = ("z", "_r2", "_s2", "_g", "_f")
+    __slots__ = ("z", "_r2", "_s2", "_g")
 
     def __init__(self, q: Fraction):
         r, s = q.numerator, q.denominator
         self.z = r * s
         self._r2, self._s2 = r * r, s * s
-        self._g, self._f = [0, 1], [1, 1]
+        self._g = [0, 1]
 
     def g_table(self, n: int):
         """The list G_0, G_1, ..., G_N for some N >= n; read, never write."""
@@ -79,21 +79,6 @@ class QIntegers:
         for m in range(len(g) - 1, n):
             g.append(r2 * g[m] + s2 ** m)
         return g
-
-    def bracket(self, n: int) -> Fraction:
-        """[n] = G_n / z^(n-1), with [0] = 0 and [-n] = -[n]."""
-        m = abs(n)
-        if m == 0:
-            return Fraction(0)
-        value = Fraction(self.g_table(m)[m], self.z ** (m - 1))
-        return value if n > 0 else -value
-
-    def factorial(self, n: int) -> Fraction:
-        """[n]! = F_n / z^(n(n-1)/2) for n >= 0."""
-        g, f = self.g_table(n), self._f
-        for m in range(len(f) - 1, n):
-            f.append(f[m] * g[m + 1])
-        return Fraction(f[n], self.z ** (n * (n - 1) // 2))
 
 
 def sqrt_fraction(value: Fraction):
@@ -133,10 +118,10 @@ def _q_tables(mode: str, q, precision):
     whose q is an int or a Fraction takes the QIntegers of the exact key of
     that q, so both modes grow one G table; any other float key has None.
     Every table entry is a fixed function of (mode, q, precision, n): exact
-    [n] and [n]! are read off the integer tables, and float qfact extends its
-    chain from its largest entry, so which context fills a table, and when,
-    never changes a value.  Raises ValueError unless q is finite and positive
-    (a raise is not cached).
+    entries are exact, and float qfact extends its chain from its largest
+    entry, so which context fills a table, and when, never changes a value.
+    Raises ValueError unless q is finite and positive (a raise is not
+    cached).
     """
     if mode == _EXACT:
         mp, scalar = None, Fraction
@@ -178,11 +163,10 @@ class EvalContext:
     All operations are pure; the only internal mutation is memoization, one
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    ``ints`` holds the integer tables G_m, F_m of q (see QIntegers) whenever
-    q is given as an int or a Fraction: exact qnum and qfact take their
-    values from it, and weylracah evaluates both modes' q-Racah values and
-    brackets on it.  Float qnum and qfact never read it.  A float context of
-    a float or mpf q has None.
+    ``ints`` holds the integer table G_m of q (see QIntegers) whenever q is
+    given as an int or a Fraction, and is None for a float or mpf q.  Only
+    weylracah reads it, for both modes' q-Racah values and brackets; qnum
+    and qfact compute [n] and the chain of [n]! the same way in both modes.
     Every context of one (mode, q as given, precision) shares these tables
     and the converted q, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
@@ -268,9 +252,7 @@ class EvalContext:
         n = _as_int(n)
         memo = self._qnum_memo
         if n not in memo:
-            if self._mp is None:
-                memo[n] = self.ints.bracket(n)
-            elif self.is_classical():
+            if self.is_classical():
                 memo[n] = self._scalar(n)
             else:
                 q = self.q
@@ -284,14 +266,11 @@ class EvalContext:
             raise NegativeFactorial(f"[{n}]! is undefined")
         memo = self._qfact_memo
         if n not in memo:
-            if self._mp is None:
-                memo[n] = self.ints.factorial(n)
-            else:
-                top = max(memo)
-                acc = memo[top]
-                for m in range(top + 1, n + 1):
-                    acc = acc * self.qnum(m)
-                    memo[m] = acc
+            top = max(memo)
+            acc = memo[top]
+            for m in range(top + 1, n + 1):
+                acc = acc * self.qnum(m)
+                memo[m] = acc
         return memo[n]
 
     def qfact_inv(self, n) -> Scalar:

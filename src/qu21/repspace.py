@@ -14,6 +14,12 @@ Basis vectors come in two reductions of the same module:
 Both label sets are infinite only through ell (respectively s and the ladder
 depth M - T - 1); at any fixed weight each set is finite, which is what makes
 truncated verification decidable.
+
+This module owns the integer label key, (k, ell, 2MU) or (s, p, 2M): it
+alone maps a label to its key and a key to its spin, weight and label, and
+every label it builds is built from its key.  require_u_label and
+require_t_label (and so weight_of_u and weight_of_t) read a label into its
+key once, check the key in integers and return it.
 """
 
 from __future__ import annotations
@@ -143,6 +149,42 @@ class TBasisLabel:
         return f"s={self.s} p={self.p} T={self.T} M={self.M}"
 
 
+def _two_u(sig: Signature, k: int, ell: int) -> int:
+    """2U of the U multiplet (k, ell)."""
+    return sig.f1 - sig.f2 - k + ell
+
+
+def _two_t(sig: Signature, s: int, p: int) -> int:
+    """2T of the T multiplet (s, p)."""
+    return sig.f2 - sig.f3 + p + s - 2
+
+
+def _scaled(x, scale: int, name: str) -> int:
+    """scale * x as an int for an integer (scale 1) or half-integer (scale 2)
+    x, given as an int, a Fraction or a float; else ConstraintViolation."""
+    if type(x) is Fraction and x.denominator <= scale:
+        return x.numerator * (scale // x.denominator)
+    try:
+        if scale * x == int(scale * x):
+            return int(scale * x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = "a half-integer" if scale == 2 else "an integer"
+    raise ConstraintViolation(f"{name} must be {kind}, got {x!r}")
+
+
+def _u_key(lab: UBasisLabel) -> Tuple[int, int, int]:
+    """The key (k, ell, 2MU) of a U-basis label, not checked against sig."""
+    return (_scaled(lab.k, 1, "k"), _scaled(lab.ell, 1, "ell"),
+            _scaled(lab.MU, 2, "MU"))
+
+
+def _t_key(lab: TBasisLabel) -> Tuple[int, int, int]:
+    """The key (s, p, 2M) of a T-basis label, not checked against sig."""
+    return (_scaled(lab.s, 1, "s"), _scaled(lab.p, 1, "p"),
+            _scaled(lab.M, 2, "M"))
+
+
 def _check_u_multiplet(sig: Signature, k: int, ell: int) -> int:
     """2U of the U multiplet (k, ell); ConstraintViolation outside the domain."""
     f12 = sig.f1 - sig.f2
@@ -151,7 +193,7 @@ def _check_u_multiplet(sig: Signature, k: int, ell: int) -> int:
             f"0 <= k <= f1 - f2 violated: k = {k}, f1 - f2 = {f12}")
     if ell < 0:
         raise ConstraintViolation(f"ell >= 0 violated: ell = {ell}")
-    return f12 - k + ell
+    return _two_u(sig, k, ell)
 
 
 def _check_t_multiplet(sig: Signature, s: int, p: int) -> int:
@@ -162,104 +204,106 @@ def _check_t_multiplet(sig: Signature, s: int, p: int) -> int:
             f"0 <= p <= f1 - f2 violated: p = {p}, f1 - f2 = {f12}")
     if s < 0:
         raise ConstraintViolation(f"s >= 0 violated: s = {s}")
-    return sig.f2 - sig.f3 + p + s - 2
+    return _two_t(sig, s, p)
 
 
-def _check_u_key(sig: Signature, k: int, ell: int, twoMU) -> int:
-    """2U of the U-basis label (k, ell, MU = twoMU / 2), checked in integers.
-
-    Raises ConstraintViolation outside the domain.  twoMU may also be a
-    Fraction; then it is an integer exactly when MU is a half-integer.
-    """
+def _check_u_key(sig: Signature, k: int, ell: int, twoMU: int) -> int:
+    """2U of a U-basis key; ConstraintViolation outside the domain."""
     twoU = _check_u_multiplet(sig, k, ell)
     if (twoU - twoMU) % 2:
-        raise ConstraintViolation(
-            f"U - MU must be an integer: U = {Fraction(twoU, 2)}, "
-            f"MU = {Fraction(twoMU, 2)}")
-    if not -twoU <= twoMU <= twoU:
-        raise ConstraintViolation(
-            f"-U <= MU <= U violated: U = {Fraction(twoU, 2)}, "
-            f"MU = {Fraction(twoMU, 2)}")
-    return twoU
+        rule = "U - MU must be an integer"
+    elif not -twoU <= twoMU <= twoU:
+        rule = "-U <= MU <= U violated"
+    else:
+        return twoU
+    raise ConstraintViolation(
+        f"{rule}: U = {Fraction(twoU, 2)}, MU = {Fraction(twoMU, 2)}")
 
 
-def _check_t_key(sig: Signature, s: int, p: int, twoM) -> int:
-    """2T of the T-basis label (s, p, M = twoM / 2), checked in integers.
-
-    Raises ConstraintViolation outside the domain.  twoM may also be a
-    Fraction; then it is an integer exactly when M is a half-integer.
-    """
+def _check_t_key(sig: Signature, s: int, p: int, twoM: int) -> int:
+    """2T of a T-basis key; ConstraintViolation outside the domain."""
     twoT = _check_t_multiplet(sig, s, p)
     if (twoM - twoT) % 2:
-        raise ConstraintViolation(
-            f"M - T must be an integer: T = {Fraction(twoT, 2)}, "
-            f"M = {Fraction(twoM, 2)}")
-    if twoM < twoT + 2:
-        raise ConstraintViolation(
-            f"M >= T + 1 violated: T = {Fraction(twoT, 2)}, "
-            f"M = {Fraction(twoM, 2)}")
-    return twoT
+        rule = "M - T must be an integer"
+    elif twoM < twoT + 2:
+        rule = "M >= T + 1 violated"
+    else:
+        return twoT
+    raise ConstraintViolation(
+        f"{rule}: T = {Fraction(twoT, 2)}, M = {Fraction(twoM, 2)}")
+
+
+def _u_label_at(sig: Signature, key) -> UBasisLabel:
+    """The U-basis label of a key of sig."""
+    k, ell, twoMU = key
+    return UBasisLabel(k, ell, Fraction(_two_u(sig, k, ell), 2),
+                       Fraction(twoMU, 2))
+
+
+def _t_label_at(sig: Signature, key) -> TBasisLabel:
+    """The T-basis label of a key of sig."""
+    s, p, twoM = key
+    return TBasisLabel(s, p, Fraction(_two_t(sig, s, p), 2), Fraction(twoM, 2))
+
+
+def _u_weight(sig: Signature, key) -> Weight:
+    """The weight of a U-basis key of sig."""
+    k, ell, twoMU = key
+    drop = (_two_u(sig, k, ell) - twoMU) // 2  # U - MU
+    return Weight(sig.f1 + ell - drop, sig.f2 + k + drop, sig.f3 - k - ell)
+
+
+def _t_weight(sig: Signature, key) -> Weight:
+    """The weight of a T-basis key of sig."""
+    s, p, twoM = key
+    x = (twoM - _two_t(sig, s, p)) // 2 - 1  # the ladder depth M - T - 1
+    return Weight(sig.f1 - p + s, sig.f2 + p + x, sig.f3 - s - x)
 
 
 def u_label(sig: Signature, k: int, ell: int, MU) -> UBasisLabel:
-    """Validated U-basis label; MU may be an int or Fraction."""
-    MU = Fraction(MU)
-    twoU = _check_u_key(sig, k, ell, 2 * MU)
-    return UBasisLabel(k, ell, Fraction(twoU, 2), MU)
+    """Validated U-basis label; MU may be an int, Fraction or float."""
+    key = (k, ell, _scaled(MU, 2, "MU"))
+    _check_u_key(sig, *key)
+    return _u_label_at(sig, key)
 
 
 def t_label(sig: Signature, s: int, p: int, M) -> TBasisLabel:
-    """Validated T-basis label; M may be an int or Fraction."""
-    M = Fraction(M)
-    twoT = _check_t_key(sig, s, p, 2 * M)
-    return TBasisLabel(s, p, Fraction(twoT, 2), M)
+    """Validated T-basis label; M may be an int, Fraction or float."""
+    key = (s, p, _scaled(M, 2, "M"))
+    _check_t_key(sig, *key)
+    return _t_label_at(sig, key)
 
 
 def enumerate_u_basis(sig: Signature, ell_max: int) -> List[UBasisLabel]:
     """All U-basis labels with ell <= ell_max, ordered by (ell, k, MU)."""
-    labels = []
-    for ell in range(0, ell_max + 1):
-        for k in range(0, sig.f1 - sig.f2 + 1):
-            twoU = sig.f1 - sig.f2 - k + ell
-            U = Fraction(twoU, 2)
-            for j in range(twoU + 1):
-                labels.append(UBasisLabel(k, ell, U, -U + j))
-    return labels
+    return [_u_label_at(sig, (k, ell, 2 * j - _two_u(sig, k, ell)))
+            for ell in range(ell_max + 1) for k in range(sig.f1 - sig.f2 + 1)
+            for j in range(_two_u(sig, k, ell) + 1)]
 
 
 def enumerate_t_basis(sig: Signature, s_max: int, depth: int) -> List[TBasisLabel]:
     """All T-basis labels with s <= s_max and M - T - 1 <= depth, by (s, p, M)."""
-    labels = []
-    for s in range(0, s_max + 1):
-        for p in range(0, sig.f1 - sig.f2 + 1):
-            T = Fraction(sig.f2 - sig.f3 + p + s - 2, 2)
-            for x in range(depth + 1):
-                labels.append(TBasisLabel(s, p, T, T + 1 + x))
-    return labels
+    return [_t_label_at(sig, (s, p, _two_t(sig, s, p) + 2 + 2 * x))
+            for s in range(s_max + 1) for p in range(sig.f1 - sig.f2 + 1)
+            for x in range(depth + 1)]
 
 
 def weight_of_u(sig: Signature, lab: UBasisLabel) -> Weight:
-    drop = lab.U - lab.MU  # integer >= 0
-    return Weight(sig.f1 + lab.ell - int(drop),
-                  sig.f2 + lab.k + int(drop),
-                  sig.f3 - lab.k - lab.ell)
+    """The weight of a U-basis label; LabelOutOfDomain outside sig."""
+    return _u_weight(sig, require_u_label(sig, lab))
 
 
 def weight_of_t(sig: Signature, lab: TBasisLabel) -> Weight:
-    shift = int(lab.T - lab.M + 1)  # = -x, a nonpositive integer
-    return Weight(sig.f1 - lab.p + lab.s,
-                  sig.f2 + lab.p - shift,
-                  sig.f3 - lab.s + shift)
+    """The weight of a T-basis label; LabelOutOfDomain outside sig."""
+    return _t_weight(sig, require_t_label(sig, lab))
 
 
 def lowest_u_label(sig: Signature) -> UBasisLabel:
-    UL = Fraction(sig.f1 - sig.f2, 2)
-    return UBasisLabel(0, 0, UL, UL)
+    return _u_label_at(sig, (0, 0, _two_u(sig, 0, 0)))
 
 
 def lowest_t_label(sig: Signature) -> TBasisLabel:
-    T0 = Fraction(sig.f2 - sig.f3 - 2, 2)
-    return TBasisLabel(0, 0, T0, T0 + 1)
+    return _t_label_at(sig, (0, 0, _two_t(sig, 0, 0) + 2))
 
 
 @dataclass(frozen=True)
@@ -288,11 +332,10 @@ class GGPattern:
 
 def gg_from_label(sig: Signature, lab: UBasisLabel) -> GGPattern:
     """Pattern dictionary: m12 = f1 + ell, m22 = f2 + k, m11 = U + MU + m22."""
-    m13, m23, m33 = sig.top_row()
-    m12 = sig.f1 + lab.ell
-    m22 = sig.f2 + lab.k
-    m11 = int(lab.U + lab.MU) + m22
-    return GGPattern(m13, m23, m33, m12, m22, m11)
+    k, ell, twoMU = _u_key(lab)
+    m22 = sig.f2 + k
+    return GGPattern(*sig.top_row(), sig.f1 + ell, m22,
+                     (_two_u(sig, k, ell) + twoMU) // 2 + m22)
 
 
 def label_from_gg(pattern: GGPattern) -> Tuple[Signature, UBasisLabel]:
@@ -309,9 +352,9 @@ def label_from_gg(pattern: GGPattern) -> Tuple[Signature, UBasisLabel]:
             f"m12 >= m11 >= m22 violated in {pattern}")
     ell = pattern.m12 - sig.f1
     k = pattern.m22 - sig.f2
-    U = Fraction(sig.f1 - sig.f2 - k + ell, 2)
-    MU = pattern.m11 - pattern.m22 - U
-    return sig, UBasisLabel(k, ell, U, MU)
+    # MU = m11 - m22 - U
+    twoMU = 2 * (pattern.m11 - pattern.m22) - _two_u(sig, k, ell)
+    return sig, _u_label_at(sig, (k, ell, twoMU))
 
 
 def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
@@ -319,16 +362,13 @@ def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
     if w.m1 + w.m2 + w.m3 != sig.f1 + sig.f2 + sig.f3:
         return []
     c = sig.f3 - w.m3  # = k + ell
-    if c < 0:
-        return []
     out = []
     for ell in range(max(0, c - (sig.f1 - sig.f2)), c + 1):
         k = c - ell
-        twoU = sig.f1 - sig.f2 - k + ell
+        twoU = _two_u(sig, k, ell)
         drop = sig.f1 + ell - w.m1  # = U - MU
         if 0 <= drop <= twoU:
-            U = Fraction(twoU, 2)
-            out.append(UBasisLabel(k, ell, U, U - drop))
+            out.append(_u_label_at(sig, (k, ell, twoU - 2 * drop)))
     return out
 
 
@@ -337,35 +377,37 @@ def t_labels_at_weight(sig: Signature, w: Weight) -> List[TBasisLabel]:
     if w.m1 + w.m2 + w.m3 != sig.f1 + sig.f2 + sig.f3:
         return []
     c = sig.f3 - w.m3  # = s + x
-    if c < 0:
-        return []
     out = []
     for s in range(max(0, w.m1 - sig.f1), min(c, w.m1 - sig.f2) + 1):
         p = sig.f1 + s - w.m1
-        T = Fraction(sig.f2 - sig.f3 + p + s - 2, 2)
-        out.append(TBasisLabel(s, p, T, T + 1 + (c - s)))
+        x = c - s
+        out.append(_t_label_at(sig, (s, p, _two_t(sig, s, p) + 2 + 2 * x)))
     return out
 
 
-def require_u_label(sig: Signature, lab: UBasisLabel) -> None:
-    """Raise LabelOutOfDomain unless lab is a valid label for sig."""
+def require_u_label(sig: Signature, lab: UBasisLabel) -> Tuple[int, int, int]:
+    """The checked key (k, ell, 2MU) of lab; else LabelOutOfDomain."""
     try:
-        twoU = _check_u_key(sig, lab.k, lab.ell, 2 * Fraction(lab.MU))
+        key = _u_key(lab)
+        twoU = _check_u_key(sig, *key)
+        if _scaled(lab.U, 2, "U") == twoU:
+            return key
     except ConstraintViolation as exc:
         raise LabelOutOfDomain(str(exc)) from exc
-    if 2 * lab.U != twoU:
-        raise LabelOutOfDomain(
-            f"U = {lab.U} inconsistent with (k, ell) = ({lab.k}, {lab.ell}): "
-            f"expected {Fraction(twoU, 2)}")
+    raise LabelOutOfDomain(
+        f"U = {lab.U} inconsistent with (k, ell) = ({lab.k}, {lab.ell}): "
+        f"expected {Fraction(twoU, 2)}")
 
 
-def require_t_label(sig: Signature, lab: TBasisLabel) -> None:
-    """Raise LabelOutOfDomain unless lab is a valid label for sig."""
+def require_t_label(sig: Signature, lab: TBasisLabel) -> Tuple[int, int, int]:
+    """The checked key (s, p, 2M) of lab; else LabelOutOfDomain."""
     try:
-        twoT = _check_t_key(sig, lab.s, lab.p, 2 * Fraction(lab.M))
+        key = _t_key(lab)
+        twoT = _check_t_key(sig, *key)
+        if _scaled(lab.T, 2, "T") == twoT:
+            return key
     except ConstraintViolation as exc:
         raise LabelOutOfDomain(str(exc)) from exc
-    if 2 * lab.T != twoT:
-        raise LabelOutOfDomain(
-            f"T = {lab.T} inconsistent with (s, p) = ({lab.s}, {lab.p}): "
-            f"expected {Fraction(twoT, 2)}")
+    raise LabelOutOfDomain(
+        f"T = {lab.T} inconsistent with (s, p) = ({lab.s}, {lab.p}): "
+        f"expected {Fraction(twoT, 2)}")

@@ -24,14 +24,14 @@ complete_blocks) and returns reports; none builds its own.  Residuals are
 measured in _report only: it keeps the first largest magnitude and its
 location, and marks a check with no columns vacuous.
 
-One pass: each TruncatedRep visits each of its labels once.  The label's
-integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not checked
-again, is turned into its table environment once; one call of
-generators._key_action, which checks every target, gives the terms
-of all nine generators, and targets are looked up by key.  A float rep
-converts each distinct radical to a float once.  Each matrix is
-filled column by column, each column's terms in sort_key order, so every
-later sum adds in the same order.
+One pass: each TruncatedRep visits each of its labels once.  repspace reads
+the label's integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not
+checked again, and gives its weight; the key is turned into its table
+environment once; one call of generators._key_action, which checks every
+target, gives the terms of all nine generators, and targets are looked up
+by key.  A float rep converts each distinct radical to a float once.  Each
+matrix is filled column by column, each column's terms in sort_key order,
+so every later sum adds in the same order.
 
 run_all_checks builds each object once.  The float U and T reps serve
 the su11, hermiticity and Casimir checks and the intertwiner, which
@@ -52,7 +52,6 @@ from .generators import (
     WEIGHT_SHIFTS,
     _check_flip_entry,
     _key_action,
-    _label_key,
     basis_action,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     casimir_su11_eigenvalue,
     norm_su11_sq,
@@ -66,12 +65,14 @@ from .qarith import EvalContext, Scalar, SignedRadical
 from .repspace import (
     Signature,
     Weight,
+    _t_key,
+    _t_weight,
+    _u_key,
+    _u_weight,
     enumerate_t_basis,
     enumerate_u_basis,
     t_labels_at_weight,
     u_labels_at_weight,
-    weight_of_t,
-    weight_of_u,
 )
 from .weylracah import WeylBlock, weyl_block
 
@@ -142,13 +143,14 @@ class TruncatedRep:
         self.truncation = truncation
         if basis == "u":
             labels = enumerate_u_basis(sig, truncation.ell_max)
-            self.weights = tuple(weight_of_u(sig, l) for l in labels)
+            key_of, weight_of = _u_key, _u_weight
         else:
             labels = enumerate_t_basis(sig, truncation.s_max, truncation.depth)
-            self.weights = tuple(weight_of_t(sig, l) for l in labels)
+            key_of, weight_of = _t_key, _t_weight
         self.labels = tuple(labels)
         self.index = {l: i for i, l in enumerate(self.labels)}
-        keys = [_label_key(basis, l) for l in self.labels]
+        keys = [key_of(l) for l in self.labels]
+        self.weights = tuple(weight_of(sig, key) for key in keys)
         key_index = {key: i for i, key in enumerate(keys)}
         self.matrices: Dict[str, Entries] = {g: {} for g in GENERATORS}
         mats = tuple(self.matrices.values())
@@ -422,7 +424,7 @@ def check_norm_recursions(sig: Signature, q,
 def complete_blocks(fctx: EvalContext, sig: Signature,
                     truncation: Truncation) -> Dict[Weight, WeylBlock]:
     """Float Weyl blocks of all weights whose label sets fit the truncation."""
-    weights = sorted({weight_of_u(sig, l)
+    weights = sorted({_u_weight(sig, _u_key(l))
                       for l in enumerate_u_basis(sig, truncation.ell_max)})
     out: Dict[Weight, WeylBlock] = {}
     for w in weights:

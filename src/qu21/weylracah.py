@@ -33,17 +33,18 @@ Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
 non-half-integer or negative arguments.
 
-Half-integer arguments are read once as doubled integers (2a, 2U, 2M, ...),
+Half-integer arguments are read once as doubled integers (2a, ..., 2f),
 and every q-factorial argument is formed from them in integer arithmetic.
 One integer test on the doubled arguments decides the triangle conditions,
 for racah_triangles_ok and the q-Racah sum alike.
 
-A label is checked where a caller hands it in, and trusted after that:
-weyl_block takes the labels repspace enumerates at its weight unchecked, and
-neither racah_args_from_rep nor weyl_via_racah re-tests the triangles that
-any U and T label of one weight satisfy.  weyl_via_racah checks its label
-pair once and hands the doubled substitution straight to the q-Racah
-argument map.  The tests hold these facts.
+The bracket and the q-Racah substitution are formed from the integer label
+keys of repspace.  A label pair a caller hands in is read and checked once,
+by require_u_label and require_t_label, and its weights compared in
+integers; weyl_block reads the keys of the labels repspace enumerates at its
+weight unchecked.  Neither racah_args_from_rep nor weyl_via_racah re-tests
+the triangles that any U and T label of one weight satisfy.  The tests hold
+these facts.
 """
 
 from __future__ import annotations
@@ -57,19 +58,24 @@ from typing import Tuple
 
 from mpmath.libmp import dps_to_prec
 
-from .errors import EmptyWeightSpace, WeightMismatch
+from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
 from .qarith import EvalContext, QIntegers, Scalar, SignedRadical
 from .repspace import (
     Signature,
     TBasisLabel,
     UBasisLabel,
     Weight,
+    _scaled,
+    _t_key,
+    _t_weight,
+    _two_t,
+    _two_u,
+    _u_key,
+    _u_weight,
     require_t_label,
     require_u_label,
     t_labels_at_weight,
     u_labels_at_weight,
-    weight_of_t,
-    weight_of_u,
 )
 
 # ----------------------------------------------------------------------------
@@ -77,23 +83,14 @@ from .repspace import (
 # ----------------------------------------------------------------------------
 
 
-def _check_match(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> None:
-    require_u_label(sig, u)
-    require_t_label(sig, t)
-    wu, wt = weight_of_u(sig, u), weight_of_t(sig, t)
+def _check_match(sig: Signature, u: UBasisLabel, t: TBasisLabel):
+    """The checked keys of u and t; WeightMismatch unless at one weight."""
+    ukey, tkey = require_u_label(sig, u), require_t_label(sig, t)
+    wu, wt = _u_weight(sig, ukey), _t_weight(sig, tkey)
     if wu != wt:
         raise WeightMismatch(
             f"labels live at different weights: {u} -> {wu}, {t} -> {wt}")
-
-
-def _two(x) -> int:
-    """2x as an int for a half-integer x (an int or Fraction)."""
-    den = x.denominator
-    if den == 1:
-        return 2 * x.numerator
-    if den == 2:
-        return x.numerator
-    raise TypeError(f"expected a half-integer, got {x!r}")
+    return ukey, tkey
 
 
 def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
@@ -262,11 +259,11 @@ def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
     return (sign if h > 0 else -sign), root_num, root_den, rest
 
 
-def _bracket(ctx: EvalContext, sig: Signature, u: UBasisLabel, t: TBasisLabel):
-    """<U|T>_q for labels already known to be valid and at one weight."""
+def _bracket(ctx: EvalContext, sig: Signature, ukey, tkey):
+    """<U|T>_q for the keys of two labels of sig at one weight."""
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    twoU, twoMU, twoT, twoM = _two(u.U), _two(u.MU), _two(t.T), _two(t.M)
+    (k, ell, twoMU), (s, p, twoM) = ukey, tkey
+    twoU, twoT = _two_u(sig, k, ell), _two_t(sig, s, p)
     drop = (twoU - twoMU) // 2
     # the sum's sign (-1)^(k + n) contributes its (-1)^k to the overall sign
     return _racah_form(
@@ -283,8 +280,7 @@ def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
     """<U|T>_q as an exact SignedRadical (requires an exact-mode context)."""
     if not ctx.is_exact():
         raise ValueError("weyl_coefficient_exact requires an exact-mode context")
-    _check_match(sig, u, t)
-    return _bracket(ctx, sig, u, t)
+    return _bracket(ctx, sig, *_check_match(sig, u, t))
 
 
 def weyl_coefficient(ctx: EvalContext, sig: Signature,
@@ -292,8 +288,7 @@ def weyl_coefficient(ctx: EvalContext, sig: Signature,
     """<U|T>_q as a context scalar (float contexts; real valued)."""
     if ctx.is_exact():
         raise ValueError("use weyl_coefficient_exact for exact-mode contexts")
-    _check_match(sig, u, t)
-    return _bracket(ctx, sig, u, t)
+    return _bracket(ctx, sig, *_check_match(sig, u, t))
 
 
 @dataclass(frozen=True)
@@ -314,14 +309,16 @@ class WeylBlock:
 def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
     """The complete (full-range) block at a weight; EmptyWeightSpace if none.
 
-    The labels are those repspace enumerates at this weight, so none is
-    checked again.  Entries are SignedRadicals in exact mode.
+    The labels are those repspace enumerates at this weight, so their keys
+    are read unchecked.  Entries are SignedRadicals in exact mode.
     """
     us = u_labels_at_weight(sig, weight)
     ts = t_labels_at_weight(sig, weight)
     if not us or not ts:
         raise EmptyWeightSpace(f"no basis labels at weight {weight} of {sig}")
-    entries = tuple(tuple(_bracket(ctx, sig, u, t) for t in ts) for u in us)
+    ukeys, tkeys = list(map(_u_key, us)), list(map(_t_key, ts))
+    entries = tuple(tuple(_bracket(ctx, sig, u, t) for t in tkeys)
+                    for u in ukeys)
     return WeylBlock(weight, tuple(us), tuple(ts), entries)
 
 
@@ -372,8 +369,8 @@ def _doubled(args: RacahArgs):
     """(2a, 2b, 2e, 2d, 2c, 2f) as ints if the arguments pass the triangle
     test; None if they do not or are not all half-integers."""
     try:
-        twice = tuple(map(_two, args.as_tuple()))
-    except TypeError:
+        twice = tuple(_scaled(x, 2, "argument") for x in args.as_tuple())
+    except ConstraintViolation:
         return None
     return twice if _triangles_ok(*twice) else None
 
@@ -425,15 +422,17 @@ def qracah(ctx: EvalContext, args: RacahArgs) -> Scalar:
     return _qracah(ctx, args)
 
 
-def _rep_doubled(sig: Signature, u: UBasisLabel, t: TBasisLabel):
+def _rep_doubled(sig: Signature, ukey, tkey):
     """(2T, 2 j3, 2 j1, 2U, 2 j2, 2 j): the doubled arguments (2a, 2b, 2e,
     2d, 2c, 2f) of the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j)
-    for labels already checked.  They are inside all four triangles."""
-    k, ell, s, p = u.k, u.ell, t.s, t.p
-    return (sig.f2 - sig.f3 + p + s - 2, ell + k,              # 2T, 2 j3
+    for the keys of two labels of sig at one weight.  They are inside all
+    four triangles."""
+    (k, ell, _), (s, p, _) = ukey, tkey
+    twoT = _two_t(sig, s, p)
+    return (twoT, ell + k,                                     # 2T, 2 j3
             sig.f1 - sig.f3 - p + s - 2,                       # 2 j1
-            sig.f1 - sig.f2 - k + ell,                         # 2U
-            sig.f2 - sig.f3 + p - s + ell + k - 2,             # 2 j2
+            _two_u(sig, k, ell),                               # 2U
+            twoT - 2 * s + ell + k,                            # 2 j2
             sig.f1 - sig.f2)                                   # 2 j
 
 
@@ -447,8 +446,8 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
     four triangles, so the arguments are not tested again.  This is the
     Fraction view of the doubled arguments weyl_via_racah evaluates.
     """
-    _check_match(sig, u, t)
-    return RacahArgs(*(Fraction(x, 2) for x in _rep_doubled(sig, u, t)))
+    return RacahArgs(*(Fraction(x, 2)
+                       for x in _rep_doubled(sig, *_check_match(sig, u, t))))
 
 
 def weyl_via_racah(ctx: EvalContext, sig: Signature,
@@ -464,14 +463,14 @@ def weyl_via_racah(ctx: EvalContext, sig: Signature,
     """
     if ctx.is_exact():
         raise ValueError("weyl_via_racah requires a float-mode context")
-    _check_match(sig, u, t)
-    a, b, e, d, c, f = _rep_doubled(sig, u, t)
+    ukey, tkey = _check_match(sig, u, t)
+    a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
     if form == "a":
-        sign = -1 if t.s % 2 else 1
+        sign = -1 if tkey[0] % 2 else 1
         ratio = (ctx.qnum(d + 1) * ctx.qnum(a + 1)
                  / (ctx.qnum(c + 1) * ctx.qnum(f + 1)))
         return sign * ctx.sqrt(ratio) * _qracah_doubled(ctx, a, b, e, d, c, f)
     if form == "b":
-        sign = -1 if u.k % 2 else 1
+        sign = -1 if ukey[0] % 2 else 1
         return sign * _qracah_doubled(ctx, e, c, f, b, d, a)
     raise ValueError(f"form must be 'a' or 'b', got {form!r}")

@@ -8,8 +8,10 @@ products of Fraction q-brackets, each reduced as it is made; weylracah
 evaluates it in integers, with one reduction per value.  Nothing imports
 from the q-series code paths being tested except the SignedRadical container
 itself.  The Fraction form of the q-Racah triangle test is kept here as the
-reference for the integer test, and the conjugated form of the intertwining
-identity as the reference for verify's product form.
+reference for the integer test, the Fraction weights of basis labels as the
+reference for repspace's integer weights of label keys, and the conjugated
+form of the intertwining identity as the reference for verify's product
+form.
 """
 
 from fractions import Fraction
@@ -147,6 +149,22 @@ def racah_form_fraction(q: Fraction, sign: int, dims, pref_num, pref_den,
         return SignedRadical.zero()
     return SignedRadical.make(sign if total > 0 else -sign, 0,
                               pref * total * total)
+
+
+def u_weight_fraction(sig, lab):
+    """The weight (m1, m2, m3) of a U-basis label from its Fraction fields:
+    m1 = f1 + ell - (U - MU), m2 = f2 + k + (U - MU), m3 = f3 - k - ell."""
+    drop = Fraction(lab.U) - Fraction(lab.MU)
+    return (sig.f1 + lab.ell - drop, sig.f2 + lab.k + drop,
+            sig.f3 - lab.k - lab.ell)
+
+
+def t_weight_fraction(sig, lab):
+    """The weight (m1, m2, m3) of a T-basis label from its Fraction fields:
+    with the ladder depth x = M - T - 1, m1 = f1 - p + s, m2 = f2 + p + x,
+    m3 = f3 - s - x."""
+    x = Fraction(lab.M) - Fraction(lab.T) - 1
+    return (sig.f1 - lab.p + lab.s, sig.f2 + lab.p + x, sig.f3 - lab.s - x)
 
 
 def half_integers(upto_twice: int):

@@ -22,6 +22,8 @@ from qu21.repspace import (Signature, TBasisLabel, UBasisLabel, classify,
                            lowest_t_label, lowest_u_label, t_label, u_label,
                            weight_of_t, weight_of_u)
 
+KEY_OF = {"u": repspace_mod._u_key, "t": repspace_mod._t_key}
+
 Q_SAMPLES = [Fraction(1, 2), Fraction(9, 10), Fraction(1), Fraction(13, 10),
              Fraction(2)]
 
@@ -244,8 +246,9 @@ class TestActions:
 
     @pytest.mark.parametrize("basis", ["u", "t"])
     def test_each_label_is_checked_once(self, monkeypatch, basis):
-        # the source through require_*_label, each target in _key_action;
-        # the target labels are built from those keys unchecked
+        # the source through require_*_label, which returns its key, each
+        # target in _key_action; the target labels are built from those
+        # keys unchecked
         sig = Signature(4, 2, -2)
         ctx = EvalContext.exact(Fraction(13, 10))
         name = f"_check_{basis}_key"
@@ -267,10 +270,9 @@ class TestActions:
             for g in GENERATORS:
                 del checked[:]
                 terms = basis_action(ctx, sig, basis, g, lab)
-                key = generators_mod._label_key(basis, lab)
+                key = KEY_OF[basis](lab)
                 targets = ([] if g in ("A11", "A22", "A33") else
-                           [generators_mod._label_key(basis, t.target)
-                            for t in terms])
+                           [KEY_OF[basis](t.target) for t in terms])
                 assert checked == [key] + targets, (lab, g)
                 checks += len(checked)
         assert checks > len(labels) * len(GENERATORS)  # targets were seen
@@ -358,7 +360,7 @@ class TestDoublets:
         rows = [e for e in table_entries(basis) if e.den]
         assert len(rows) == 8
         for lab in labels:
-            env = env_of(sig, generators_mod._label_key(basis, lab))
+            env = env_of(sig, KEY_OF[basis](lab))
             two_j = env.twoU if basis == "u" else env.twoT
             for e in rows:
                 shift = e.d2 - e.d1 if basis == "u" else e.d1 + e.d2

@@ -12,11 +12,12 @@ import qu21.weylracah as weylracah_mod
 from qu21 import cli
 import qu21.generators as generators_mod
 from qu21.errors import ConstraintViolation
-from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, _label_key,
-                             basis_action, table_entries)
+from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
+                             table_entries)
 from qu21.qarith import EvalContext, SignedRadical
-from qu21.repspace import (Signature, Weight, enumerate_t_basis,
-                           enumerate_u_basis, lowest_t_label, lowest_u_label)
+from qu21.repspace import (Signature, Weight, _t_key, _u_key,
+                           enumerate_t_basis, enumerate_u_basis,
+                           lowest_t_label, lowest_u_label)
 from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          Truncation, check_casimir, check_hermiticity,
                          check_intertwiner, check_norm_recursions,
@@ -464,9 +465,9 @@ class TestOnePass:
         assert len(calls["weyl_block"]) == ortho.columns_checked > 0
         assert len(set(calls["weyl_block"])) == len(calls["weyl_block"])
         # one table evaluation per label of each rep, all generators at once
-        labels = ([("u", _label_key("u", l))
+        labels = ([("u", _u_key(l))
                    for l in enumerate_u_basis(SIG, trunc.ell_max)]
-                  + [("t", _label_key("t", l))
+                  + [("t", _t_key(l))
                      for l in enumerate_t_basis(SIG, trunc.s_max, trunc.depth)])
         assert sorted(calls["key_action"]) == sorted(labels)
 
