@@ -14,7 +14,9 @@ Subcommands:
 
 Output is JSON ({"config": ..., "rows": [...]}) or RFC-4180 CSV; both carry
 identical string values.  Floating values are printed with round-half-even
-at the configured number of significant digits.  Exit codes: 0 success,
+at the configured number of significant digits; the value beside an exact
+radical (matrix, and weyl and racah in exact mode) is rounded once from the
+radical's integers (format_root).  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error.
 """
 
@@ -28,6 +30,7 @@ import os
 import sys
 from decimal import Context as DecimalContext, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from math import floor, isqrt
 from typing import Dict, List, Optional, Sequence
 
 from .errors import QAlgebraError
@@ -117,12 +120,50 @@ def _frac_str(v: Fraction) -> str:
     return f"{num}/{Decimal(v.denominator)}" if v.denominator != 1 else num
 
 
-def _radical_columns(rad: SignedRadical, fctx: EvalContext,
+def format_root(sign: int, square: Fraction, digits: int) -> str:
+    """sign * sqrt(square) as format_float prints it, rounded once.
+
+    The root is rounded half-even straight to `digits` significant decimal
+    digits from the integers of square, with no binary value in between.
+    m = isqrt(floor(square 100^k)) has more than `digits` digits; when the
+    floor or the root drops anything, the root lies strictly above m, and
+    m decides the rounding as a sticky digit would.  A root that is a
+    dyadic rational keeps format_float's exact form ("2", "0.5"), as a
+    binary float of it printed; every other root prints `digits` digits.
+    """
+    num, den = square.numerator, square.denominator
+    if sign == 0 or num == 0:
+        return format_float(Fraction(0), digits)
+    # 10^(e10 + 1) <= sqrt(num / den), from the bit lengths
+    e10 = floor((num.bit_length() - 1 - den.bit_length()) * 0.150514) - 2
+    k = digits - e10
+    if k >= 0:
+        quot, rem = divmod(num * 100 ** k, den)
+    else:
+        quot, rem = divmod(num, den * 100 ** -k)
+    m = isqrt(quot)
+    exact = not rem and m * m == quot
+    if exact:
+        value = sign * m / Fraction(10) ** k
+        if value.denominator & (value.denominator - 1) == 0:
+            return format_float(value, digits)
+    drop = len(str(m)) - digits
+    lead, tail = divmod(m, 10 ** drop)
+    half = 5 * 10 ** (drop - 1)
+    if tail > half or (tail == half and (not exact or lead % 2)):
+        lead += 1
+        if lead == 10 ** digits:
+            lead, drop = lead // 10, drop + 1
+    return str(Decimal((sign < 0, tuple(map(int, str(lead))), drop - k)))
+
+
+def _radical_columns(rad: SignedRadical, ectx: EvalContext,
                      digits: int) -> Dict[str, str]:
-    """sign / qpower / radicand of an exact radical and its rounded value."""
+    """sign / qpower / radicand of an exact radical and its value, rounded
+    once to `digits` digits (format_root); ectx is an exact context."""
     return {"sign": str(rad.sign), "qpower": str(rad.qpower),
             "radicand": _frac_str(rad.radicand),
-            "value": format_float(rad.to_float(fctx), digits)}
+            "value": format_root(rad.sign, rad.squared(ectx), digits)}
 
 
 # ----------------------------------------------------------------------------
@@ -203,7 +244,6 @@ def cmd_matrix(args, out) -> int:
         raise UsageError(f"unknown generator {args.gen!r}; expected one of "
                          + ", ".join(GENERATORS))
     ectx = EvalContext.exact(q)
-    fctx = ectx.as_float(args.precision)
     if args.basis == "u":
         labels = enumerate_u_basis(sig, args.lmax)
     else:
@@ -212,7 +252,7 @@ def cmd_matrix(args, out) -> int:
     for lab in labels:
         for tgt, coeff in basis_action(ectx, sig, args.basis, args.gen, lab):
             rows.append({"source": str(lab), "target": str(tgt),
-                         **_radical_columns(coeff, fctx, args.precision)})
+                         **_radical_columns(coeff, ectx, args.precision)})
     cfg = _base_config(args, q)
     cfg["basis"] = args.basis
     cfg["gen"] = args.gen
@@ -226,8 +266,9 @@ def cmd_weyl(args, out) -> int:
     q = _parse_q(args.q, exact)
     _check_tolerance(args.tolerance)
     fctx = EvalContext.floating(q, precision=args.precision)
+    ectx = EvalContext.exact(q) if exact else None
     weight = _parse_weight(args.weight)
-    block = weyl_block(EvalContext.exact(q) if exact else fctx, sig, weight)
+    block = weyl_block(ectx or fctx, sig, weight)
     rows = []
     digits = args.precision
     all_within = True
@@ -236,7 +277,7 @@ def cmd_weyl(args, out) -> int:
             entry = block.entries[i][j]
             row = {"u_label": str(ul), "t_label": str(tl)}
             if exact:
-                row.update(_radical_columns(entry, fctx, digits))
+                row.update(_radical_columns(entry, ectx, digits))
             else:
                 row["value"] = format_float(entry, digits)
             if args.via_racah:
@@ -264,11 +305,12 @@ def cmd_racah(args, out) -> int:
     racah_args = RacahArgs(*vals)
     row = {k: _frac_str(v) for k, v in
            zip("abedcf", racah_args.as_tuple())}
-    fctx = EvalContext.floating(q, precision=args.precision)
     if exact:
-        rad = qracah_exact(EvalContext.exact(q), racah_args)
-        row.update(_radical_columns(rad, fctx, args.precision))
+        ectx = EvalContext.exact(q)
+        rad = qracah_exact(ectx, racah_args)
+        row.update(_radical_columns(rad, ectx, args.precision))
     else:
+        fctx = EvalContext.floating(q, precision=args.precision)
         row["value"] = format_float(qracah(fctx, racah_args), args.precision)
     emit(_base_config(args, q), [row], args.format, out)
     return 0

@@ -22,8 +22,13 @@ doublets, each table holds the two ladder rows inside a multiplet: A12/A21,
 the compact su_q(2) ladder of the U basis, and A23/A32, the noncompact
 su_q(1,1) ladder of the T basis.
 
-All matrix elements are returned as SignedRadical coefficients attached to
-validated target labels.  A vanishing bracket factor in a numerator silently
+basis_action returns every matrix element as a SignedRadical attached to a
+validated target label.  At a q given as an int or a Fraction, a row's
+radicand is formed in integers from the tables of qarith.QIntegers,
+[m] = G_m / z^(m-1), in both modes; so its radicand is the exact Fraction,
+and a float rep entry is sign sqrt(q^(2e) prod [a] / prod [b]) rounded once
+(qarith.rounded_root), with no mpf intermediate.  Only a float or mpf q
+multiplies mpf brackets.  A vanishing bracket factor in a numerator silently
 drops the term; this is also what keeps boundary labels (k or p at the ends
 of their ranges, multiplet bottoms) from producing out-of-range targets.
 """
@@ -32,10 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import ConstraintViolation
-from .qarith import EvalContext, SignedRadical, Scalar, _as_int
+from .qarith import (EvalContext, QIntegers, SignedRadical, Scalar, _as_int,
+                     rounded_root)
 from .repspace import (
     Signature,
     _check_t_key,
@@ -339,24 +347,92 @@ def table_entries(basis: str) -> Tuple[TableEntry, ...]:
     raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
 
 
-def _radical_from_entry(ctx: EvalContext, entry: TableEntry, env, flip_entry=None):
-    """Evaluate one table entry on an environment, or None if a bracket vanishes."""
-    nums = []
-    for factor in entry.num:
-        arg = factor(env)
-        value = ctx.qnum(arg)
-        if value == 0:
-            return None
-        nums.append(value)
-    radicand = nums[0]
-    for value in nums[1:]:
-        radicand = radicand * value
-    for factor in entry.den:
-        radicand = radicand / ctx.qnum(factor(env))
-    sign = entry.sign
-    if flip_entry is not None and entry.eid == flip_entry:
-        sign = -sign
-    return SignedRadical.make(sign, entry.qexp(env), radicand)
+def _bracket_ratio(ints: QIntegers, nums, dens):
+    """prod [a] / prod [b] over a in nums, b in dens, as two ints (N, D).
+
+    [m] = G_m / z^(m-1) and [-m] = -[m] (qarith.QIntegers); no gcd is taken.
+    D > 0, and a negative ratio raises ValueError (no radicand is negative).
+    """
+    g = ints.g_table(max(map(abs, nums + dens)))
+    num = den = 1
+    zexp = neg = 0
+    for a in nums:
+        if a < 0:
+            a, neg = -a, neg ^ 1
+        num *= g[a]
+        zexp -= a - 1
+    for b in dens:
+        if b < 0:
+            b, neg = -b, neg ^ 1
+        den *= g[b]
+        zexp += b - 1
+    if neg:
+        raise ValueError("radicand must be nonnegative")
+    if zexp >= 0:
+        return num * ints.z ** zexp, den
+    return num, den * ints.z ** -zexp
+
+
+def _radical(ctx: EvalContext):
+    """A row (sign, qexp, nums, dens) -> its SignedRadical.
+
+    At an int or Fraction q (ctx.ints) the radicand is the exact Fraction, in
+    either mode; at a float or mpf q it is the product of the context's
+    brackets, multiplied and divided left to right.
+    """
+    ints = ctx.ints
+    if ints is not None:
+        def radical(sign, qexp, nums, dens):
+            return SignedRadical(sign, qexp,
+                                 Fraction(*_bracket_ratio(ints, nums, dens)))
+        return radical
+    qnum = ctx.qnum
+
+    def radical(sign, qexp, nums, dens):
+        radicand = reduce(mul, map(qnum, nums))
+        for b in dens:
+            radicand = radicand / qnum(b)
+        return SignedRadical.make(sign, qexp, radicand)
+    return radical
+
+
+def _rep_entry(ctx: EvalContext):
+    """A row (sign, qexp, nums, dens) -> its value as a rep entry.
+
+    Exact mode gives the SignedRadical.  Float mode at an int or Fraction q
+    rounds sign sqrt(q^(2 qexp) prod [a] / prod [b]), formed in integers,
+    once (qarith.rounded_root); at a float or mpf q it converts the mpf
+    radical to a float.
+    """
+    radical, ints = _radical(ctx), ctx.ints
+    if ctx.is_exact():
+        return radical
+    if ints is None:
+        return lambda *row: radical(*row).to_float(ctx)
+
+    def value(sign, qexp, nums, dens):
+        num, den = _bracket_ratio(ints, nums, dens)
+        qnum, qden = ints.qpow2(qexp)
+        return rounded_root(ctx, sign, num * qnum, den * qden)
+    return value
+
+
+class _RowValues(dict):
+    """Memo of one evaluator: row (sign, qexp, nums, dens) -> its value.
+
+    A missing row is evaluated on first lookup, so each distinct row is
+    evaluated once per memo.
+    """
+
+    __slots__ = ("evaluate",)
+
+    def __init__(self, evaluate: Callable):
+        super().__init__()
+        self.evaluate = evaluate
+
+    def __missing__(self, row):
+        value = self[row] = self.evaluate(*row)
+        return value
 
 
 def _u_env(sig: Signature, key) -> _UEnv:
@@ -394,6 +470,7 @@ _ROWS = {b: {g: tuple(sorted((e for e in table_entries(b) if e.gen == g),
 _ENTRY_IDS = frozenset(e.eid for b in _BASES for e in table_entries(b))
 # component of the weight on which each diagonal generator acts
 _DIAGONAL = {"A11": 0, "A22": 1, "A33": 2}
+_OFF_DIAGONAL = tuple(g for g in GENERATORS if g not in _DIAGONAL)
 
 
 def _check_flip_entry(flip_entry: str | None) -> None:
@@ -403,17 +480,20 @@ def _check_flip_entry(flip_entry: str | None) -> None:
                          "of U1..U10, T1..T10")
 
 
-def _key_action(ctx: EvalContext, sig: Signature, basis: str, key, weight,
-                gens, flip_entry: str | None = None):
-    """Action of each generator in gens on the basis vector with this key.
+def _key_action(sig: Signature, basis: str, key, gens, values: _RowValues,
+                flip_entry: str | None = None):
+    """Action of each off-diagonal generator in gens on the basis vector
+    with this key.
 
     The one evaluator of the tables: basis_action and the truncated reps
-    of verify both go through it.  weight is the vector's weight (the
-    eigenvalues of the diagonal generators).  Returns one list per
-    generator of (target key, SignedRadical) pairs in the targets'
-    sort_key order.  The key must name a label of sig (both callers hand in
-    checked or enumerated labels); every target is checked against the
-    label domain, so a row that leaves it raises ConstraintViolation.
+    of verify both go through it.  Each row that applies is read as
+    (sign, q-power, numerator bracket arguments, denominator bracket
+    arguments), and its value is values[row] (see _RowValues, _radical and
+    _rep_entry).  Returns one list per generator of (target key, value) pairs
+    in the targets' sort_key order.  The key must name a label of sig (both
+    callers hand in checked or enumerated labels); every target is checked
+    against the label domain, so a row that leaves it raises
+    ConstraintViolation.
     """
     _, _, env_of, check_key, _ = _BASES[basis]
     env = env_of(sig, key)
@@ -421,17 +501,17 @@ def _key_action(ctx: EvalContext, sig: Signature, basis: str, key, weight,
     a, b, c = key
     out = []
     for gen in gens:
-        if gen in _DIAGONAL:
-            m = weight[_DIAGONAL[gen]]
-            out.append([(key, SignedRadical.from_rational(Fraction(m)))])
-            continue
         terms = []
         for entry in rows[gen]:
-            coeff = _radical_from_entry(ctx, entry, env, flip_entry)
-            if coeff is not None:
-                target = (a + entry.d1, b + entry.d2, c + entry.dtwoM)
-                check_key(sig, *target)  # a target that is no label raises
-                terms.append((target, coeff))
+            nums = tuple([f(env) for f in entry.num])
+            if 0 in nums:
+                continue
+            sign = -entry.sign if entry.eid == flip_entry else entry.sign
+            coeff = values[sign, entry.qexp(env), nums,
+                           tuple([f(env) for f in entry.den])]
+            target = (a + entry.d1, b + entry.d2, c + entry.dtwoM)
+            check_key(sig, *target)  # a target that is no label raises
+            terms.append((target, coeff))
         out.append(terms)
     return out
 
@@ -453,6 +533,10 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
     key = require(sig, lab)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    [terms] = _key_action(ctx, sig, basis, key, weight_of(sig, key), (gen,),
+    if gen in _DIAGONAL:
+        m = weight_of(sig, key)[_DIAGONAL[gen]]
+        return [ActionTerm(label_at(sig, key),
+                           SignedRadical.from_rational(Fraction(m)))]
+    [terms] = _key_action(sig, basis, key, (gen,), _RowValues(_radical(ctx)),
                           flip_entry)
     return [ActionTerm(label_at(sig, key), coeff) for key, coeff in terms]

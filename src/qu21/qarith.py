@@ -14,9 +14,10 @@ power of z = rs (QIntegers):
     [m] = G_m / z^(m-1),    [m]! = F_m / z^(m(m-1)/2),
 
 with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
-Only the q-Racah evaluator of weylracah reads these integer tables, in exact
-mode and in float mode at a q given as an int or a Fraction.  [n], [n]! and
-1/[n]! come from the symmetric formula and the [n]! chain in both modes.
+The q-Racah evaluator of weylracah and the generator tables read these integer
+tables, in exact mode and in float mode at a q given as an int or a Fraction;
+such a float value is an exact value rounded once (rounded_root).  [n], [n]!
+and 1/[n]! come from the symmetric formula and the [n]! chain in both modes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from math import inf, isqrt
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NegativeFactorial, RadicalIncompatible
 
@@ -80,6 +82,12 @@ class QIntegers:
             g.append(r2 * g[m] + s2 ** m)
         return g
 
+    def qpow2(self, e: int):
+        """q^(2e) = (r^2 / s^2)^e as a pair (numerator, denominator)."""
+        if e >= 0:
+            return self._r2 ** e, self._s2 ** e
+        return self._s2 ** -e, self._r2 ** -e
+
 
 def sqrt_fraction(value: Fraction):
     """Exact square root of a nonnegative Fraction, or None if not a square."""
@@ -90,6 +98,38 @@ def sqrt_fraction(value: Fraction):
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+# Bits beyond a float context's precision that rounded_root computes before
+# its one rounding to that precision; with its sticky bit any count of at
+# least 2 gives the same, correctly rounded result.
+_GUARD_BITS = 16
+
+
+def rounded_root(ctx: "EvalContext", sign: int, num: int, den: int):
+    """sign * sqrt(num / den) correctly rounded to the float context ctx.
+
+    num >= 0 and den > 0 are ints, in any common scale.  m = isqrt(floor(num
+    4^k / den)) has at least wp = precision + _GUARD_BITS bits, so m 2^-k is
+    the root truncated below its last wp bits.  When the truncation drops
+    anything, a sticky bit is appended (m -> 2m + 1, k -> k + 1): then one
+    rounding of m 2^-k to nearest at the context's precision rounds exactly
+    as the root itself would, whatever the scale of num and den.  Returns
+    the context's zero when sign or num is 0.
+    """
+    if sign == 0 or num == 0:
+        return ctx.zero()
+    mp = ctx._mp
+    k = mp.prec + _GUARD_BITS + (den.bit_length() - num.bit_length() + 2) // 2
+    if k >= 0:
+        quot, rem = divmod(num << 2 * k, den)
+    else:
+        quot, rem = divmod(num, den << -2 * k)
+    man = isqrt(quot)
+    if rem or man * man != quot:
+        man, k = 2 * man + 1, k + 1
+    return mp.make_mpf(from_man_exp(man if sign > 0 else -man, -k, mp.prec,
+                                    round_nearest))
 
 
 @lru_cache(maxsize=_MP_CONTEXTS)
@@ -164,9 +204,11 @@ class EvalContext:
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
     ``ints`` holds the integer table G_m of q (see QIntegers) whenever q is
-    given as an int or a Fraction, and is None for a float or mpf q.  Only
-    weylracah reads it, for both modes' q-Racah values and brackets; qnum
-    and qfact compute [n] and the chain of [n]! the same way in both modes.
+    given as an int or a Fraction, and is None for a float or mpf q.
+    weylracah reads it for both modes' q-Racah values and brackets, the
+    generator tables for their matrix elements and SignedRadical.to_float
+    for its q-power; qnum and qfact compute [n] and the chain of [n]! the
+    same way in both modes.
     Every context of one (mode, q as given, precision) shares these tables
     and the converted q, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
@@ -304,8 +346,7 @@ class EvalContext:
         return self._mp.sqrt(self.to_float(x))
 
     def to_float(self, x):
-        """Coerce ints, Fractions, mpf values or mpmath (man, exp) pairs
-        into this float context; a pair is man * 2^exp rounded once."""
+        """Coerce ints, Fractions or mpf values into this float context."""
         if self.mode == _EXACT:
             raise ValueError("to_float requires a float-mode context")
         return self._scalar(x)
@@ -419,9 +460,19 @@ class SignedRadical:
         return SignedRadical(sign, 0, coeff * coeff * rho1)
 
     def to_float(self, ctx: EvalContext):
-        """Numeric value sign * q^qpower * sqrt(radicand) in a float context."""
+        """Numeric value sign * q^qpower * sqrt(radicand) in a float context.
+
+        At an int or Fraction q, a rational radicand gives the exact value
+        sqrt(q^(2 qpower) radicand) rounded once (rounded_root); otherwise
+        the q-power and the root are multiplied in the context's arithmetic.
+        """
         fctx = ctx.as_float()
         if self.sign == 0:
             return fctx.zero()
-        return self.sign * fctx.qpow(self.qpower) * fctx.sqrt(self.radicand)
+        rad, ints = self.radicand, fctx.ints
+        if ints is not None and isinstance(rad, (int, Fraction)):
+            num, den = ints.qpow2(self.qpower)
+            return rounded_root(fctx, self.sign, num * rad.numerator,
+                                den * rad.denominator)
+        return self.sign * fctx.qpow(self.qpower) * fctx.sqrt(rad)
 

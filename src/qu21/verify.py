@@ -28,10 +28,14 @@ One pass: each TruncatedRep visits each of its labels once.  repspace reads
 the label's integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not
 checked again, and gives its weight; the key is turned into its table
 environment once; one call of generators._key_action, which checks every
-target, gives the terms of all nine generators, and targets are looked up
-by key.  A float rep converts each distinct radical to a float once.  Each
-matrix is filled column by column, each column's terms in sort_key order,
-so every later sum adds in the same order.
+target, gives the terms of the six off-diagonal generators, and targets are
+looked up by key; the three diagonal ones are the weights.  Each build keeps
+one memo of the table rows it met, keyed by (sign, q-power, bracket
+arguments), so each distinct row is evaluated once.  At a q given as an int
+or a Fraction, a float rep's entry is its exact value, formed in integers,
+rounded once (qarith.rounded_root); at a float or mpf q it is the mpf
+product of brackets.  Each matrix is filled column by column, each column's
+terms in sort_key order, so every later sum adds in the same order.
 
 run_all_checks builds each object once.  The float U and T reps serve
 the su11, hermiticity and Casimir checks and the intertwiner, which
@@ -50,8 +54,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .generators import (
     GENERATORS,
     WEIGHT_SHIFTS,
+    _DIAGONAL,
+    _OFF_DIAGONAL,
+    _RowValues,
     _check_flip_entry,
     _key_action,
+    _rep_entry,
     basis_action,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     casimir_su11_eigenvalue,
     norm_su11_sq,
@@ -153,14 +161,14 @@ class TruncatedRep:
         self.weights = tuple(weight_of(sig, key) for key in keys)
         key_index = {key: i for i, key in enumerate(keys)}
         self.matrices: Dict[str, Entries] = {g: {} for g in GENERATORS}
-        mats = tuple(self.matrices.values())
+        mats = [self.matrices[g] for g in _OFF_DIAGONAL]
         n = len(self.labels)
         stays_in = [True] * n
         reach: List[set] = [set() for _ in range(n)]
-        # float reps convert each distinct radical once
-        floats = None if ctx.is_exact() else {}
-        for j, (key, w) in enumerate(zip(keys, self.weights)):
-            actions = _key_action(ctx, sig, basis, key, w, GENERATORS,
+        # this build's memo: each distinct row is evaluated once
+        values = _RowValues(_rep_entry(ctx))
+        for j, key in enumerate(keys):
+            actions = _key_action(sig, basis, key, _OFF_DIAGONAL, values,
                                   flip_entry)
             for m, terms in zip(mats, actions):
                 for tgt, coeff in terms:
@@ -169,12 +177,10 @@ class TruncatedRep:
                         stays_in[j] = False
                         continue
                     reach[j].add(i)
-                    if floats is not None:
-                        value = floats.get(coeff)
-                        if value is None:
-                            value = floats[coeff] = coeff.to_float(ctx)
-                        coeff = value
                     m[(i, j)] = coeff
+        for g, c in _DIAGONAL.items():
+            self.matrices[g] = self.diagonal(
+                map(ctx.from_fraction, (w[c] for w in self.weights)))
         self.interior1 = tuple(stays_in)
         self.interior2 = tuple(
             stays_in[j] and all(stays_in[i] for i in reach[j])
@@ -359,30 +365,30 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     if rep.basis != "t":
         raise ValueError("check_casimir needs a T-basis rep")
     ctx = rep.ctx
-    fctx = ctx.as_float()
     one = ctx.one()
     tp, tm = rep.matrices["A23"], rep.matrices["A32"]
-    cols_ok = [lab.depth() < rep.truncation.depth for lab in rep.labels]
+    labels = rep.labels
+    cols_ok = [lab.depth() < rep.truncation.depth for lab in labels]
+    # each distinct 2M + 1 and T is evaluated once
+    m_sq = {m: ctx.qbracket_half_sq(m) for m in {2 * l.M + 1 for l in labels}}
+    lam = {t: casimir_su11_eigenvalue(ctx, t) for t in {l.T for l in labels}}
     c2 = _mat_lin(ctx, [
         (one, _mat_mul(ctx, tm, tp)),
-        (one, rep.diagonal(ctx.qbracket_half_sq(2 * lab.M + 1)
-                           for lab in rep.labels)),
-        (-one, rep.diagonal(casimir_su11_eigenvalue(ctx, lab.T)
-                            for lab in rep.labels))])
+        (one, rep.diagonal(m_sq[2 * lab.M + 1] for lab in labels)),
+        (-one, rep.diagonal(lam[lab.T] for lab in labels))])
     reports = [_matrix_report("casimir-eigenvalue", rep, c2, tolerance,
                               cols_ok, "exact" if ctx.is_exact() else "")]
 
-    # eigenvalue separation per weight space at this q
+    # eigenvalue separation per weight space at this q (exact gaps in exact
+    # mode)
     by_weight: Dict[Weight, set] = {}
-    for lab, w in zip(rep.labels, rep.weights):
+    for lab, w in zip(labels, rep.weights):
         by_weight.setdefault(w, set()).add(lab.T)
     min_gap = None
     for w, ts in sorted(by_weight.items()):
         vals = sorted(ts)
         for i in range(len(vals) - 1):
-            a = casimir_su11_eigenvalue(fctx, vals[i])
-            b = casimir_su11_eigenvalue(fctx, vals[i + 1])
-            gap = abs(b - a)
+            gap = abs(lam[vals[i + 1]] - lam[vals[i]])
             if min_gap is None or gap < min_gap:
                 min_gap = gap
     if min_gap is None:
@@ -435,7 +441,7 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
         if not all(l.s <= truncation.s_max
                    and l.depth() <= truncation.depth for l in ts):
             continue
-        out[w] = weyl_block(fctx, sig, w)
+        out[w] = weyl_block(fctx, sig, w, labels=(us, ts))
     return out
 
 
@@ -531,8 +537,9 @@ def check_projector(rep: TruncatedRep, t_value,
       C2 = T- T+ + [M + 1/2]^2, which is read from the rep's own ladder
       entries (one up-step and one down-step), on the columns that have an
       up-step (skipped with a note when eigenvalues degenerate at this q);
-    * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth; a column
-      at M = T+1 rises depth steps and stays inside the window.
+    * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth, each
+      residual divided by N^2(T, T+1+x); a column at M = T+1 rises depth
+      steps and stays inside the window.
     """
     if rep.basis != "t":
         raise ValueError("check_projector needs a T-basis rep")
@@ -624,7 +631,8 @@ def check_projector(rep: TruncatedRep, t_value,
             ((abs(p[j] - spectral(up)), (j,)) for j, up in risen),
             at_col, len(risen), tol))
 
-    # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace
+    # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace, relative to
+    # N^2, which grows past 1e80 within the window
     power = []
     for j in cols:
         if labels[j].T != T:
@@ -632,9 +640,9 @@ def check_projector(rep: TruncatedRep, t_value,
         for x in range(1, rep.truncation.depth + 1):
             up = chain(up_step, j, x)
             lhs = chain(down_step, up[1], x)[0] * up[0]
+            n2 = norm_su11_sq(fctx, T, T + 1 + x)
             sign = -1 if x % 2 else 1
-            power.append((abs(lhs - sign * norm_su11_sq(fctx, T, T + 1 + x)),
-                          (x, j)))
+            power.append((abs(lhs - sign * n2) / n2, (x, j)))
     reports.append(_report(f"projector-power-T{T}", power,
                            lambda x, j: f"T={T} x={x} col={labels[j]}",
                            len(power), tol))

@@ -52,14 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isqrt
 from operator import mul
 from typing import Tuple
 
-from mpmath.libmp import dps_to_prec
-
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
-from .qarith import EvalContext, QIntegers, Scalar, SignedRadical
+from .qarith import EvalContext, QIntegers, Scalar, SignedRadical, rounded_root
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -107,8 +104,8 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     A context with the integer tables of q (ctx.ints: exact mode, or float
     mode at a q given as an int or a Fraction) evaluates the value exactly
     with _racah_form_exact.  An exact context returns it as a SignedRadical;
-    a float one rounds it once to its own precision (_rounded), so the float
-    value is within one ulp of the exact one.  A float context of a float or
+    a float one rounds it once to its own precision (qarith.rounded_root), so
+    the float value is the exact one correctly rounded.  A float context of a float or
     mpf q has no integer tables: _racah_form_mpf sums the terms at the
     context's precision, and cancellation in that sum can cost it digits.
     """
@@ -119,7 +116,8 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     sign, root_num, root_den, rest = _racah_form_exact(
         ints, sign, dims, pref_num, pref_den, tops, bottoms)
     if not ctx.is_exact():
-        return _rounded(ctx, sign, root_num, root_den, rest)
+        return rounded_root(ctx, sign, root_num * root_num * rest,
+                            root_den * root_den)
     if sign == 0:
         return SignedRadical.zero()
     # the gcd that reduces the root runs on half the bits of the radicand;
@@ -141,31 +139,6 @@ def _racah_form_mpf(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
                       + [qfact_inv(u - n) for u in bottoms])
         total = total - term if n % 2 else total + term
     return sign * ctx.sqrt(pref) * total
-
-
-# Bits beyond the context's precision that _rounded computes before its one
-# rounding to that precision: they keep the error under 0.5 + 2^-16 ulp.
-_GUARD_BITS = 16
-
-
-def _rounded(ctx: EvalContext, sign: int, root_num: int, root_den: int,
-             rest: int):
-    """sign * (root_num / root_den) * sqrt(rest) as a float-context mpf,
-    within one ulp of the exact value.
-
-    The value is sqrt(N / D), N = root_num^2 rest, D = root_den^2.
-    m = isqrt(floor(N 4^k / D)) has wp = precision + _GUARD_BITS bits, and
-    m 2^-k is within 2^-wp of the value, relatively; ctx.to_float rounds
-    m 2^-k once to the context's precision.
-    """
-    if sign == 0:
-        return ctx.zero()
-    num, den = root_num * root_num * rest, root_den * root_den
-    wp = dps_to_prec(ctx.precision) + _GUARD_BITS
-    k = wp + (den.bit_length() - num.bit_length() + 2) // 2
-    quot = (num << 2 * k) // den if k >= 0 else num // (den << -2 * k)
-    man = isqrt(quot)
-    return ctx.to_float((man if sign > 0 else -man, -k))
 
 
 def _tri(m: int) -> int:
@@ -306,14 +279,19 @@ class WeylBlock:
     entries: Tuple[Tuple[Scalar, ...], ...]
 
 
-def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
+def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight, *,
+               labels=None) -> WeylBlock:
     """The complete (full-range) block at a weight; EmptyWeightSpace if none.
 
     The labels are those repspace enumerates at this weight, so their keys
-    are read unchecked.  Entries are SignedRadicals in exact mode.
+    are read unchecked; a caller that already holds them passes them as
+    labels = (u_labels_at_weight(...), t_labels_at_weight(...)).  Entries
+    are SignedRadicals in exact mode.
     """
-    us = u_labels_at_weight(sig, weight)
-    ts = t_labels_at_weight(sig, weight)
+    if labels is None:
+        labels = (u_labels_at_weight(sig, weight),
+                  t_labels_at_weight(sig, weight))
+    us, ts = labels
     if not us or not ts:
         raise EmptyWeightSpace(f"no basis labels at weight {weight} of {sig}")
     ukeys, tkeys = list(map(_u_key, us)), list(map(_t_key, ts))

@@ -30,6 +30,36 @@ def golden_text(name):
         return fh.read()
 
 
+def correctly_rounded(text: str, sign: int, square: Fraction,
+                      digits: int) -> bool:
+    """Is text sign * sqrt(square) rounded half-even to `digits`
+    significant digits?  Decided on exact rationals: the printed value's
+    half-unit interval must hold the root.  A root printed in fewer digits
+    must be exact."""
+    d = Decimal(text)
+    if square == 0:
+        return d == 0
+    if (d < 0) != (sign < 0):
+        return False
+    a = abs(Fraction(d))
+    if a * a == square:
+        return True
+    if len(d.as_tuple().digits) != digits:
+        return False
+    half = Fraction(10) ** (d.adjusted() - digits + 1) / 2
+    low, high = (a - half) ** 2, (a + half) ** 2
+    if low < square < high:
+        return True
+    return (square in (low, high)) and d.as_tuple().digits[-1] % 2 == 0
+
+
+def radical_rows_rounded(rows, q: Fraction, digits: int):
+    """The rows whose value column is not their radical correctly rounded."""
+    return [row for row in rows if not correctly_rounded(
+        row["value"], int(row["sign"]),
+        q ** (2 * int(row["qpower"])) * Fraction(row["radicand"]), digits)]
+
+
 class TestParsing:
     def test_bad_signature(self, capsys):
         code, _, err = run(capsys, "basis", "--sig", "4,2")
@@ -301,6 +331,54 @@ class TestRacah:
         assert doc["config"]["precision"] == "15"
         digits = doc["rows"][0]["value"].replace("0.", "")
         assert len(digits) == 15
+
+
+class TestExactValueColumns:
+    """Every value printed beside an exact radical is that radical rounded
+    once to the printed digits."""
+
+    def test_golden_matrix_values(self):
+        rows = [row for row in csv.DictReader(
+            io.StringIO(golden_text("matrix_desk.csv"))) if "value" in row
+            and row["value"] != "value"]
+        assert len(rows) > 500
+        assert radical_rows_rounded(rows, Fraction(13, 10), 20) == []
+
+    @pytest.mark.parametrize("q", ["3", "1/2", "13/10", "1"])
+    def test_matrix_values(self, capsys, q):
+        for basis in ("u", "t"):
+            for gen in GENERATORS:
+                code, out, _ = run(
+                    capsys, "matrix", "--sig", "5,2,-1", "--q", q, "--lmax",
+                    "2", "--smax", "2", "--depth", "2", "--precision", "30",
+                    "--format", "csv", "--gen", gen, "--basis", basis)
+                assert code == 0
+                rows = list(csv.DictReader(io.StringIO(out)))
+                assert rows
+                assert radical_rows_rounded(rows, Fraction(q), 30) == []
+
+    @pytest.mark.parametrize("weight", ["4,4,-4", "4,5,-5", "5,3,-4"])
+    def test_weyl_values(self, capsys, weight):
+        code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",
+                           "--weight", weight, "--mode", "exact",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows
+        assert radical_rows_rounded(rows, Fraction(13, 10), 50) == []
+
+    @pytest.mark.parametrize("q", ["3", "1/2", "13/10", "7/5"])
+    @pytest.mark.parametrize("args", [
+        ("1", "1", "1", "1", "1", "1"), ("1", "3/2", "3/2", "1", "1/2", "3/2"),
+        ("3", "10", "17/2", "1/2", "8", "19/2"), ("5",) * 6])
+    def test_racah_values(self, capsys, q, args):
+        for digits in ("50", "17"):
+            code, out, _ = run(capsys, "racah", "--mode", "exact", "--q", q,
+                               "--precision", digits, "--format", "csv",
+                               "--", *args)
+            assert code == 0
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert radical_rows_rounded(rows, Fraction(q), int(digits)) == []
 
 
 class TestVerify:

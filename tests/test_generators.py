@@ -326,6 +326,50 @@ class TestActions:
                 basis_action(ctx, sig, "t", "A13", lab, flip_entry="U1")
 
 
+class TestRowValues:
+    """A row's radicand is formed in integers at an int or Fraction q."""
+
+    @given(q=st.fractions(min_value=Fraction(1, 9), max_value=9,
+                          max_denominator=12).filter(lambda x: x > 0),
+           nums=st.lists(st.integers(-12, 12).filter(bool), min_size=1,
+                         max_size=4),
+           dens=st.lists(st.integers(-12, 12).filter(bool), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_ratio_is_the_bracket_product(self, q, nums, dens):
+        ctx = EvalContext.exact(q)
+        want = Fraction(1)
+        for a in nums:
+            want *= ctx.qnum(a)
+        for b in dens:
+            want /= ctx.qnum(b)
+        if want < 0:
+            with pytest.raises(ValueError):
+                generators_mod._bracket_ratio(ctx.ints, tuple(nums),
+                                              tuple(dens))
+        else:
+            num, den = generators_mod._bracket_ratio(ctx.ints, tuple(nums),
+                                                     tuple(dens))
+            assert den > 0 and Fraction(num, den) == want
+
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    def test_float_mode_radicals_are_exact_at_rational_q(self, basis):
+        # a float context of a Fraction q gives exact mode's radicals; the
+        # same q as a float keeps mpf radicands of the same value
+        sig, q = Signature(4, 2, -2), Fraction(5, 4)
+        exact, fctx = EvalContext.exact(q), EvalContext.floating(q, 50)
+        mctx = EvalContext.floating(1.25, 50)
+        labels = (enumerate_u_basis(sig, 2) if basis == "u"
+                  else enumerate_t_basis(sig, 2, 2))
+        for lab in labels:
+            for gen in GENERATORS:
+                want = basis_action(exact, sig, basis, gen, lab)
+                assert basis_action(fctx, sig, basis, gen, lab) == want
+                approx = basis_action(mctx, sig, basis, gen, lab)
+                assert [t for t, _ in approx] == [t for t, _ in want]
+                for (_, c), (_, w) in zip(approx, want):
+                    assert abs(c.to_float(mctx) - w.to_float(fctx)) < 1e-45
+
+
 DOUBLETS = [("U1", "U2"), ("U3", "U4"), ("U5", "U6"), ("U7", "U8"),
             ("T1", "T2"), ("T3", "T4"), ("T5", "T6"), ("T7", "T8")]
 

@@ -320,11 +320,35 @@ class TestSignedRadical:
         assert not a.same_value(-b, ctx)
 
     def test_to_float(self):
+        # -q sqrt(9/4) = -39/20 at q = 13/10, rounded once; the product of
+        # the rounded q and 3/2 rounds twice and lands one ulp away
         ctx = EvalContext.exact(Fraction(13, 10))
         f = ctx.as_float()
         a = SignedRadical.make(-1, 1, Fraction(9, 4))
         v = a.to_float(f)
-        assert abs(v - (-f.qpow(1) * f.from_fraction(Fraction(3, 2)))) == 0
+        assert v == f.from_fraction(Fraction(-39, 20))
+        assert v != -f.qpow(1) * f.from_fraction(Fraction(3, 2))
+
+    @given(q=rationals_q, sign=st.sampled_from([-1, 1]),
+           w=st.integers(-4, 4),
+           r=st.fractions(min_value=Fraction(1, 30), max_value=50,
+                          max_denominator=30))
+    @settings(max_examples=60, deadline=None)
+    def test_to_float_is_correctly_rounded(self, q, sign, w, r):
+        # within half an ulp of sign q^w sqrt(r) at 120 digits
+        f = EvalContext.floating(q, 50)
+        v = SignedRadical.make(sign, w, r).to_float(f)
+        ref = mpmath.mp.clone()
+        ref.dps = 120
+        qr = ref.mpf(q.numerator) / q.denominator
+        want = sign * qr ** w * ref.sqrt(ref.mpf(r.numerator) / r.denominator)
+        ulp = ref.ldexp(1, int(ref.floor(ref.log(abs(want), 2))) + 1 - f._mp.prec)
+        assert abs(ref.mpf(v) - want) <= ulp / 2
+
+    def test_to_float_at_a_float_q_multiplies_in_mpf(self):
+        f = EvalContext.floating(1.3, 50)
+        a = SignedRadical.make(-1, 1, Fraction(9, 4))
+        assert a.to_float(f) == -f.qpow(1) * f.sqrt(Fraction(9, 4))
 
     @given(q=rationals_q,
            s1=st.sampled_from([-1, 1]), w1=st.integers(-3, 3),

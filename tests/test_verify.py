@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import qu21.repspace as repspace_mod
@@ -33,6 +34,22 @@ Q = Fraction(13, 10)
 
 def float_ctx(q=Q):
     return EvalContext.floating(q, 50)
+
+
+_REF = mpmath.mp.clone()
+_REF.dps = 120
+
+
+def ulps_off(value, rad: SignedRadical, q=Q, bits=169) -> float:
+    """|value - rad| in units of the last place of a ``bits``-bit mpf (50
+    digits) in the binade of rad, which is evaluated at 120 digits."""
+    want = (rad.sign * (_REF.mpf(q.numerator) / q.denominator) ** rad.qpower
+            * _REF.sqrt(_REF.mpf(rad.radicand.numerator)
+                        / rad.radicand.denominator))
+    if want == 0:
+        return 0.0 if value == 0 else float("inf")
+    _, exp = _REF.frexp(want)
+    return float(abs(_REF.mpf(value) - want) / _REF.ldexp(1, exp - bits))
 
 
 def blocks_and_reps(sig, q, trunc, flip_entry=None):
@@ -106,19 +123,28 @@ class TestTruncatedRep:
     @pytest.mark.parametrize("ctx", [float_ctx(), EvalContext.exact(Q)],
                              ids=["float", "exact"])
     def test_entries_equal_basis_action(self, ctx, basis, flip):
+        # exact entries are basis_action's radicals; a float entry is its
+        # radical correctly rounded, within half an ulp (+ 2^-16) of the
+        # value at 120 digits
         sig = Signature(5, 2, -1)
         rep = TruncatedRep(ctx, sig, basis, Truncation(3, 3, 3),
                            flip_entry=flip)
+        ectx = EvalContext.exact(Q)
         for g in GENERATORS:
             want = {}
             for j, lab in enumerate(rep.labels):
-                terms = basis_action(ctx, sig, basis, g, lab, flip_entry=flip)
+                terms = basis_action(ectx, sig, basis, g, lab, flip_entry=flip)
                 for tgt, coeff in sorted(terms,
                                          key=lambda t: t.target.sort_key()):
                     if tgt in rep.index:
-                        want[(rep.index[tgt], j)] = (
-                            coeff if ctx.is_exact() else coeff.to_float(ctx))
-            assert list(rep.matrices[g].items()) == list(want.items())
+                        want[(rep.index[tgt], j)] = coeff
+            got = rep.matrices[g]
+            assert list(got) == list(want)
+            if ctx.is_exact():
+                assert list(got.values()) == list(want.values())
+            else:
+                worst = max(ulps_off(got[k], rad) for k, rad in want.items())
+                assert worst <= 0.5 + 2 ** -16, (g, worst)
 
     @pytest.mark.parametrize("basis, gen", [("u", "A12"), ("t", "A23")])
     def test_row_leaving_the_domain_raises(self, monkeypatch, basis, gen):
@@ -447,23 +473,32 @@ class TestOnePass:
 
     def test_each_block_and_rep_built_once(self, monkeypatch):
         trunc = Truncation(3, 3, 3)
-        calls = {"weyl_block": [], "key_action": []}
+        calls = {"weyl_block": [], "key_action": [], "u_labels": []}
         weyl_block, key_action = verify_mod.weyl_block, verify_mod._key_action
+        u_labels_at_weight = verify_mod.u_labels_at_weight
 
-        def counting_weyl_block(ctx, sig, weight):
+        def counting_weyl_block(ctx, sig, weight, **kwargs):
             calls["weyl_block"].append(weight)
-            return weyl_block(ctx, sig, weight)
+            return weyl_block(ctx, sig, weight, **kwargs)
 
-        def counting_key_action(ctx, sig, basis, key, *args):
+        def counting_key_action(sig, basis, key, *args):
             calls["key_action"].append((basis, key))
-            return key_action(ctx, sig, basis, key, *args)
+            return key_action(sig, basis, key, *args)
+
+        def counting_u_labels(sig, weight):
+            calls["u_labels"].append(weight)
+            return u_labels_at_weight(sig, weight)
 
         monkeypatch.setattr(verify_mod, "weyl_block", counting_weyl_block)
         monkeypatch.setattr(verify_mod, "_key_action", counting_key_action)
+        for mod in (verify_mod, weylracah_mod):
+            monkeypatch.setattr(mod, "u_labels_at_weight", counting_u_labels)
         reports = run_all_checks(SIG, Q, truncation=trunc)
         ortho = next(r for r in reports if r.name == "weyl-orthogonality")
         assert len(calls["weyl_block"]) == ortho.columns_checked > 0
         assert len(set(calls["weyl_block"])) == len(calls["weyl_block"])
+        # each weight's labels are enumerated once, blocks included
+        assert len(set(calls["u_labels"])) == len(calls["u_labels"])
         # one table evaluation per label of each rep, all generators at once
         labels = ([("u", _u_key(l))
                    for l in enumerate_u_basis(SIG, trunc.ell_max)]
@@ -507,6 +542,27 @@ class TestOnePass:
         assert failed
         if mode == "exact":
             assert all("[exact]" in r.line() for r in failed)
+
+    def test_projector_power_is_relative_to_the_norm(self):
+        # N^2(T, T+1+x) passes 1e40 here; measured absolutely, the residual
+        # of projector-power-T3/2 .. T4 read 3e-8 .. 1.4e11
+        reports = run_all_checks(Signature(8, 2, -2), Fraction(3),
+                                 truncation=Truncation(8, 8, 8),
+                                 checks=("projector",))
+        power = [r for r in reports if r.name.startswith("projector-power")]
+        assert len(power) == 7 and all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("eid", ["T9", "T10"])
+    def test_projector_power_catches_flipped_ladder(self, eid):
+        # a flipped T+ or T- turns (-1)^x N^2 into -(-1)^x N^2 for odd x:
+        # relative residual 2 in every power report that has columns
+        reports = run_all_checks(SIG, Q, truncation=Truncation(3, 3, 3),
+                                 flip_entry=eid, checks=("projector",))
+        power = [r for r in reports if r.name.startswith("projector-power")
+                 and r.columns_checked]
+        assert len(power) == 6
+        for r in power:
+            assert not r.passed and abs(r.max_residual - 2) < 1e-40, r
 
     def test_reports_match_golden_reprs(self):
         lines = []
