@@ -27,10 +27,11 @@ validated target label.  At a q given as an int or a Fraction, a row's
 radicand is formed in integers from the tables of qarith.QIntegers,
 [m] = G_m / z^(m-1), in both modes; so its radicand is the exact Fraction,
 and a float rep entry is sign sqrt(q^(2e) prod [a] / prod [b]) rounded once
-(qarith.rounded_root), with no mpf intermediate.  Only a float or mpf q
-multiplies mpf brackets.  A vanishing bracket factor in a numerator silently
-drops the term; this is also what keeps boundary labels (k or p at the ends
-of their ranges, multiplet bottoms) from producing out-of-range targets.
+to the fixed-point scale 2^-F (qarith.fixed_root), with no mpf intermediate.
+Only a float or mpf q multiplies mpf brackets.  A vanishing bracket factor in
+a numerator silently drops the term; this is also what keeps boundary labels
+(k or p at the ends of their ranges, multiplet bottoms) from producing
+out-of-range targets.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import ConstraintViolation
 from .qarith import (EvalContext, QIntegers, SignedRadical, Scalar, _as_int,
-                     rounded_root)
+                     fixed_root)
 from .repspace import (
     Signature,
     _check_t_key,
@@ -399,21 +400,22 @@ def _radical(ctx: EvalContext):
 def _rep_entry(ctx: EvalContext):
     """A row (sign, qexp, nums, dens) -> its value as a rep entry.
 
-    Exact mode gives the SignedRadical.  Float mode at an int or Fraction q
-    rounds sign sqrt(q^(2 qexp) prod [a] / prod [b]), formed in integers,
-    once (qarith.rounded_root); at a float or mpf q it converts the mpf
-    radical to a float.
+    Exact mode gives the SignedRadical.  Float mode gives the fixed-point
+    int n of n 2^-F, F = ctx.fixed_bits(): at an int or Fraction q it rounds
+    sign sqrt(q^(2 qexp) prod [a] / prod [b]), formed in integers, once
+    (qarith.fixed_root); at a float or mpf q it rounds the mpf radical once.
     """
     radical, ints = _radical(ctx), ctx.ints
     if ctx.is_exact():
         return radical
     if ints is None:
-        return lambda *row: radical(*row).to_float(ctx)
+        return lambda *row: radical(*row).to_fixed(ctx)
+    bits = ctx.fixed_bits()
 
     def value(sign, qexp, nums, dens):
         num, den = _bracket_ratio(ints, nums, dens)
         qnum, qden = ints.qpow2(qexp)
-        return rounded_root(ctx, sign, num * qnum, den * qden)
+        return fixed_root(sign, num * qnum, den * qden, bits)
     return value
 
 

@@ -18,6 +18,9 @@ The q-Racah evaluator of weylracah and the generator tables read these integer
 tables, in exact mode and in float mode at a q given as an int or a Fraction;
 such a float value is an exact value rounded once (rounded_root).  [n], [n]!
 and 1/[n]! come from the symmetric formula and the [n]! chain in both modes.
+A float context also fixes a fixed-point scale 2^-F, F its working bits plus
+_GUARD_BITS (fixed_bits): to_fixed and fixed_root round a value once to the
+int n of n 2^-F, which is what verify's checks compute on.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import inf, isqrt
 from typing import Union
 
 import mpmath
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
 
 from .errors import NegativeFactorial, RadicalIncompatible
 
@@ -102,34 +105,68 @@ def sqrt_fraction(value: Fraction):
 
 # Bits beyond a float context's precision that rounded_root computes before
 # its one rounding to that precision; with its sticky bit any count of at
-# least 2 gives the same, correctly rounded result.
+# least 2 gives the same, correctly rounded result.  The fixed-point scale of
+# a float context carries this many bits beyond its precision too.
 _GUARD_BITS = 16
 
 
-def rounded_root(ctx: "EvalContext", sign: int, num: int, den: int):
-    """sign * sqrt(num / den) correctly rounded to the float context ctx.
+def _root_bits(num: int, den: int, k: int):
+    """(man, k'): man 2^-k' is sqrt(num / den) truncated to k bits after the
+    point, with a sticky bit appended (man -> 2 man + 1, k' = k + 1) when
+    the truncation drops anything; k' = k when the root is exact.
 
-    num >= 0 and den > 0 are ints, in any common scale.  m = isqrt(floor(num
-    4^k / den)) has at least wp = precision + _GUARD_BITS bits, so m 2^-k is
-    the root truncated below its last wp bits.  When the truncation drops
-    anything, a sticky bit is appended (m -> 2m + 1, k -> k + 1): then one
-    rounding of m 2^-k to nearest at the context's precision rounds exactly
-    as the root itself would, whatever the scale of num and den.  Returns
-    the context's zero when sign or num is 0.
+    num >= 0 and den > 0 are ints.  So a rounding of man 2^-k' that keeps at
+    most k - 1 bits after the point rounds exactly as the root itself would.
     """
-    if sign == 0 or num == 0:
-        return ctx.zero()
-    mp = ctx._mp
-    k = mp.prec + _GUARD_BITS + (den.bit_length() - num.bit_length() + 2) // 2
     if k >= 0:
         quot, rem = divmod(num << 2 * k, den)
     else:
         quot, rem = divmod(num, den << -2 * k)
     man = isqrt(quot)
     if rem or man * man != quot:
-        man, k = 2 * man + 1, k + 1
+        return 2 * man + 1, k + 1
+    return man, k
+
+
+def rounded_root(ctx: "EvalContext", sign: int, num: int, den: int):
+    """sign * sqrt(num / den) correctly rounded to the float context ctx.
+
+    num >= 0 and den > 0 are ints, in any common scale.  The root is taken
+    to at least wp = precision + _GUARD_BITS bits, with a sticky bit
+    (_root_bits), so one rounding to nearest at the context's precision
+    rounds exactly as the root itself would, whatever the scale of num and
+    den.  Returns the context's zero when sign or num is 0.
+    """
+    if sign == 0 or num == 0:
+        return ctx.zero()
+    mp = ctx._mp
+    man, k = _root_bits(num, den, mp.prec + _GUARD_BITS
+                        + (den.bit_length() - num.bit_length() + 2) // 2)
     return mp.make_mpf(from_man_exp(man if sign > 0 else -man, -k, mp.prec,
                                     round_nearest))
+
+
+def _round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest int, ties to even (den > 0)."""
+    quot, rem = divmod(num, den)
+    half = 2 * rem - den
+    return quot + 1 if half > 0 or (half == 0 and quot & 1) else quot
+
+
+def fixed_root(sign: int, num: int, den: int, bits: int) -> int:
+    """sign * sqrt(num / den) rounded once to the nearest multiple of
+    2^-bits (ties to even), as the int n of n 2^-bits.
+
+    num >= 0 and den > 0 are ints, in any common scale: the root is taken
+    two bits past the last with a sticky bit (_root_bits, as in
+    rounded_root), which decides the rounding exactly.  0 when sign or num
+    is 0.
+    """
+    if sign == 0 or num == 0:
+        return 0
+    man, k = _root_bits(num, den, bits + 2)
+    n = _round_div(man, 1 << (k - bits))
+    return n if sign > 0 else -n
 
 
 @lru_cache(maxsize=_MP_CONTEXTS)
@@ -351,6 +388,48 @@ class EvalContext:
             raise ValueError("to_float requires a float-mode context")
         return self._scalar(x)
 
+    # -- fixed point ---------------------------------------------------------
+
+    def fixed_bits(self) -> int:
+        """F = working bits + _GUARD_BITS: a fixed-point int n of this float
+        context stands for n 2^-F."""
+        if self.mode == _EXACT:
+            raise ValueError("fixed_bits requires a float-mode context")
+        return self._mp.prec + _GUARD_BITS
+
+    def to_fixed(self, x) -> int:
+        """x rounded once to the nearest n 2^-F (ties to even), as the int n.
+
+        x is an int or a Fraction (rounded exactly), an mpf of this context,
+        or a SignedRadical (see SignedRadical.to_fixed).
+        """
+        bits = self.fixed_bits()
+        if isinstance(x, int):
+            return x << bits
+        if isinstance(x, SignedRadical):
+            return x.to_fixed(self)
+        if isinstance(x, Fraction):
+            return _round_div(x.numerator << bits, x.denominator)
+        return to_int(mpf_shift(x._mpf_, bits), round_nearest)
+
+    def to_fraction(self, x) -> Fraction:
+        """x (an int, a Fraction or an mpf) as the exact Fraction it is."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        sign, man, exp, _ = x._mpf_
+        man = -man if sign else man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+    def rational_context(self) -> "EvalContext":
+        """The context that gives q-rational scalars exactly where it can.
+
+        That is this context in exact mode or at a float or mpf q, and the
+        exact-mode companion at a q given as an int or a Fraction.
+        """
+        if self.mode == _EXACT or self.ints is None:
+            return self
+        return EvalContext(_EXACT, self._q_key)
+
     # -- misc ----------------------------------------------------------------
 
     def __repr__(self):
@@ -476,3 +555,20 @@ class SignedRadical:
                                 den * rad.denominator)
         return self.sign * fctx.qpow(self.qpower) * fctx.sqrt(rad)
 
+    def to_fixed(self, ctx: EvalContext) -> int:
+        """The value rounded once to the fixed-point scale 2^-F of the float
+        companion of ctx, as the int n of n 2^-F (EvalContext.to_fixed).
+
+        At an int or Fraction q, a rational radicand is rounded from the
+        integers of q^(2 qpower) radicand (fixed_root); otherwise the mpf
+        value of to_float is rounded.
+        """
+        fctx = ctx.as_float()
+        if self.sign == 0:
+            return 0
+        rad, ints = self.radicand, fctx.ints
+        if ints is not None and isinstance(rad, (int, Fraction)):
+            num, den = ints.qpow2(self.qpower)
+            return fixed_root(self.sign, num * rad.numerator,
+                              den * rad.denominator, fctx.fixed_bits())
+        return fctx.to_fixed(self.to_float(fctx))

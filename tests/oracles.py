@@ -200,11 +200,15 @@ def intertwiner_conjugated(blocks, reps):
     The conjugated form of the identity that verify.check_intertwiner tests
     as M_U(g) W(w) = W(w + shift) M_T(g), taken over all nine generators
     A_ij, whose weight shift is e_i - e_j, and every (row, col) of each
-    block pair.  blocks and reps are check_intertwiner's inputs.  Returns
-    (residual, (generator, source weight, T row label, T col label)) of the
-    first largest entry, or (0, None) when every residual is 0.
+    block pair.  blocks and reps are check_intertwiner's inputs, whose
+    entries are fixed-point ints (an int n of a block or rep stands for
+    n 2^-bits of that block or rep); each residual is summed exactly and
+    converted to a float once.  Returns (residual, (generator, source
+    weight, T row label, T col label)) of the first largest entry, or
+    (0, None) when every residual is 0.
     """
     iu, it = reps["u"].index, reps["t"].index
+    block_bits = next(iter(blocks.values())).bits
     worst, where = 0, None
     for i in "123":
         for j in "123":
@@ -224,7 +228,8 @@ def intertwiner_conjugated(blocks, reps):
                                 if v is not None:
                                     acc += (blk2.entries[r][a] * v
                                             * blk.entries[c][b])
-                        res = abs(acc - mt.get((it[row], it[col]), 0))
+                        res = abs(acc - (mt.get((it[row], it[col]), 0)
+                                         << 2 * block_bits))
                         if res > worst:
                             worst, where = res, (g, w, row, col)
-    return worst, where
+    return worst / (1 << 2 * block_bits + reps["u"].bits), where

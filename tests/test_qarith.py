@@ -345,6 +345,40 @@ class TestSignedRadical:
         ulp = ref.ldexp(1, int(ref.floor(ref.log(abs(want), 2))) + 1 - f._mp.prec)
         assert abs(ref.mpf(v) - want) <= ulp / 2
 
+    @given(q=rationals_q, sign=st.sampled_from([-1, 1]),
+           w=st.integers(-4, 4),
+           r=st.fractions(min_value=0, max_value=50, max_denominator=30))
+    @settings(max_examples=100, deadline=None)
+    def test_to_fixed_is_the_nearest_multiple(self, q, sign, w, r):
+        # n 2^-F is nearest to sign q^w sqrt(r), decided in integers:
+        # (|n| - 1/2)^2 <= q^2w r 4^F <= (|n| + 1/2)^2
+        f = EvalContext.floating(q, 50)
+        n = SignedRadical.make(sign, w, r).to_fixed(f)
+        x = q ** (2 * w) * r * 4 ** f.fixed_bits()
+        half = Fraction(1, 2)
+        assert max(abs(n) - half, 0) ** 2 <= x <= (abs(n) + half) ** 2
+        assert n == 0 or (n > 0) == (sign > 0)
+
+    def test_fixed_rounding_ties_to_even(self):
+        f = EvalContext.floating(Fraction(13, 10), 50)
+        unit = Fraction(1, 2 ** f.fixed_bits())
+        assert [f.to_fixed(k * unit / 2) for k in (5, 7, -5, -7)] \
+            == [2, 4, -2, -4]
+        assert [qarith.fixed_root(s, n * n, 4, 0)
+                for s, n in ((1, 5), (1, 7), (-1, 5), (-1, 7))] == [2, 4, -2, -4]
+        assert f.to_fixed(f.from_fraction(Fraction(5, 2)) * unit) == 2
+
+    @pytest.mark.parametrize("w", [-40, -1, 0, 3, 500])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_to_fraction_is_the_exact_mpf_value(self, sign, w):
+        f = EvalContext.floating(1.3, 50)
+        x = sign * f.qpow(w)
+        got = f.to_fraction(x)
+        assert f._mp.mpf(got.numerator) / got.denominator == x
+        assert got.denominator & (got.denominator - 1) == 0
+        assert f.to_fraction(f.zero()) == 0
+        assert f.to_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
+
     def test_to_float_at_a_float_q_multiplies_in_mpf(self):
         f = EvalContext.floating(1.3, 50)
         a = SignedRadical.make(-1, 1, Fraction(9, 4))

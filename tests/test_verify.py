@@ -1,11 +1,14 @@
 """Truncated-window representation checks: construction and the check suite."""
 
 import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qu21.repspace as repspace_mod
 import qu21.verify as verify_mod
@@ -24,7 +27,7 @@ from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          check_intertwiner, check_norm_recursions,
                          check_projector, check_su11_relations,
                          check_weyl_orthogonality, complete_blocks,
-                         run_all_checks)
+                         rounding_bound, run_all_checks)
 
 from oracles import intertwiner_conjugated
 
@@ -40,16 +43,13 @@ _REF = mpmath.mp.clone()
 _REF.dps = 120
 
 
-def ulps_off(value, rad: SignedRadical, q=Q, bits=169) -> float:
-    """|value - rad| in units of the last place of a ``bits``-bit mpf (50
-    digits) in the binade of rad, which is evaluated at 120 digits."""
+def units_off(n: int, rad: SignedRadical, bits: int, q=Q) -> float:
+    """|n 2^-bits - rad| in units of 2^-bits, with rad evaluated at 120
+    digits."""
     want = (rad.sign * (_REF.mpf(q.numerator) / q.denominator) ** rad.qpower
             * _REF.sqrt(_REF.mpf(rad.radicand.numerator)
                         / rad.radicand.denominator))
-    if want == 0:
-        return 0.0 if value == 0 else float("inf")
-    _, exp = _REF.frexp(want)
-    return float(abs(_REF.mpf(value) - want) / _REF.ldexp(1, exp - bits))
+    return float(abs(_REF.mpf(n) - _REF.ldexp(want, bits)))
 
 
 def blocks_and_reps(sig, q, trunc, flip_entry=None):
@@ -124,8 +124,8 @@ class TestTruncatedRep:
                              ids=["float", "exact"])
     def test_entries_equal_basis_action(self, ctx, basis, flip):
         # exact entries are basis_action's radicals; a float entry is its
-        # radical correctly rounded, within half an ulp (+ 2^-16) of the
-        # value at 120 digits
+        # radical correctly rounded to the fixed-point scale, within half a
+        # unit (+ 2^-16) of the value at 120 digits
         sig = Signature(5, 2, -1)
         rep = TruncatedRep(ctx, sig, basis, Truncation(3, 3, 3),
                            flip_entry=flip)
@@ -143,7 +143,8 @@ class TestTruncatedRep:
             if ctx.is_exact():
                 assert list(got.values()) == list(want.values())
             else:
-                worst = max(ulps_off(got[k], rad) for k, rad in want.items())
+                worst = max(units_off(got[k], rad, rep.bits)
+                            for k, rad in want.items())
                 assert worst <= 0.5 + 2 ** -16, (g, worst)
 
     @pytest.mark.parametrize("basis, gen", [("u", "A12"), ("t", "A23")])
@@ -217,7 +218,8 @@ class TestIndividualChecks:
         rep = TruncatedRep(EvalContext.exact(Q), SIG, "t", Truncation(2, 2, 2))
         entries = {(0, 0): SignedRadical.from_rational(Fraction(1, 10**12)),
                    (1, 1): SignedRadical.from_rational(Fraction(5))}
-        report = verify_mod._matrix_report("scan", rep, entries, 1e-10,
+        report = verify_mod._matrix_report("scan", rep,
+                                           verify_mod._Mat(entries, 0), 1e-10,
                                            note="exact")
         assert not report.passed
         assert report.max_residual == 5.0
@@ -250,10 +252,15 @@ class TestIndividualChecks:
         # identities are the same products m W, and every other generator
         # moves the weight
         blocks, reps = blocks_and_reps(SIG, Q, Truncation(6, 6, 6))
+        where = {w: ([reps["u"].index[l] for l in blk.u_labels],
+                     [reps["t"].index[l] for l in blk.t_labels])
+                 for w, blk in blocks.items()}
         for g in ("A11", "A22", "A33"):
+            mu, mt = reps["u"].matrices[g], reps["t"].matrices[g]
             for blk in blocks.values():
                 assert all(mag == 0 for mag, _, _ in
-                           verify_mod._intertwiner_residuals(reps, g, blk, blk))
+                           verify_mod._intertwiner_residuals(mu, mt, blk, blk,
+                                                             where))
         moving = [g for g in GENERATORS if any(WEIGHT_SHIFTS[g])]
         pairs = sum(Weight(*(m + d for m, d in zip(w, WEIGHT_SHIFTS[g])))
                     in blocks for g in moving for w in blocks)
@@ -600,3 +607,178 @@ class TestOnePass:
         reports = {r.name: r for r in large_reports}
         assert reports["weyl-orthogonality"].columns_checked == 132
         assert reports["intertwiner"].columns_checked == 1098 - 3 * 132
+
+
+# sparse matrices of dyadic values: an int n at scale 2^-bits
+_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           st.integers(-2 ** 200, 2 ** 200), max_size=10)
+_MATS = st.builds(verify_mod._Mat, _ENTRIES, st.integers(0, 300))
+
+
+def exact_values(m) -> dict:
+    """The values of a fixed-point _Mat as Fractions."""
+    return {k: Fraction(v, 1 << m.bits) for k, v in m.entries.items()}
+
+
+class TestFixedPoint:
+    """The float-mode kernels are exact on their fixed-point inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MATS, _MATS)
+    def test_sparse_product_is_exact(self, a, b):
+        got = verify_mod._mat_mul(float_ctx(), a, b)
+        want = {}
+        for (i, k), x in exact_values(a).items():
+            for (k2, j), y in exact_values(b).items():
+                if k == k2:
+                    want[(i, j)] = want.get((i, j), 0) + x * y
+        assert got.bits == a.bits + b.bits
+        assert exact_values(got) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((1, -1)), _MATS),
+                    min_size=1, max_size=4))
+    def test_linear_combination_is_exact(self, terms):
+        got = verify_mod._mat_lin(float_ctx(), terms)
+        want = {}
+        for sign, m in terms:
+            for k, x in exact_values(m).items():
+                want[k] = want.get(k, 0) + sign * x
+        assert got.bits == max(m.bits for _, m in terms)
+        assert exact_values(got) == want
+        # and the report converts the exact largest magnitude once
+        report = verify_mod._report(
+            "scan", ((abs(v), k) for k, v in sorted(got.entries.items())),
+            lambda i, j: f"{i},{j}", 1, 1.0, bits=got.bits)
+        assert report.max_residual == float(max(map(abs, want.values()),
+                                                default=0))
+
+    def test_float_key_reaches_the_verdicts_of_its_fraction(self):
+        # a float q reaches the kernels through mpf values, a Fraction
+        # through its integer tables
+        got = run_all_checks(SIG, 1.3)
+        want = run_all_checks(SIG, Fraction(13, 10))
+        assert [(r.name, r.passed) for r in got] == \
+            [(r.name, r.passed) for r in want]
+        assert len(got) == 56 and all(r.passed for r in got)
+
+    @pytest.mark.parametrize("flip", [None, "T3", "T9"])
+    @pytest.mark.parametrize("q", [Q, Fraction(3), Fraction(1, 2)])
+    def test_rounded_exact_rep_is_the_float_build(self, q, flip):
+        trunc = Truncation(4, 4, 4)
+        exact = TruncatedRep(EvalContext.exact(q), SIG, "t", trunc,
+                             flip_entry=flip)
+        direct = TruncatedRep(float_ctx(q), SIG, "t", trunc, flip_entry=flip)
+        twin = exact.rounded(float_ctx(q))
+        assert twin.bits == direct.bits
+        for g in GENERATORS:
+            assert list(twin.matrices[g].items()) == \
+                list(direct.matrices[g].items()), g
+        assert (twin.labels, twin.interior1, twin.interior2) == \
+            (direct.labels, direct.interior1, direct.interior2)
+        assert all(isinstance(v, SignedRadical)
+                   for v in exact.matrices["A23"].values())
+
+    def test_exact_mode_builds_the_t_basis_once(self, monkeypatch):
+        calls = []
+        key_action = verify_mod._key_action
+
+        def counting_key_action(sig, basis, key, *args):
+            calls.append((basis, key))
+            return key_action(sig, basis, key, *args)
+
+        monkeypatch.setattr(verify_mod, "_key_action", counting_key_action)
+        trunc = Truncation(3, 3, 3)
+        reports = run_all_checks(SIG, Q, mode="exact", truncation=trunc)
+        assert all(r.passed for r in reports)
+        labels = ([("u", _u_key(l))
+                   for l in enumerate_u_basis(SIG, trunc.ell_max)]
+                  + [("t", _t_key(l))
+                     for l in enumerate_t_basis(SIG, trunc.s_max, trunc.depth)])
+        assert sorted(calls) == sorted(labels)
+
+
+class TestRoundingBound:
+    """A tolerance the precision cannot resolve is refused; every other
+    fault-free run stays within the a-priori bound."""
+
+    def test_unresolvable_tolerance_raises_before_any_check(self,
+                                                            monkeypatch):
+        def no_check(*_args, **_kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("check_su11_relations", "check_hermiticity",
+                     "check_casimir", "check_norm_recursions",
+                     "complete_blocks", "check_projector"):
+            monkeypatch.setattr(verify_mod, name, no_check)
+        with pytest.raises(ValueError,
+                           match=r"^tolerance 1e-10 is below .*3-digit"):
+            run_all_checks(SIG, Q, truncation=Truncation(2, 2, 2),
+                           precision=3)
+
+    def test_cli_refusal_exits_2_naming_tolerance_precision_and_bound(
+            self, capsys):
+        code = cli.main(["verify", "--sig", "4,2,-2", "--precision", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        found = re.search(r"tolerance 1e-10 is below (\S+), the rounding "
+                          r"bound of 3-digit", err)
+        assert found and float(found.group(1)) > 1e-10
+
+    @pytest.mark.parametrize("q", ["1", "13/10", "3", "1/2"])
+    def test_low_precision_is_refused_or_passes(self, capsys, q):
+        # a refusal exits 2; a run the precision resolves holds the algebra
+        codes = []
+        for precision in range(4, 12):
+            code = cli.main(["verify", "--sig", "4,2,-2", "--q", q,
+                             "--precision", str(precision), "--lmax", "2",
+                             "--smax", "2", "--depth", "2"])
+            out, _ = capsys.readouterr()
+            assert code in (0, 2), (precision, out)
+            if code == 0:
+                assert out.endswith("all checks passed: 56/56\n")
+            codes.append(code)
+        assert codes[0] == 2 and codes == sorted(codes, reverse=True)
+
+    @pytest.mark.parametrize("q", [Q, Fraction(3), Fraction(1, 2)])
+    @pytest.mark.parametrize("sig, trunc", [
+        (SIG, Truncation(6, 6, 6)),
+        (Signature(8, 2, -2), Truncation(10, 10, 10))], ids=["desk", "large"])
+    def test_residuals_stay_within_the_bound(self, sig, trunc, q):
+        fctx = float_ctx(q)
+        bound = rounding_bound(fctx, [TruncatedRep(fctx, sig, b, trunc)
+                                      for b in ("u", "t")])
+        reports = run_all_checks(sig, q, truncation=trunc)
+        assert len(reports) == 56 and all(r.passed for r in reports)
+        worst = max(reports, key=lambda r: r.max_residual)
+        assert 0 < worst.max_residual <= bound, (worst, bound)
+
+    @pytest.mark.parametrize("q", [Fraction(1), Q, Fraction(3),
+                                   Fraction(1, 2)])
+    @pytest.mark.parametrize("sig", [Signature(3, 1, -1), Signature(7, 7, 4)])
+    def test_small_windows_stay_within_the_bound(self, sig, q):
+        # at 10 digits and a tolerance equal to the bound every fault-free
+        # report passes; the projector's largest terms sit in such windows
+        for w in range(5):
+            trunc = Truncation(w, w, w)
+            fctx = EvalContext.floating(q, 10)
+            bound = rounding_bound(fctx, [TruncatedRep(fctx, sig, b, trunc)
+                                          for b in ("u", "t")])
+            reports = run_all_checks(sig, q, truncation=trunc, precision=10,
+                                     tolerance=bound)
+            assert all(r.passed for r in reports), \
+                (w, [r for r in reports if not r.passed])
+
+    @pytest.mark.parametrize("q", [Fraction(3), Fraction(1, 2)])
+    def test_flips_fail_the_golden_checks_at_other_q(self, q):
+        # at q = 13/10 test_flip_failures_match_golden_reprs pins the reprs
+        golden = Path(__file__).parent / "golden" / "verify_flip_fails.txt"
+        with open(golden, newline="") as fh:
+            want = [re.match(r"CheckReport\(name='([^']+)'", l).group(1)
+                    for l in fh.read().splitlines()]
+        got = [r.name for e in table_entries("u") + table_entries("t")
+               for mode in ("float", "exact")
+               for r in run_all_checks(SIG, q, mode=mode,
+                                       truncation=Truncation(3, 3, 3),
+                                       flip_entry=e.eid) if not r.passed]
+        assert got == want
