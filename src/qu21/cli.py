@@ -14,10 +14,11 @@ Subcommands:
 
 Output is JSON ({"config": ..., "rows": [...]}) or RFC-4180 CSV; both carry
 identical string values.  Floating values are printed with round-half-even
-at the configured number of significant digits; the value beside an exact
-radical (matrix, and weyl and racah in exact mode) is rounded once from the
-radical's integers (format_root).  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error.
+at the configured number of significant digits; the value of a matrix
+element, bracket or q-Racah coefficient is its exact radical rounded once,
+from the radical's integers, to those digits (format_root), in either mode;
+exact mode adds the radical's sign, q-power and radicand.  Exit codes:
+0 success, 1 verification failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import QAlgebraError
 from .generators import (GENERATORS, basis_action, norm_t_sq, norm_u_sq)
-from .qarith import EvalContext, SignedRadical
+from .qarith import EvalContext, SignedRadical, exact_fraction
 from .repspace import (Signature, Weight, classify, enumerate_t_basis,
                        enumerate_u_basis, gg_from_label, weight_of_t,
                        weight_of_u)
 from .verify import Truncation, run_all_checks
-from .weylracah import (RacahArgs, qracah, qracah_exact, weyl_block,
-                        weyl_via_racah)
+from .weylracah import RacahArgs, qracah_exact, weyl_block, weyl_via_racah
 
 DEFAULT_PRECISION = 50
 
@@ -97,19 +97,9 @@ def _check_tolerance(tolerance: float) -> None:
                          f"got {tolerance!r}")
 
 
-def _mpf_to_fraction(value) -> Fraction:
-    sgn, man, exp, _ = value._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError(f"not a finite value: {value!r}")
-    return Fraction(-man if sgn else man) * Fraction(2) ** exp
-
-
 def format_float(value, digits: int) -> str:
     """Deterministic decimal string, round-half-even, significant digits."""
-    fr = value if isinstance(value, Fraction) else _mpf_to_fraction(value)
+    fr = exact_fraction(value)
     ctx = DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN)
     return str(ctx.divide(Decimal(fr.numerator), Decimal(fr.denominator)))
 
@@ -266,22 +256,20 @@ def cmd_weyl(args, out) -> int:
     q = _parse_q(args.q, exact)
     _check_tolerance(args.tolerance)
     fctx = EvalContext.floating(q, precision=args.precision)
-    ectx = EvalContext.exact(q) if exact else None
+    ectx = EvalContext.exact(q)
     weight = _parse_weight(args.weight)
-    block = weyl_block(ectx or fctx, sig, weight)
+    block = weyl_block(ectx, sig, weight)
     rows = []
     digits = args.precision
     all_within = True
     for i, ul in enumerate(block.u_labels):
         for j, tl in enumerate(block.t_labels):
             entry = block.entries[i][j]
-            row = {"u_label": str(ul), "t_label": str(tl)}
-            if exact:
-                row.update(_radical_columns(entry, ectx, digits))
-            else:
-                row["value"] = format_float(entry, digits)
+            cols = _radical_columns(entry, ectx, digits)
+            row = {"u_label": str(ul), "t_label": str(tl),
+                   **(cols if exact else {"value": cols["value"]})}
             if args.via_racah:
-                value = entry.to_float(fctx) if exact else entry
+                value = entry.to_float(fctx)
                 va = weyl_via_racah(fctx, sig, ul, tl, form="a")
                 vb = weyl_via_racah(fctx, sig, ul, tl, form="b")
                 diff = max(abs(value - va), abs(value - vb), abs(va - vb))
@@ -305,13 +293,10 @@ def cmd_racah(args, out) -> int:
     racah_args = RacahArgs(*vals)
     row = {k: _frac_str(v) for k, v in
            zip("abedcf", racah_args.as_tuple())}
-    if exact:
-        ectx = EvalContext.exact(q)
-        rad = qracah_exact(ectx, racah_args)
-        row.update(_radical_columns(rad, ectx, args.precision))
-    else:
-        fctx = EvalContext.floating(q, precision=args.precision)
-        row["value"] = format_float(qracah(fctx, racah_args), args.precision)
+    ectx = EvalContext.exact(q)
+    cols = _radical_columns(qracah_exact(ectx, racah_args), ectx,
+                            args.precision)
+    row.update(cols if exact else {"value": cols["value"]})
     emit(_base_config(args, q), [row], args.format, out)
     return 0
 

@@ -23,23 +23,20 @@ the compact su_q(2) ladder of the U basis, and A23/A32, the noncompact
 su_q(1,1) ladder of the T basis.
 
 basis_action returns every matrix element as a SignedRadical attached to a
-validated target label.  At a q given as an int or a Fraction, a row's
-radicand is formed in integers from the tables of qarith.QIntegers,
-[m] = G_m / z^(m-1), in both modes; so its radicand is the exact Fraction,
-and a float rep entry is sign sqrt(q^(2e) prod [a] / prod [b]) rounded once
-to the fixed-point scale 2^-F (qarith.fixed_root), with no mpf intermediate.
-Only a float or mpf q multiplies mpf brackets.  A vanishing bracket factor in
-a numerator silently drops the term; this is also what keeps boundary labels
-(k or p at the ends of their ranges, multiplet bottoms) from producing
-out-of-range targets.
+validated target label.  A row's radicand is formed in integers from the
+tables of qarith.QIntegers, [m] = G_m / z^(m-1), in both modes; so its
+radicand is the exact Fraction, and a float rep entry is
+sign sqrt(q^(2e) prod [a] / prod [b]) rounded once to the fixed-point scale
+2^-F (qarith.fixed_root), with no mpf intermediate.  A vanishing bracket
+factor in a numerator silently drops the term; this is also what keeps
+boundary labels (k or p at the ends of their ranges, multiplet bottoms) from
+producing out-of-range targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import ConstraintViolation
@@ -375,25 +372,14 @@ def _bracket_ratio(ints: QIntegers, nums, dens):
 
 
 def _radical(ctx: EvalContext):
-    """A row (sign, qexp, nums, dens) -> its SignedRadical.
-
-    At an int or Fraction q (ctx.ints) the radicand is the exact Fraction, in
-    either mode; at a float or mpf q it is the product of the context's
-    brackets, multiplied and divided left to right.
-    """
+    """A row (sign, qexp, nums, dens) -> its SignedRadical, whose radicand
+    is the exact Fraction formed on the integer tables of q (ctx.ints), in
+    either mode."""
     ints = ctx.ints
-    if ints is not None:
-        def radical(sign, qexp, nums, dens):
-            return SignedRadical(sign, qexp,
-                                 Fraction(*_bracket_ratio(ints, nums, dens)))
-        return radical
-    qnum = ctx.qnum
 
     def radical(sign, qexp, nums, dens):
-        radicand = reduce(mul, map(qnum, nums))
-        for b in dens:
-            radicand = radicand / qnum(b)
-        return SignedRadical.make(sign, qexp, radicand)
+        return SignedRadical(sign, qexp,
+                             Fraction(*_bracket_ratio(ints, nums, dens)))
     return radical
 
 
@@ -401,16 +387,13 @@ def _rep_entry(ctx: EvalContext):
     """A row (sign, qexp, nums, dens) -> its value as a rep entry.
 
     Exact mode gives the SignedRadical.  Float mode gives the fixed-point
-    int n of n 2^-F, F = ctx.fixed_bits(): at an int or Fraction q it rounds
+    int n of n 2^-F, F = ctx.fixed_bits(): it rounds
     sign sqrt(q^(2 qexp) prod [a] / prod [b]), formed in integers, once
-    (qarith.fixed_root); at a float or mpf q it rounds the mpf radical once.
+    (qarith.fixed_root).
     """
-    radical, ints = _radical(ctx), ctx.ints
     if ctx.is_exact():
-        return radical
-    if ints is None:
-        return lambda *row: radical(*row).to_fixed(ctx)
-    bits = ctx.fixed_bits()
+        return _radical(ctx)
+    ints, bits = ctx.ints, ctx.fixed_bits()
 
     def value(sign, qexp, nums, dens):
         num, den = _bracket_ratio(ints, nums, dens)

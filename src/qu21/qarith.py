@@ -14,10 +14,12 @@ power of z = rs (QIntegers):
     [m] = G_m / z^(m-1),    [m]! = F_m / z^(m(m-1)/2),
 
 with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
-The q-Racah evaluator of weylracah and the generator tables read these integer
-tables, in exact mode and in float mode at a q given as an int or a Fraction;
-such a float value is an exact value rounded once (rounded_root).  [n], [n]!
-and 1/[n]! come from the symmetric formula and the [n]! chain in both modes.
+Every context holds these tables, of q read as the exact rational it is: an
+int or a Fraction as given, a float or an mpf as its binary rational
+(exact_fraction).  The q-Racah evaluator of weylracah and the generator
+tables read them in both modes; a float value is an exact value rounded once
+(rounded_root).  [n], [n]! and 1/[n]! come from the symmetric formula and the
+[n]! chain in both modes.
 A float context also fixes a fixed-point scale 2^-F, F its working bits plus
 _GUARD_BITS (fixed_bits): to_fixed and fixed_root round a value once to the
 int n of n 2^-F, which is what verify's checks compute on.
@@ -32,7 +34,7 @@ from math import inf, isqrt
 from typing import Union
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NegativeFactorial, RadicalIncompatible
 
@@ -177,6 +179,24 @@ def _mp_context(precision: int):
     return ctx
 
 
+def exact_fraction(x) -> Fraction:
+    """x as the exact Fraction it is: an mpf from its mantissa and binary
+    exponent, anything else (an int, a Fraction, a float) by Fraction(x).
+
+    Raises ValueError for an mpf that is not finite, and whatever
+    Fraction(x) raises otherwise (OverflowError for a float infinity).
+    """
+    if not hasattr(x, "_mpf_"):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        if exp:
+            raise ValueError(f"not a finite value: {x!r}")
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def _to_mpf(mp, x):
     """An int, Fraction or mpf value as an mpf of the mpmath context mp."""
     if isinstance(x, Fraction):
@@ -191,46 +211,43 @@ def _q_tables(mode: str, q, precision):
     precision is None in exact mode, whose values do not depend on it.
     Returns the mpmath context (None in exact mode), the mode's scalar
     constructor (Fraction, or _to_mpf on that context), the converted q, its
-    QIntegers and the qpow, qnum, qfact and qfact_inv memos.  A float key
-    whose q is an int or a Fraction takes the QIntegers of the exact key of
-    that q, so both modes grow one G table; any other float key has None.
-    Every table entry is a fixed function of (mode, q, precision, n): exact
-    entries are exact, and float qfact extends its chain from its largest
-    entry, so which context fills a table, and when, never changes a value.
-    Raises ValueError unless q is finite and positive (a raise is not
-    cached).
+    QIntegers and the qpow, qnum, qfact and qfact_inv memos.  An exact key
+    whose q is not an int or a Fraction (a float, an mpf) takes the tables
+    of its exact_fraction, and a float key the QIntegers of the exact key of
+    its q, so both modes grow one G table.  Every table entry is a fixed
+    function of (mode, q, precision, n): exact entries are exact, and float
+    qfact extends its chain from its largest entry, so which context fills
+    a table, and when, never changes a value.  Raises ValueError unless q is
+    finite and positive (a raise is not cached).
     """
     if mode == _EXACT:
-        mp, scalar = None, Fraction
         try:
-            value = Fraction(q)
+            value = exact_fraction(q)
         except (OverflowError, TypeError, ValueError):
             if not (q != q or q in (inf, -inf)):  # not a NaN or an infinity
                 raise
-            value = None
+            value = 0
+        if value <= 0:
+            raise ValueError("q must be finite and positive")
+        if not isinstance(q, (int, Fraction)):   # a float or an mpf
+            return _q_tables(_EXACT, value, None)
+        mp, scalar, ints = None, Fraction, QIntegers(value)
     else:
+        ints = _q_tables(_EXACT, q, None)[3]
         mp = _mp_context(precision)
         scalar = partial(_to_mpf, mp)
         value = scalar(q)
-        if not mp.isfinite(value):
-            value = None
-    if value is None or value <= 0:
-        raise ValueError("q must be finite and positive")
-    if mp is None:
-        ints = QIntegers(value)
-    elif isinstance(q, (int, Fraction)):
-        ints = _q_tables(_EXACT, q, None)[3]
-    else:
-        ints = None
     return mp, scalar, value, ints, {}, {}, {0: scalar(1)}, {}
 
 
 class EvalContext:
     """Immutable evaluation backend for all q-arithmetic.
 
-    mode 'exact':  q is a positive rational (Fraction); every operation returns
-                   a Fraction and is exact.  No mpmath context is built.
-    mode 'float':  q is a positive real carried at ``precision`` decimal digits
+    mode 'exact':  q is a positive rational (a float or an mpf is the binary
+                   rational it is); every operation returns a Fraction and
+                   is exact.  No mpmath context is built.
+    mode 'float':  q is a positive real (an int, a Fraction, a float or an
+                   mpf) carried at ``precision`` decimal digits
                    on an mpmath context that every float EvalContext of that
                    precision shares (one per precision, from a bounded memo).
                    No code may change that context's precision; so instances
@@ -240,19 +257,20 @@ class EvalContext:
     All operations are pure; the only internal mutation is memoization, one
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    ``ints`` holds the integer table G_m of q (see QIntegers) whenever q is
-    given as an int or a Fraction, and is None for a float or mpf q.
-    weylracah reads it for both modes' q-Racah values and brackets, the
-    generator tables for their matrix elements and SignedRadical.to_float
-    for its q-power; qnum and qfact compute [n] and the chain of [n]! the
-    same way in both modes.
+    ``ints`` holds the integer table G_m (see QIntegers) of q read as the
+    exact rational it is: an int or a Fraction as given, a float or an mpf
+    as its binary rational (exact_fraction).  weylracah reads it for both
+    modes' q-Racah values and brackets, the generator tables for their
+    matrix elements and SignedRadical.to_float for its q-power; qnum and
+    qfact compute [n] and the chain of [n]! the same way in both modes.
     Every context of one (mode, q as given, precision) shares these tables
     and the converted q, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
     entry up to the largest n that any context of its key asked for.  Exact
-    contexts of one q share them at every precision, and the float contexts
-    of an int or Fraction q share the exact contexts' ``ints``.  Equal q
-    of different types (2 as an int and as a Fraction) are different keys.  A
+    contexts of one q share them at every precision, an exact context of a
+    float or mpf q shares those of its exact_fraction, and every float
+    context shares the ``ints`` of the exact contexts of its q.  Equal q of
+    different types (2 as an int and as a Fraction) are different keys.  A
     context keeps the tables it took even after its key is evicted, and a
     later context of that key starts fresh ones.  Each entry is a fixed
     function of (mode, q, precision, n), so a value never depends on the
@@ -400,33 +418,20 @@ class EvalContext:
     def to_fixed(self, x) -> int:
         """x rounded once to the nearest n 2^-F (ties to even), as the int n.
 
-        x is an int or a Fraction (rounded exactly), an mpf of this context,
-        or a SignedRadical (see SignedRadical.to_fixed).
+        x is an int or a Fraction (rounded exactly), or a SignedRadical (see
+        SignedRadical.to_fixed).
         """
         bits = self.fixed_bits()
         if isinstance(x, int):
             return x << bits
         if isinstance(x, SignedRadical):
             return x.to_fixed(self)
-        if isinstance(x, Fraction):
-            return _round_div(x.numerator << bits, x.denominator)
-        return to_int(mpf_shift(x._mpf_, bits), round_nearest)
-
-    def to_fraction(self, x) -> Fraction:
-        """x (an int, a Fraction or an mpf) as the exact Fraction it is."""
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        sign, man, exp, _ = x._mpf_
-        man = -man if sign else man
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return _round_div(x.numerator << bits, x.denominator)
 
     def rational_context(self) -> "EvalContext":
-        """The context that gives q-rational scalars exactly where it can.
-
-        That is this context in exact mode or at a float or mpf q, and the
-        exact-mode companion at a q given as an int or a Fraction.
-        """
-        if self.mode == _EXACT or self.ints is None:
+        """The context that gives q-rational scalars exactly: this context
+        in exact mode, its exact-mode companion in float mode."""
+        if self.mode == _EXACT:
             return self
         return EvalContext(_EXACT, self._q_key)
 
@@ -441,7 +446,7 @@ class SignedRadical:
     """Exact factored value  sign * q^qpower * sqrt(radicand).
 
     sign is -1, 0, or +1; qpower is an integer; radicand is a nonnegative
-    Scalar (a Fraction in exact mode).  sign == 0 if and only if the radicand
+    Fraction (or int).  sign == 0 if and only if the radicand
     is zero, in which case the canonical form (0, 0, 0) is enforced.  The type
     is closed under multiplication and division but not addition; a restricted
     exact sum is available when radicand ratios are rational squares.
@@ -449,7 +454,7 @@ class SignedRadical:
 
     sign: int
     qpower: int
-    radicand: Scalar
+    radicand: Fraction
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
@@ -539,36 +544,23 @@ class SignedRadical:
         return SignedRadical(sign, 0, coeff * coeff * rho1)
 
     def to_float(self, ctx: EvalContext):
-        """Numeric value sign * q^qpower * sqrt(radicand) in a float context.
-
-        At an int or Fraction q, a rational radicand gives the exact value
-        sqrt(q^(2 qpower) radicand) rounded once (rounded_root); otherwise
-        the q-power and the root are multiplied in the context's arithmetic.
-        """
+        """Numeric value sign * q^qpower * sqrt(radicand) in a float context:
+        the exact value sqrt(q^(2 qpower) radicand), formed in the integers
+        of q (ctx.ints), rounded once (rounded_root)."""
         fctx = ctx.as_float()
         if self.sign == 0:
             return fctx.zero()
-        rad, ints = self.radicand, fctx.ints
-        if ints is not None and isinstance(rad, (int, Fraction)):
-            num, den = ints.qpow2(self.qpower)
-            return rounded_root(fctx, self.sign, num * rad.numerator,
-                                den * rad.denominator)
-        return self.sign * fctx.qpow(self.qpower) * fctx.sqrt(rad)
+        num, den = fctx.ints.qpow2(self.qpower)
+        return rounded_root(fctx, self.sign, num * self.radicand.numerator,
+                            den * self.radicand.denominator)
 
     def to_fixed(self, ctx: EvalContext) -> int:
         """The value rounded once to the fixed-point scale 2^-F of the float
-        companion of ctx, as the int n of n 2^-F (EvalContext.to_fixed).
-
-        At an int or Fraction q, a rational radicand is rounded from the
-        integers of q^(2 qpower) radicand (fixed_root); otherwise the mpf
-        value of to_float is rounded.
-        """
+        companion of ctx, as the int n of n 2^-F (EvalContext.to_fixed),
+        from the integers of q^(2 qpower) radicand (fixed_root)."""
         fctx = ctx.as_float()
         if self.sign == 0:
             return 0
-        rad, ints = self.radicand, fctx.ints
-        if ints is not None and isinstance(rad, (int, Fraction)):
-            num, den = ints.qpow2(self.qpower)
-            return fixed_root(self.sign, num * rad.numerator,
-                              den * rad.denominator, fctx.fixed_bits())
-        return fctx.to_fixed(self.to_float(fctx))
+        num, den = fctx.ints.qpow2(self.qpower)
+        return fixed_root(self.sign, num * self.radicand.numerator,
+                          den * self.radicand.denominator, fctx.fixed_bits())

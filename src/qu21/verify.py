@@ -37,12 +37,12 @@ column by column, each column's terms in sort_key order.
 Fixed point: in float mode every rep entry and every complete Weyl block
 entry is an int n that stands for n 2^-F, with one scale F for the whole
 run: the float context's working bits plus qarith._GUARD_BITS
-(EvalContext.fixed_bits), so F follows from the precision.  At a q given as
-an int or a Fraction each entry is its exact value, formed in integers and
-rounded once (qarith.fixed_root), and each scalar a check needs (a weight,
-a bracket, an eigenvalue, a coefficient) is an exact rational rounded once,
-but for the projector's c_r, whose terms c_r T+^r T-^r are rounded once;
-at a float or mpf q each mpf value is rounded once.  The checks then add and
+(EvalContext.fixed_bits), so F follows from the precision.  Each entry is
+its exact value, formed in integers and rounded once (qarith.fixed_root),
+and each scalar a check needs (a weight, a bracket, an eigenvalue, a
+coefficient) is an exact rational rounded once, but for the projector's c_r,
+whose terms c_r T+^r T-^r are rounded once; a q given as a float or an mpf
+is read as the exact rational it is.  The checks then add and
 multiply ints only, exactly: a product's scale is the sum of its factors'
 scales, a multiple of F; _mat_lin aligns its terms by exact left shifts; and
 _report converts the largest magnitude to a float once.  So each residual is
@@ -218,9 +218,8 @@ class TruncatedRep:
     def diagonal(self, values) -> Entries:
         """Diagonal matrix of one scalar per label, in the rep's entry type.
 
-        Each value is a rational (or, at a float or mpf q, an mpf), as
-        self.scalars gives it: wrapped exactly in exact mode, rounded once
-        to the fixed-point scale in float mode.
+        Each value is a rational, as self.scalars gives it: wrapped exactly
+        in exact mode, rounded once to the fixed-point scale in float mode.
         """
         if self.ctx.is_exact():
             values = map(SignedRadical.from_rational, values)
@@ -236,10 +235,10 @@ class TruncatedRep:
     def rounded(self, fctx: EvalContext) -> "TruncatedRep":
         """This exact rep's float twin on the fixed-point scale of fctx.
 
-        Each radical is rounded once by SignedRadical.to_fixed.  At an int
-        or Fraction q that is the rounding a float build gives the same
-        exact value, so the twin equals TruncatedRep(fctx, ...) entry for
-        entry, without a second pass over the tables.
+        Each radical is rounded once by SignedRadical.to_fixed.  That is
+        the rounding a float build gives the same exact value, so the twin
+        equals TruncatedRep(fctx, ...) entry for entry, without a second
+        pass over the tables.
         """
         if not self.ctx.is_exact() or fctx.is_exact():
             raise ValueError("rounded takes an exact rep to a float context")
@@ -387,9 +386,9 @@ def rounding_bound(fctx: EvalContext, reps: Sequence[TruncatedRep]) -> float:
     F = fctx.fixed_bits() is the fixed-point scale of the float reps, and
     A = max(1, M, q^2, q^-2), M being the largest magnitude of their
     entries; q^2 and q^-2 bound the hermiticity coefficients q^2, q^2 - 1
-    and q - 1/q, and a Weyl block entry is at most 1.  At an int or
-    Fraction q every input the kernels read (an entry, a diagonal value, a
-    coefficient) is its exact value rounded once, off by at most u/2 with
+    and q - 1/q, and a Weyl block entry is at most 1.  Every input the
+    kernels read (an entry, a diagonal value, a coefficient) is its exact
+    value at the exact rational q rounded once, off by at most u/2 with
     u = 2^-F, and every sum and product after that is exact.  Each row and
     column of a generator matrix holds at most two entries, so a residual
     entry of su11, the Casimir or the intertwiner sums at most four
@@ -404,9 +403,7 @@ def rounding_bound(fctx: EvalContext, reps: Sequence[TruncatedRep]) -> float:
     at least 1, so the term is off by at most r u times its size plus that
     one rounding.  The size of those terms is not bounded here, so for the
     projector's reports the bound is confirmed by the tests (at desk and
-    large scale, and over small windows) rather than derived.  At a float
-    or mpf q the inputs also carry the error of their mpf evaluation, which
-    the bound does not cover.
+    large scale, and over small windows) rather than derived.
     """
     bits = fctx.fixed_bits()
     q2 = fctx.rational_context().qpow(2)
@@ -562,9 +559,8 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
                     truncation: Truncation) -> Dict[Weight, FixedBlock]:
     """Weyl blocks of all weights whose label sets fit the truncation.
 
-    Each block is evaluated in fctx.rational_context(), exactly at an int
-    or Fraction q and in mpf at a float or mpf q, and each entry is rounded
-    once to fctx's fixed-point scale (EvalContext.to_fixed).
+    Each block is evaluated exactly in fctx.rational_context(), and each
+    entry is rounded once to fctx's fixed-point scale (EvalContext.to_fixed).
     """
     ctx, fix, bits = fctx.rational_context(), fctx.to_fixed, fctx.fixed_bits()
     weights = sorted({_u_weight(sig, _u_key(l))
@@ -732,8 +728,7 @@ def check_projector(rep: TruncatedRep, t_value,
     two_t = int(2 * T)
     # P's scale: c_r T+^r T-^r is rounded on (2r + 1) bits, aligned at r = 2T
     top = (2 * two_t + 1) * bits
-    coeffs = [rep.ctx.to_fraction(projector_t_coeff(sc, T, r))
-              for r in range(two_t + 1)]
+    coeffs = [projector_t_coeff(sc, T, r) for r in range(two_t + 1)]
 
     def p_diag(j: int) -> int:
         """P on column j, a scalar: P is diagonal within each multiplet here.

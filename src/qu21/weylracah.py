@@ -23,11 +23,11 @@ At a rational q = r/s in lowest terms, z = rs, every q-factorial is an
 integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
 (qarith.QIntegers).  The prefactor becomes one integer power of each G_m
 times one power of z, and the alternating sum one integer Horner recurrence
-over its term ratios, so no term is reduced on its own.  Exact mode returns
-the radicand as a Fraction, reduced through its square root part; float mode,
-when its q was given as an int or a Fraction, rounds the same exact value
-once to its precision, so cancellation in the sum costs it no digit.  Only a
-float context of a float or mpf q sums the terms in mpf arithmetic.
+over its term ratios, so no term is reduced on its own.  Every context has
+these tables (a float or mpf q is read as its exact binary rational).  Exact
+mode returns the radicand as a Fraction, reduced through its square root
+part; float mode rounds the same exact value once to its precision, so
+cancellation in the sum costs it no digit.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
@@ -51,8 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import Tuple
 
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
@@ -101,20 +99,13 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     over n = 0..min(bottoms), the range on which every [u - n]! is defined;
     every t in tops is at least min(bottoms), and x, y >= 1.
 
-    A context with the integer tables of q (ctx.ints: exact mode, or float
-    mode at a q given as an int or a Fraction) evaluates the value exactly
-    with _racah_form_exact.  An exact context returns it as a SignedRadical;
-    a float one rounds it once to its own precision (qarith.rounded_root), so
-    the float value is the exact one correctly rounded.  A float context of a float or
-    mpf q has no integer tables: _racah_form_mpf sums the terms at the
-    context's precision, and cancellation in that sum can cost it digits.
+    The value is evaluated exactly on the integer tables of q (ctx.ints,
+    _racah_form_exact).  An exact context returns it as a SignedRadical; a
+    float one rounds it once to its own precision (qarith.rounded_root), so
+    the float value is the exact one correctly rounded.
     """
-    ints = ctx.ints
-    if ints is None:
-        return _racah_form_mpf(ctx, sign, dims, pref_num, pref_den,
-                               tops, bottoms)
     sign, root_num, root_den, rest = _racah_form_exact(
-        ints, sign, dims, pref_num, pref_den, tops, bottoms)
+        ctx.ints, sign, dims, pref_num, pref_den, tops, bottoms)
     if not ctx.is_exact():
         return rounded_root(ctx, sign, root_num * root_num * rest,
                             root_den * root_den)
@@ -123,22 +114,6 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     # the gcd that reduces the root runs on half the bits of the radicand;
     # squaring it needs none, and rest is a few small factors
     return SignedRadical(sign, 0, Fraction(root_num, root_den) ** 2 * rest)
-
-
-def _racah_form_mpf(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
-                    tops, bottoms):
-    """_racah_form in the arithmetic of a float context: the factors are
-    multiplied left to right in the order given and the terms summed."""
-    qfact, qfact_inv = ctx.qfact, ctx.qfact_inv
-    x, y = dims
-    pref = (reduce(mul, map(qfact, pref_num), ctx.qnum(x) * ctx.qnum(y))
-            / reduce(mul, map(qfact, pref_den)))
-    total = ctx.zero()
-    for n in range(min(bottoms) + 1):
-        term = reduce(mul, [qfact(t - n) for t in tops] + [qfact_inv(n)]
-                      + [qfact_inv(u - n) for u in bottoms])
-        total = total - term if n % 2 else total + term
-    return sign * ctx.sqrt(pref) * total
 
 
 def _tri(m: int) -> int:

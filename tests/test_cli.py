@@ -380,6 +380,26 @@ class TestExactValueColumns:
             rows = list(csv.DictReader(io.StringIO(out)))
             assert radical_rows_rounded(rows, Fraction(q), int(digits)) == []
 
+    @pytest.mark.parametrize("q", ["13/10", "3", "1/2"])
+    def test_float_mode_prints_the_exact_mode_value(self, capsys, q):
+        # both modes round the same exact radical once, straight to decimal;
+        # float mode only leaves out the radical's own columns
+        cases = [("weyl", "--sig", "4,2,-2", "--weight", w)
+                 for w in ("4,4,-4", "4,5,-5", "5,3,-4")]
+        cases += [("racah", "--", *args) for args in (
+            ("1", "3/2", "3/2", "1", "1/2", "3/2"),
+            ("3", "10", "17/2", "1/2", "8", "19/2"), ("5",) * 6)]
+        for command, *rest in cases:
+            values = {}
+            for mode in ("exact", "float"):
+                code, out, _ = run(capsys, command, "--q", q, "--mode", mode,
+                                   "--format", "csv", *rest)
+                assert code == 0
+                rows = list(csv.DictReader(io.StringIO(out)))
+                values[mode] = [row["value"] for row in rows]
+                assert ("sign" in rows[0]) == (mode == "exact")
+            assert values["float"] == values["exact"], (command, rest)
+
 
 class TestVerify:
     COMMON = ("verify", "--sig", "4,2,-2", "--q", "13/10", "--lmax", "2",

@@ -133,8 +133,11 @@ class TestIntegerTables:
             for value in (ctx.qnum(7), ctx.qfact(7), ctx.qfact_inv(7)):
                 assert hasattr(value, "_mpf_")
         assert EvalContext.floating(3, 50).ints is EvalContext.exact(3).ints
-        assert EvalContext.floating(1.3, 50).ints is None
-        assert EvalContext.floating(mpmath.mpf("1.3"), 50).ints is None
+        # a float or mpf q is the exact binary rational it already is
+        assert EvalContext.floating(1.3, 50).ints \
+            is EvalContext.exact(Fraction(1.3)).ints
+        assert EvalContext.floating(mpmath.mpf("1.3"), 50).ints \
+            is EvalContext.exact(qarith.exact_fraction(mpmath.mpf("1.3"))).ints
 
 
 class TestContexts:
@@ -366,23 +369,22 @@ class TestSignedRadical:
             == [2, 4, -2, -4]
         assert [qarith.fixed_root(s, n * n, 4, 0)
                 for s, n in ((1, 5), (1, 7), (-1, 5), (-1, 7))] == [2, 4, -2, -4]
-        assert f.to_fixed(f.from_fraction(Fraction(5, 2)) * unit) == 2
 
     @pytest.mark.parametrize("w", [-40, -1, 0, 3, 500])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_to_fraction_is_the_exact_mpf_value(self, sign, w):
+        # qarith.exact_fraction, which reads a float or mpf q key
         f = EvalContext.floating(1.3, 50)
         x = sign * f.qpow(w)
-        got = f.to_fraction(x)
+        got = qarith.exact_fraction(x)
         assert f._mp.mpf(got.numerator) / got.denominator == x
         assert got.denominator & (got.denominator - 1) == 0
-        assert f.to_fraction(f.zero()) == 0
-        assert f.to_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
-
-    def test_to_float_at_a_float_q_multiplies_in_mpf(self):
-        f = EvalContext.floating(1.3, 50)
-        a = SignedRadical.make(-1, 1, Fraction(9, 4))
-        assert a.to_float(f) == -f.qpow(1) * f.sqrt(Fraction(9, 4))
+        assert qarith.exact_fraction(f.zero()) == 0
+        assert qarith.exact_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
+        assert qarith.exact_fraction(sign * 1.3) == sign * Fraction(1.3)
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="not a finite value"):
+                qarith.exact_fraction(mpmath.mpf(bad))
 
     @given(q=rationals_q,
            s1=st.sampled_from([-1, 1]), w1=st.integers(-3, 3),

@@ -654,13 +654,24 @@ class TestFixedPoint:
                                                 default=0))
 
     def test_float_key_reaches_the_verdicts_of_its_fraction(self):
-        # a float q reaches the kernels through mpf values, a Fraction
-        # through its integer tables
+        # a float q is read as its exact binary rational, 13/10 is another
+        # rational: both reach the kernels through their integer tables
         got = run_all_checks(SIG, 1.3)
         want = run_all_checks(SIG, Fraction(13, 10))
         assert [(r.name, r.passed) for r in got] == \
             [(r.name, r.passed) for r in want]
         assert len(got) == 56 and all(r.passed for r in got)
+
+    def test_float_key_resolves_a_tolerance_near_the_rounding_bound(self):
+        # the float key 1.3 is the Fraction it already is, so its reports
+        # are that Fraction's; the mpf evaluation failed four of them here
+        # (residuals up to 4.5e-47)
+        got = run_all_checks(SIG, 1.3, tolerance=1e-48)
+        want = run_all_checks(SIG, Fraction(1.3), tolerance=1e-48)
+        assert len(got) == 56 and all(r.passed for r in got)
+        strip = lambda r: (r.name, r.passed, r.max_residual, r.location,
+                           r.columns_checked)
+        assert list(map(strip, got)) == list(map(strip, want))
 
     @pytest.mark.parametrize("flip", [None, "T3", "T9"])
     @pytest.mark.parametrize("q", [Q, Fraction(3), Fraction(1, 2)])

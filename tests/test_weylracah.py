@@ -584,8 +584,8 @@ def ulps_off(value, exact: SignedRadical, bits=169) -> float:
 
 
 class TestFloatRounding:
-    """A float context of an int or Fraction q rounds the exact value once;
-    a float or mpf q keeps the mpf sum of _racah_form_mpf."""
+    """A float context rounds the exact value once; a float or mpf q is read
+    as the exact binary rational it is."""
 
     @pytest.mark.parametrize("spin", [10, 20, 40])
     def test_equal_spins_within_one_ulp(self, spin):
@@ -604,31 +604,27 @@ class TestFloatRounding:
         assert ulps_off(value, exact) <= 1
         assert mpmath.nstr(value, 11) == "-2.3086533696e-8"
 
-    @pytest.mark.parametrize("q", [
-        1.25, 1.5, mpmath.mpf(0.8),
-        # far from q = 1 the mpf sum loses 11-12 digits even at these spins
-        # (ROADMAP item 1: float and mpf keys are not escalated yet)
-        *(pytest.param(q, marks=pytest.mark.xfail(
-            strict=True, reason="mpf sum cancellation at a float q"))
-          for q in (0.5, 3.0))], ids=str)
-    def test_float_and_mpf_keys_keep_the_mpf_sum(self, q, monkeypatch):
-        calls = []
-        exact = weylracah._racah_form_exact
-
-        def counting(*args):
-            calls.append(args)
-            return exact(*args)
-
-        monkeypatch.setattr(weylracah, "_racah_form_exact", counting)
+    @pytest.mark.parametrize("q", [1.25, 1.5, mpmath.mpf(0.8), 0.5, 3.0, 1.3],
+                             ids=str)
+    def test_float_and_mpf_keys_are_their_exact_rationals(self, q):
+        # a float or mpf q is the binary rational it already is: its values
+        # are those of that Fraction, the exact values rounded once (the mpf
+        # sum lost 11-12 digits here at q = 0.5 and 3.0)
+        rational = qarith.exact_fraction(q)
         ctx = EvalContext.floating(q, 50)
-        rational = EvalContext.floating(Fraction(float(q)), 50)
-        assert ctx.ints is None
+        same = EvalContext.floating(rational, 50)
+        exact = EvalContext.exact(rational)
         rng = random.Random(14)
         for _ in range(30):
             args = _in_triangle_args(rng, 6)
-            before = len(calls)
             value = qracah(ctx, args)
-            assert len(calls) == before
-            want = qracah(rational, args)
-            assert len(calls) == before + 1
-            assert abs(value - want) <= 1e-40 * max(1, abs(want))
+            assert value._mpf_ == qracah(same, args)._mpf_
+            assert ulps_off(value, qracah_exact(exact, args)) <= 1
+
+    def test_float_key_at_equal_spins_keeps_every_digit(self):
+        # the mpf sum of this float key returned 3.62e41
+        args = RacahArgs.make(*["20"] * 6)
+        value = qracah(EvalContext.floating(1.3, 50), args)
+        assert mpmath.nstr(value, 21) == "-0.434811174438683337202"
+        exact = qracah_exact(EvalContext.exact(Fraction(1.3)), args)
+        assert ulps_off(value, exact) <= 1
