@@ -40,8 +40,7 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import ConstraintViolation
-from .qarith import (EvalContext, QIntegers, SignedRadical, Scalar, _as_int,
-                     fixed_root)
+from .qarith import EvalContext, QIntegers, SignedRadical, _as_int, fixed_root
 from .repspace import (
     Signature,
     _check_t_key,
@@ -85,8 +84,9 @@ class ActionTerm(NamedTuple):
 # norms
 # ----------------------------------------------------------------------------
 
-def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Scalar:
-    """Squared norm N^2(k, ell) of the unnormalized U-basis construction."""
+def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fraction:
+    """Squared norm N^2(k, ell) of the unnormalized U-basis construction,
+    an exact Fraction in either mode."""
     twoU = _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     num = (ctx.qfact(k) * ctx.qfact(ell) * ctx.qfact(twoU + 1)
@@ -96,7 +96,7 @@ def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Scalar:
     return num / den
 
 
-def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Scalar:
+def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fraction:
     """N^2(k, ell) built purely from the two one-step recursions.
 
     Starting from N^2(0, 0) = 1, first raise ell (each step multiplies by
@@ -106,7 +106,7 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Sc
     """
     _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    acc = ctx.one()
+    acc = Fraction(1)
     for j in range(1, ell + 1):
         acc = acc * ctx.qnum(j) * ctx.qnum(f13 + j - 1)
     for i in range(1, k + 1):
@@ -115,8 +115,9 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Sc
     return acc
 
 
-def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
-    """Squared norm N^2(s, p) of the unnormalized T-basis construction."""
+def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Fraction:
+    """Squared norm N^2(s, p) of the unnormalized T-basis construction,
+    an exact Fraction in either mode."""
     twoT = _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     num = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(f12)
@@ -126,11 +127,11 @@ def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
     return num / den
 
 
-def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scalar:
+def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Fraction:
     """N^2(s, p) from one-step ratios of the closed form (cross-check path)."""
     _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    acc = ctx.one()
+    acc = Fraction(1)
     for j in range(1, s + 1):
         # ratio N^2(j, 0) / N^2(j - 1, 0)
         acc = acc * ctx.qnum(j) * ctx.qnum(f13 + j - 1)
@@ -141,7 +142,7 @@ def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Scal
     return acc
 
 
-def norm_su11_sq(ctx: EvalContext, T, M) -> Scalar:
+def norm_su11_sq(ctx: EvalContext, T, M) -> Fraction:
     """Squared norm [M - T - 1]! [T + M]! / [2T + 1]! of the su_q(1,1) ladder state."""
     T, M = Fraction(T), Fraction(M)
     return (ctx.qfact(M - T - 1) * ctx.qfact(T + M) / ctx.qfact(2 * T + 1))
@@ -151,7 +152,7 @@ def norm_su11_sq(ctx: EvalContext, T, M) -> Scalar:
 # extremal projectors and the Casimir operator
 # ----------------------------------------------------------------------------
 
-def projector_t_coeff(ctx: EvalContext, T, r: int) -> Scalar:
+def projector_t_coeff(ctx: EvalContext, T, r: int) -> Fraction:
     """Coefficient of T+^r T-^r in the su_q(1,1) extremal projector at spin T.
 
     Defined for 0 <= r <= 2T; other r contribute nothing on the subspaces the
@@ -161,11 +162,11 @@ def projector_t_coeff(ctx: EvalContext, T, r: int) -> Scalar:
         raise ConstraintViolation(f"r >= 0 violated: r = {r}")
     twoT = _as_int(2 * Fraction(T))
     if r > twoT:
-        return ctx.zero()
+        return Fraction(0)
     return ctx.qfact(twoT - r) * ctx.qfact_inv(r) / ctx.qfact(twoT)
 
 
-def casimir_su11_eigenvalue(ctx: EvalContext, T) -> Scalar:
+def casimir_su11_eigenvalue(ctx: EvalContext, T) -> Fraction:
     """Eigenvalue [T + 1/2]^2 of C2 = T- T+ + [T0 + 1/2]^2 on spin T."""
     T = Fraction(T)
     if T < Fraction(-1, 2):

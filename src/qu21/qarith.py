@@ -1,4 +1,4 @@
-"""q-number arithmetic over exact rational or arbitrary-precision float backends.
+"""Exact q-number arithmetic, and the one rounding of a radical to a float.
 
 The symmetric q-bracket is used throughout:
 
@@ -16,29 +16,30 @@ power of z = rs (QIntegers):
 with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
 Every context holds these tables, of q read as the exact rational it is: an
 int or a Fraction as given, a float or an mpf as its binary rational
-(exact_fraction).  The q-Racah evaluator of weylracah and the generator
-tables read them in both modes; a float value is an exact value rounded once
-(rounded_root).  [n], [n]! and 1/[n]! come from the symmetric formula and the
-[n]! chain in both modes.
-A float context also fixes a fixed-point scale 2^-F, F its working bits plus
-_GUARD_BITS (fixed_bits): to_fixed and fixed_root round a value once to the
-int n of n 2^-F, which is what verify's checks compute on.
+(exact_fraction); one table set is kept per exact q, whatever the mode or
+precision.  The q-Racah evaluator of weylracah and the generator tables read
+them.  In both modes q^w, [n], [n]!, 1/[n]! and [x]^2 are exact Fractions,
+from the symmetric formula and the [n]! chain.
+
+A value that leaves the rationals is a radical, sign sqrt(x) with x
+rational.  Exact mode keeps it exact (SignedRadical); a float context only
+rounds it, once: to its precision (rounded_root, SignedRadical.to_float), or
+to its fixed-point scale 2^-F, F its working bits plus _GUARD_BITS
+(fixed_bits, to_fixed, fixed_root), which is what verify's checks compute
+on.  So every float value is an exact value rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import inf, isqrt
-from typing import Union
 
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NegativeFactorial, RadicalIncompatible
-
-Scalar = Union[Fraction, mpmath.mpf]
 
 _EXACT = "exact"
 _FLOAT = "float"
@@ -47,9 +48,8 @@ _FLOAT = "float"
 # (about 42 KiB each); a context evicted beyond that is rebuilt on demand.
 _MP_CONTEXTS = 8
 
-# Contexts of this many distinct (mode, q, precision) keys keep their q-number
-# tables: room for a few q values in both modes at a couple of precisions.  A
-# key evicted beyond that gets fresh tables, which compute the same values.
+# Contexts of this many distinct exact q keep their q-number tables.  A q
+# evicted beyond that gets fresh tables, which compute the same values.
 _Q_TABLES = 32
 
 
@@ -139,9 +139,9 @@ def rounded_root(ctx: "EvalContext", sign: int, num: int, den: int):
     rounds exactly as the root itself would, whatever the scale of num and
     den.  Returns the context's zero when sign or num is 0.
     """
-    if sign == 0 or num == 0:
-        return ctx.zero()
     mp = ctx._mp
+    if sign == 0 or num == 0:
+        return mp.zero
     man, k = _root_bits(num, den, mp.prec + _GUARD_BITS
                         + (den.bit_length() - num.bit_length() + 2) // 2)
     return mp.make_mpf(from_man_exp(man if sign > 0 else -man, -k, mp.prec,
@@ -197,93 +197,74 @@ def exact_fraction(x) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _to_mpf(mp, x):
-    """An int, Fraction or mpf value as an mpf of the mpmath context mp."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
+@lru_cache(maxsize=_Q_TABLES)
+def _q_tables(q):
+    """The q-number tables of every EvalContext of this q, in either mode.
 
-
-@lru_cache(maxsize=_Q_TABLES, typed=True)
-def _q_tables(mode: str, q, precision):
-    """The q-number tables of every EvalContext of this (mode, q, precision).
-
-    precision is None in exact mode, whose values do not depend on it.
-    Returns the mpmath context (None in exact mode), the mode's scalar
-    constructor (Fraction, or _to_mpf on that context), the converted q, its
-    QIntegers and the qpow, qnum, qfact and qfact_inv memos.  An exact key
-    whose q is not an int or a Fraction (a float, an mpf) takes the tables
-    of its exact_fraction, and a float key the QIntegers of the exact key of
-    its q, so both modes grow one G table.  Every table entry is a fixed
-    function of (mode, q, precision, n): exact entries are exact, and float
-    qfact extends its chain from its largest entry, so which context fills
-    a table, and when, never changes a value.  Raises ValueError unless q is
-    finite and positive (a raise is not cached).
+    Returns q as the exact Fraction it is (exact_fraction), its QIntegers
+    and the qpow, qnum, qfact and qfact_inv memos, whose entries are exact
+    Fractions.  A key that is not a Fraction (an int, a float, an mpf) takes
+    the tables of its exact_fraction; so one exact q has one table set (2,
+    Fraction(2) and 2.0 share it), which the exact context and the float
+    contexts at every precision share.  A table entry is a fixed function
+    of (q, n), so which context fills a table, and when, never changes a
+    value.  Raises ValueError unless q is finite and positive (a raise is
+    not cached).
     """
-    if mode == _EXACT:
-        try:
-            value = exact_fraction(q)
-        except (OverflowError, TypeError, ValueError):
-            if not (q != q or q in (inf, -inf)):  # not a NaN or an infinity
-                raise
-            value = 0
-        if value <= 0:
-            raise ValueError("q must be finite and positive")
-        if not isinstance(q, (int, Fraction)):   # a float or an mpf
-            return _q_tables(_EXACT, value, None)
-        mp, scalar, ints = None, Fraction, QIntegers(value)
-    else:
-        ints = _q_tables(_EXACT, q, None)[3]
-        mp = _mp_context(precision)
-        scalar = partial(_to_mpf, mp)
-        value = scalar(q)
-    return mp, scalar, value, ints, {}, {}, {0: scalar(1)}, {}
+    try:
+        value = exact_fraction(q)
+    except (OverflowError, TypeError, ValueError):
+        if not (q != q or q in (inf, -inf)):  # not a NaN or an infinity
+            raise
+        value = 0
+    if value <= 0:
+        raise ValueError("q must be finite and positive")
+    if type(q) is not Fraction:
+        return _q_tables(value)
+    return value, QIntegers(value), {}, {}, {0: Fraction(1)}, {}
 
 
 class EvalContext:
     """Immutable evaluation backend for all q-arithmetic.
 
-    mode 'exact':  q is a positive rational (a float or an mpf is the binary
-                   rational it is); every operation returns a Fraction and
-                   is exact.  No mpmath context is built.
-    mode 'float':  q is a positive real (an int, a Fraction, a float or an
-                   mpf) carried at ``precision`` decimal digits
-                   on an mpmath context that every float EvalContext of that
-                   precision shares (one per precision, from a bounded memo).
-                   No code may change that context's precision; so instances
-                   never interfere with each other or with the global mpmath
-                   state.
+    q is a positive rational: an int or a Fraction as given, a float or an
+    mpf as the binary rational it is (exact_fraction).  In both modes every
+    q-number (qpow, qnum, qfact, qfact_inv, qbracket_half_sq) is an exact
+    Fraction; the mode only decides how a value that leaves the rationals
+    (a radical, a SignedRadical) is given back.
+
+    mode 'exact':  radicals stay exact SignedRadicals.  No mpmath context is
+                   built.
+    mode 'float':  radicals are rounded once, at ``precision`` decimal
+                   digits (rounded_root, SignedRadical.to_float), or to the
+                   fixed-point scale 2^-F (fixed_bits, to_fixed,
+                   SignedRadical.to_fixed).  The mpf results live on an
+                   mpmath context that every float EvalContext of that
+                   precision shares (one per precision, from a bounded
+                   memo).  No code may change that context's precision; so
+                   instances never interfere with each other or with the
+                   global mpmath state.
 
     All operations are pure; the only internal mutation is memoization, one
     dict per function, keyed by its integer argument: q-powers (qpow),
     q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    ``ints`` holds the integer table G_m (see QIntegers) of q read as the
-    exact rational it is: an int or a Fraction as given, a float or an mpf
-    as its binary rational (exact_fraction).  weylracah reads it for both
-    modes' q-Racah values and brackets, the generator tables for their
-    matrix elements and SignedRadical.to_float for its q-power; qnum and
-    qfact compute [n] and the chain of [n]! the same way in both modes.
-    Every context of one (mode, q as given, precision) shares these tables
-    and the converted q, taken at construction from a process-wide memo of
-    the ``_Q_TABLES`` (32) most recently used keys; so a table keeps every
-    entry up to the largest n that any context of its key asked for.  Exact
-    contexts of one q share them at every precision, an exact context of a
-    float or mpf q shares those of its exact_fraction, and every float
-    context shares the ``ints`` of the exact contexts of its q.  Equal q of
-    different types (2 as an int and as a Fraction) are different keys.  A
-    context keeps the tables it took even after its key is evicted, and a
-    later context of that key starts fresh ones.  Each entry is a fixed
-    function of (mode, q, precision, n), so a value never depends on the
-    order of calls, on sharing or on eviction: repeated calls return
-    bit-identical results.
+    ``ints`` holds the integer table G_m (see QIntegers) of q; weylracah
+    reads it for q-Racah values and brackets, the generator tables for
+    their matrix elements and SignedRadical.to_float for its q-power.
+    Every context of one exact q, in either mode and at every precision,
+    shares these tables, taken at construction from a process-wide memo of
+    the ``_Q_TABLES`` (32) most recently used q (_q_tables); so a table
+    keeps every entry up to the largest n that any context of its q asked
+    for.  A context keeps the tables it took even after its q is evicted,
+    and a later context of that q starts fresh ones.  Each entry is exact,
+    so a value never depends on the order of calls, on sharing or on
+    eviction.
 
-    The mode is fixed at construction: zero, one, from_fraction and the q = 1
-    brackets build through the tables' scalar constructor with no mode test.
-    as_float converts q as the caller gave it (the tables' key) afresh, never
-    this context's q, which float mode has rounded to its own precision.
+    as_float gives the float companion of a context: the same q, and so the
+    same tables, at a precision.
     """
 
-    __slots__ = ("mode", "q", "precision", "ints", "_q_key", "_mp", "_scalar",
+    __slots__ = ("mode", "q", "precision", "ints", "_mp",
                  "_qpow_memo", "_qnum_memo", "_qfact_memo", "_qfact_inv_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
@@ -293,11 +274,9 @@ class EvalContext:
         self.precision = int(precision)
         if self.precision < 1:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
-        self._q_key = q
-        (self._mp, self._scalar, self.q, self.ints, self._qpow_memo,
-         self._qnum_memo, self._qfact_memo,
-         self._qfact_inv_memo) = _q_tables(
-             mode, q, self.precision if mode == _FLOAT else None)
+        (self.q, self.ints, self._qpow_memo, self._qnum_memo,
+         self._qfact_memo, self._qfact_inv_memo) = _q_tables(q)
+        self._mp = _mp_context(self.precision) if mode == _FLOAT else None
 
     # -- constructors ------------------------------------------------------
 
@@ -310,11 +289,11 @@ class EvalContext:
         return cls(_FLOAT, q, precision)
 
     def as_float(self, precision: int | None = None) -> "EvalContext":
-        """A float-mode companion context at q as the caller gave it."""
+        """A float-mode companion context at the same q."""
         if self.mode == _FLOAT and (precision is None or precision == self.precision):
             return self
         prec = self.precision if precision is None else precision
-        return EvalContext(_FLOAT, self._q_key, prec)
+        return EvalContext(_FLOAT, self.q, prec)
 
     # -- basic values ------------------------------------------------------
 
@@ -325,16 +304,7 @@ class EvalContext:
         """True at the classical point q = 1."""
         return self.q == 1
 
-    def zero(self) -> Scalar:
-        return self._scalar(0)
-
-    def one(self) -> Scalar:
-        return self._scalar(1)
-
-    def from_fraction(self, value: Fraction) -> Scalar:
-        return self._scalar(value)
-
-    def qpow(self, w) -> Scalar:
+    def qpow(self, w) -> Fraction:
         """q**w for integer w."""
         w = _as_int(w)
         memo = self._qpow_memo
@@ -344,19 +314,19 @@ class EvalContext:
 
     # -- brackets and factorials --------------------------------------------
 
-    def qnum(self, n) -> Scalar:
+    def qnum(self, n) -> Fraction:
         """Symmetric q-bracket [n]; [n] -> n at q = 1, [-n] = -[n]."""
         n = _as_int(n)
         memo = self._qnum_memo
         if n not in memo:
             if self.is_classical():
-                memo[n] = self._scalar(n)
+                memo[n] = Fraction(n)
             else:
                 q = self.q
                 memo[n] = (q ** n - q ** (-n)) / (q - q ** -1)
         return memo[n]
 
-    def qfact(self, n) -> Scalar:
+    def qfact(self, n) -> Fraction:
         """q-factorial [n]! with [0]! = 1; raises NegativeFactorial for n < 0."""
         n = _as_int(n)
         if n < 0:
@@ -370,7 +340,7 @@ class EvalContext:
                 memo[m] = acc
         return memo[n]
 
-    def qfact_inv(self, n) -> Scalar:
+    def qfact_inv(self, n) -> Fraction:
         """1/[n]!; raises NegativeFactorial for n < 0."""
         n = _as_int(n)
         memo = self._qfact_inv_memo
@@ -378,7 +348,7 @@ class EvalContext:
             memo[n] = 1 / self.qfact(n)
         return memo[n]
 
-    def qbracket_half_sq(self, two_x) -> Scalar:
+    def qbracket_half_sq(self, two_x) -> Fraction:
         """[x]^2 for the half-integer x = two_x / 2.
 
         Although [x] itself leaves the rational field for half-integer x, its
@@ -386,25 +356,9 @@ class EvalContext:
         """
         two_x = _as_int(two_x)
         if self.is_classical():
-            return (self._scalar(two_x) / 2) ** 2
+            return Fraction(two_x, 2) ** 2
         q = self.q
         return (self.qpow(two_x) - 2 + self.qpow(-two_x)) / (q - q ** -1) ** 2
-
-    # -- float helpers -------------------------------------------------------
-
-    def sqrt(self, x) -> Scalar:
-        if self.mode == _EXACT:
-            root = sqrt_fraction(Fraction(x))
-            if root is None:
-                raise ValueError(f"{x} has no exact rational square root")
-            return root
-        return self._mp.sqrt(self.to_float(x))
-
-    def to_float(self, x):
-        """Coerce ints, Fractions or mpf values into this float context."""
-        if self.mode == _EXACT:
-            raise ValueError("to_float requires a float-mode context")
-        return self._scalar(x)
 
     # -- fixed point ---------------------------------------------------------
 
@@ -427,13 +381,6 @@ class EvalContext:
         if isinstance(x, SignedRadical):
             return x.to_fixed(self)
         return _round_div(x.numerator << bits, x.denominator)
-
-    def rational_context(self) -> "EvalContext":
-        """The context that gives q-rational scalars exactly: this context
-        in exact mode, its exact-mode companion in float mode."""
-        if self.mode == _EXACT:
-            return self
-        return EvalContext(_EXACT, self._q_key)
 
     # -- misc ----------------------------------------------------------------
 
@@ -506,10 +453,10 @@ class SignedRadical:
             return self
         return SignedRadical(-self.sign, self.qpower, self.radicand)
 
-    def squared(self, ctx: EvalContext) -> Scalar:
-        """The exact square q^{2 qpower} * radicand as a context Scalar."""
+    def squared(self, ctx: EvalContext) -> Fraction:
+        """The exact square q^{2 qpower} * radicand."""
         if self.sign == 0:
-            return ctx.zero()
+            return Fraction(0)
         return ctx.qpow(2 * self.qpower) * self.radicand
 
     def same_value(self, other: "SignedRadical", ctx: EvalContext) -> bool:
@@ -548,8 +495,6 @@ class SignedRadical:
         the exact value sqrt(q^(2 qpower) radicand), formed in the integers
         of q (ctx.ints), rounded once (rounded_root)."""
         fctx = ctx.as_float()
-        if self.sign == 0:
-            return fctx.zero()
         num, den = fctx.ints.qpow2(self.qpower)
         return rounded_root(fctx, self.sign, num * self.radicand.numerator,
                             den * self.radicand.denominator)
@@ -559,8 +504,6 @@ class SignedRadical:
         companion of ctx, as the int n of n 2^-F (EvalContext.to_fixed),
         from the integers of q^(2 qpower) radicand (fixed_root)."""
         fctx = ctx.as_float()
-        if self.sign == 0:
-            return 0
         num, den = fctx.ints.qpow2(self.qpower)
         return fixed_root(self.sign, num * self.radicand.numerator,
                           den * self.radicand.denominator, fctx.fixed_bits())

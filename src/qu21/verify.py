@@ -160,8 +160,8 @@ class TruncatedRep:
 
     matrices[g] maps (row, col) index pairs to entries: in float mode the
     int n of n 2^-bits, bits = ctx.fixed_bits(); in exact mode a
-    SignedRadical, and bits is 0.  scalars is ctx.rational_context(), which
-    evaluates the rational scalars the checks round to that scale.  Entries
+    SignedRadical, and bits is 0.  The rational scalars the checks round to
+    that scale are ctx's q-numbers, exact Fractions in either mode.  Entries
     whose target falls outside the truncation are dropped from the matrix
     but remembered in the interior masks.  interior1[j] means every
     generator image of column j stays inside; interior2[j] additionally
@@ -175,7 +175,6 @@ class TruncatedRep:
         _check_flip_entry(flip_entry)
         self.ctx = ctx
         self.bits = 0 if ctx.is_exact() else ctx.fixed_bits()
-        self.scalars = ctx.rational_context()
         self.sig = sig
         self.basis = basis
         self.truncation = truncation
@@ -218,8 +217,8 @@ class TruncatedRep:
     def diagonal(self, values) -> Entries:
         """Diagonal matrix of one scalar per label, in the rep's entry type.
 
-        Each value is a rational, as self.scalars gives it: wrapped exactly
-        in exact mode, rounded once to the fixed-point scale in float mode.
+        Each value is a rational, as self.ctx gives it: wrapped exactly in
+        exact mode, rounded once to the fixed-point scale in float mode.
         """
         if self.ctx.is_exact():
             values = map(SignedRadical.from_rational, values)
@@ -229,7 +228,7 @@ class TruncatedRep:
 
     def diagonal_weight_bracket(self) -> Entries:
         """Diagonal matrix of [m2 - m3] per label (the [2 T0] operator)."""
-        return self.diagonal(self.scalars.qnum(w.m2 - w.m3)
+        return self.diagonal(self.ctx.qnum(w.m2 - w.m3)
                              for w in self.weights)
 
     def rounded(self, fctx: EvalContext) -> "TruncatedRep":
@@ -244,7 +243,6 @@ class TruncatedRep:
             raise ValueError("rounded takes an exact rep to a float context")
         twin = copy.copy(self)
         twin.ctx, twin.bits = fctx, fctx.fixed_bits()
-        twin.scalars = fctx.rational_context()
         twin.matrices = {g: {k: v.to_fixed(fctx) for k, v in m.items()}
                          for g, m in self.matrices.items()}
         return twin
@@ -406,7 +404,7 @@ def rounding_bound(fctx: EvalContext, reps: Sequence[TruncatedRep]) -> float:
     large scale, and over small windows) rather than derived.
     """
     bits = fctx.fixed_bits()
-    q2 = fctx.rational_context().qpow(2)
+    q2 = fctx.qpow(2)
     largest = max((abs(v) for rep in reps for m in rep.matrices.values()
                    for v in m.values()), default=0) / (1 << bits)
     a = float(max(1, largest, q2, 1 / q2))
@@ -460,9 +458,9 @@ def check_hermiticity(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Check
     ctx = rep.ctx
     if ctx.is_exact():
         raise ValueError("hermiticity checks run in floating mode")
-    sc, fix, bits = rep.scalars, ctx.to_fixed, rep.bits
-    q2 = sc.qpow(2)
-    qq, q2, q2m1 = fix(sc.qpow(1) - sc.qpow(-1)), fix(q2), fix(q2 - 1)
+    fix, bits = ctx.to_fixed, rep.bits
+    q2 = ctx.qpow(2)
+    qq, q2, q2m1 = fix(ctx.qpow(1) - ctx.qpow(-1)), fix(q2), fix(q2 - 1)
     a13t = _mat_transpose(_mat(rep, "A13"))
     a21, a31, a32 = _mat(rep, "A21"), _mat(rep, "A31"), _mat(rep, "A32")
     form1 = _mat_lin(ctx, [(1, a13t), (1, a31),
@@ -493,13 +491,13 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     """
     if rep.basis != "t":
         raise ValueError("check_casimir needs a T-basis rep")
-    ctx, sc = rep.ctx, rep.scalars
+    ctx = rep.ctx
     tp, tm = _mat(rep, "A23"), _mat(rep, "A32")
     labels = rep.labels
     cols_ok = [lab.depth() < rep.truncation.depth for lab in labels]
     # each distinct 2M + 1 and T is evaluated once
-    m_sq = {m: sc.qbracket_half_sq(m) for m in {2 * l.M + 1 for l in labels}}
-    lam = {t: casimir_su11_eigenvalue(sc, t) for t in {l.T for l in labels}}
+    m_sq = {m: ctx.qbracket_half_sq(m) for m in {2 * l.M + 1 for l in labels}}
+    lam = {t: casimir_su11_eigenvalue(ctx, t) for t in {l.T for l in labels}}
     c2 = _mat_lin(ctx, [
         (1, _mat_mul(ctx, tm, tp)),
         (1, _diag(rep, (m_sq[2 * lab.M + 1] for lab in labels))),
@@ -559,10 +557,11 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
                     truncation: Truncation) -> Dict[Weight, FixedBlock]:
     """Weyl blocks of all weights whose label sets fit the truncation.
 
-    Each block is evaluated exactly in fctx.rational_context(), and each
-    entry is rounded once to fctx's fixed-point scale (EvalContext.to_fixed).
+    Each block is evaluated exactly, in the exact context of fctx's q, and
+    each entry is rounded once to fctx's fixed-point scale
+    (EvalContext.to_fixed).
     """
-    ctx, fix, bits = fctx.rational_context(), fctx.to_fixed, fctx.fixed_bits()
+    ctx, fix, bits = EvalContext.exact(fctx.q), fctx.to_fixed, fctx.fixed_bits()
     weights = sorted({_u_weight(sig, _u_key(l))
                       for l in enumerate_u_basis(sig, truncation.ell_max)})
     out: Dict[Weight, FixedBlock] = {}
@@ -705,7 +704,7 @@ def check_projector(rep: TruncatedRep, t_value,
         return [CheckReport("projector", True, 0.0, tol, "", 0,
                             f"T={T}: no coverage")]
     labels = rep.labels
-    sc, fix, bits = rep.scalars, rep.ctx.to_fixed, rep.bits
+    ctx, fix, bits = rep.ctx, rep.ctx.to_fixed, rep.bits
     # T+ and T- only move M inside one (s, p) multiplet, so each column of
     # A23 and A32 holds at most one entry: column -> (row, factor)
     up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
@@ -728,7 +727,7 @@ def check_projector(rep: TruncatedRep, t_value,
     two_t = int(2 * T)
     # P's scale: c_r T+^r T-^r is rounded on (2r + 1) bits, aligned at r = 2T
     top = (2 * two_t + 1) * bits
-    coeffs = [projector_t_coeff(sc, T, r) for r in range(two_t + 1)]
+    coeffs = [projector_t_coeff(ctx, T, r) for r in range(two_t + 1)]
 
     def p_diag(j: int) -> int:
         """P on column j, a scalar: P is diagonal within each multiplet here.
@@ -768,7 +767,7 @@ def check_projector(rep: TruncatedRep, t_value,
     # spectral projector: interpolate over the distinct T' present, and
     # evaluate at C2 = T- T+ + [M + 1/2]^2 read from the ladder entries
     tprimes = sorted({labels[j].T for j in cols})
-    lam = {tp: casimir_su11_eigenvalue(sc, tp) for tp in set(tprimes) | {T}}
+    lam = {tp: casimir_su11_eigenvalue(ctx, tp) for tp in set(tprimes) | {T}}
     risen = [(j, up) for j in cols
              if (up := chain(up_step, j, 1)) is not None]
     degenerate = any(
@@ -780,7 +779,7 @@ def check_projector(rep: TruncatedRep, t_value,
                                    "degenerate Casimir eigenvalues, skipped"))
     else:
         # [M + 1/2]^2 at M = T + 1, and each eigenvalue, on the scale 2 bits
-        m_sq = fix(sc.qbracket_half_sq(2 * T + 3)) << bits
+        m_sq = fix(ctx.qbracket_half_sq(2 * T + 3)) << bits
         lam_fix = {tp: fix(v) for tp, v in lam.items()}
         others = [tp for tp in tprimes if tp != T]
         # the interpolation's denominator, on the scale len(others) * bits
@@ -806,7 +805,7 @@ def check_projector(rep: TruncatedRep, t_value,
         for x in range(1, rep.truncation.depth + 1):
             up = chain(up_step, j, x)
             lhs = chain(down_step, up[1], x)[0] * up[0]    # scale 2x bits
-            n2 = fix(norm_su11_sq(sc, T, T + 1 + x)) << (2 * x - 1) * bits
+            n2 = fix(norm_su11_sq(ctx, T, T + 1 + x)) << (2 * x - 1) * bits
             power.append((Fraction(abs(lhs - (-n2 if x % 2 else n2)), n2),
                           (x, j)))
     reports.append(_report(f"projector-power-T{T}", power,

@@ -17,7 +17,9 @@ Both closed forms have one shape: a signed square root of a q-factorial
 ratio times a single alternating q-factorial sum.  One private evaluator,
 _racah_form, computes that shape in either mode; the bracket and the q-Racah
 coefficient only build its argument lists from their own formulas, so the
-two paths above stay independent.
+two paths above stay independent.  The dimension factor and phase of path 2
+fold into the q-Racah coefficient's own root and sign, so each path is one
+_racah_form call.
 
 At a rational q = r/s in lowest terms, z = rs, every q-factorial is an
 integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
@@ -27,7 +29,8 @@ over its term ratios, so no term is reduced on its own.  Every context has
 these tables (a float or mpf q is read as its exact binary rational).  Exact
 mode returns the radicand as a Fraction, reduced through its square root
 part; float mode rounds the same exact value once to its precision, so
-cancellation in the sum costs it no digit.
+cancellation in the sum costs it no digit, and the two paths give the same
+bits wherever the algebra holds.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do
@@ -53,8 +56,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+import mpmath
+
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
-from .qarith import EvalContext, QIntegers, Scalar, SignedRadical, rounded_root
+from .qarith import EvalContext, QIntegers, SignedRadical, rounded_root
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -232,8 +237,8 @@ def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
 
 
 def weyl_coefficient(ctx: EvalContext, sig: Signature,
-                     u: UBasisLabel, t: TBasisLabel) -> Scalar:
-    """<U|T>_q as a context scalar (float contexts; real valued)."""
+                     u: UBasisLabel, t: TBasisLabel) -> mpmath.mpf:
+    """<U|T>_q rounded once to a float context's precision."""
     if ctx.is_exact():
         raise ValueError("use weyl_coefficient_exact for exact-mode contexts")
     return _bracket(ctx, sig, *_check_match(sig, u, t))
@@ -244,14 +249,15 @@ class WeylBlock:
     """Orthogonal change-of-basis block at one weight.
 
     rows follow u_labels (ascending U), columns follow t_labels (ascending T);
-    entries[i][j] = <u_i | t_j>_q, a context scalar, or a SignedRadical in
-    exact mode.  At full label range the block is square.
+    entries[i][j] = <u_i | t_j>_q: a SignedRadical in exact mode, its value
+    rounded once (an mpf) in float mode.  At full label range the block is
+    square.
     """
 
     weight: Weight
     u_labels: Tuple[UBasisLabel, ...]
     t_labels: Tuple[TBasisLabel, ...]
-    entries: Tuple[Tuple[Scalar, ...], ...]
+    entries: Tuple[Tuple[object, ...], ...]
 
 
 def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight, *,
@@ -337,20 +343,23 @@ def _qracah(ctx: EvalContext, args: RacahArgs):
     """U_q(a b e d; c f) in either mode; 0 outside the triangles."""
     twice = _doubled(args)
     if twice is None:
-        return SignedRadical.zero() if ctx.is_exact() else ctx.zero()
+        return SignedRadical.zero() if ctx.is_exact() else rounded_root(ctx, 0, 0, 1)
     return _qracah_doubled(ctx, *twice)
 
 
 def _qracah_doubled(ctx: EvalContext, a: int, b: int, e: int, d: int,
-                    c: int, f: int):
+                    c: int, f: int, dims=None):
     """U_q from the doubled arguments 2a..2f, which pass _triangles_ok.
 
     Here a..f hold the doubled arguments; every halved sum below is an
-    integer (an even doubled sum) by the triangle test.
+    integer (an even doubled sum) by the triangle test.  U_q's root holds
+    [c + 1][f + 1] (2c + 1 and 2f + 1 for the halved c, f); dims = (x, y),
+    when given, replaces that pair, which multiplies the value by
+    sqrt([x][y] / ([c + 1][f + 1])) within the same one evaluation.
     """
     abc, bdf = (a + b + c) // 2, (b + d + f) // 2
     return _racah_form(
-        ctx, -1 if (a + d - c - f) % 4 else 1, (c + 1, f + 1),
+        ctx, -1 if (a + d - c - f) % 4 else 1, dims or (c + 1, f + 1),
         (abc + 1, bdf + 1, (a - b + c) // 2, (-a + b + c) // 2,
          (a + e - f) // 2, (b - d + f) // 2, (-b + d + f) // 2,
          (-c + d + e) // 2),
@@ -368,8 +377,9 @@ def qracah_exact(ctx: EvalContext, args: RacahArgs) -> SignedRadical:
     return _qracah(ctx, args)
 
 
-def qracah(ctx: EvalContext, args: RacahArgs) -> Scalar:
-    """U_q(a b e d; c f) as a context scalar; 0 outside the triangles."""
+def qracah(ctx: EvalContext, args: RacahArgs) -> mpmath.mpf:
+    """U_q(a b e d; c f) rounded once to a float context's precision; 0
+    outside the triangles."""
     if ctx.is_exact():
         raise ValueError("exact qracah values are radicals; use qracah_exact")
     return _qracah(ctx, args)
@@ -404,7 +414,7 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
 
 
 def weyl_via_racah(ctx: EvalContext, sig: Signature,
-                   u: UBasisLabel, t: TBasisLabel, form: str = "a") -> Scalar:
+                   u: UBasisLabel, t: TBasisLabel, form: str = "a") -> mpmath.mpf:
     """<U|T>_q computed through the q-Racah coefficient (float contexts).
 
     form 'a':  (-1)^s sqrt([2U+1][2T+1] / ([2 j2+1][2 j+1])) U_q(T j3 j1 U; j2 j)
@@ -412,7 +422,11 @@ def weyl_via_racah(ctx: EvalContext, sig: Signature,
 
     Both forms must agree with each other and with weyl_coefficient.  The
     labels are checked once; both forms then take the doubled substitution
-    straight to the q-Racah argument map.
+    straight to the q-Racah argument map.  Form a's dimension factor
+    cancels the [2 j2+1][2 j+1] under U_q's root, so it passes [2U+1][2T+1]
+    as that root's pair in their place.  So each form, like the direct
+    bracket, is one exact evaluation rounded once, and the three agree to
+    the last bit.
     """
     if ctx.is_exact():
         raise ValueError("weyl_via_racah requires a float-mode context")
@@ -420,9 +434,7 @@ def weyl_via_racah(ctx: EvalContext, sig: Signature,
     a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
     if form == "a":
         sign = -1 if tkey[0] % 2 else 1
-        ratio = (ctx.qnum(d + 1) * ctx.qnum(a + 1)
-                 / (ctx.qnum(c + 1) * ctx.qnum(f + 1)))
-        return sign * ctx.sqrt(ratio) * _qracah_doubled(ctx, a, b, e, d, c, f)
+        return sign * _qracah_doubled(ctx, a, b, e, d, c, f, (d + 1, a + 1))
     if form == "b":
         sign = -1 if ukey[0] % 2 else 1
         return sign * _qracah_doubled(ctx, e, c, f, b, d, a)

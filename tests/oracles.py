@@ -2,7 +2,11 @@
 
 Everything here is deliberately brute force.  At the classical point q = 1:
 explicit Clebsch-Gordan sums assembled into recoupling brackets with exact
-radical arithmetic.  At any rational q: the closed form sign * sqrt(P) * S
+radical arithmetic.  At q != 1: the q-Clebsch-Gordan coefficients of
+Kirillov and Reshetikhin, assembled into the same recoupling brackets by the
+same magnetic sum, in 60-digit mpf; they share no formula with weylracah's
+closed form, so they check its phases too.  At any rational q: the closed
+form sign * sqrt(P) * S
 that weylracah's q-Racah coefficients and brackets share, evaluated as
 products of Fraction q-brackets, each reduced as it is made; weylracah
 evaluates it in integers, with one reduction per value.  Nothing imports
@@ -17,6 +21,8 @@ form.
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+
+import mpmath
 
 from qu21.qarith import EvalContext, SignedRadical
 
@@ -80,15 +86,16 @@ def cg_exact(j1, m1, j2, m2, jtot) -> SignedRadical:
     return SignedRadical.make(1 if total > 0 else -1, 0, radicand * total * total)
 
 
-def recoupling_exact(a, b, e, d, c, f) -> SignedRadical:
-    """<(a b) c, d; e | a, (b d) f; e> by explicit magnetic summation.
+def _magnetic_products(cg, a, b, e, d, c, f):
+    """The terms of <(a b) c, d; e | a, (b d) f; e> by explicit magnetic
+    summation, each a product of four Clebsch-Gordan coefficients
+    cg(j1, m1, j2, m2, j) = <j1 m1 j2 m2 | j (m1 + m2)>.
 
-    Evaluated at the stretched projection m_e = e; the bracket does not
-    depend on that choice.  Exact: all terms share one radical class.
+    Taken at the stretched projection m_e = e; the bracket does not depend
+    on that choice.
     """
     a, b, e, d, c, f = (Fraction(x) for x in (a, b, e, d, c, f))
     me = e
-    terms = []
     ma = -a
     while ma <= a:
         mb = -b
@@ -97,17 +104,96 @@ def recoupling_exact(a, b, e, d, c, f) -> SignedRadical:
             md = me - mc
             mf = mb + md
             if abs(mc) <= c and abs(md) <= d and abs(mf) <= f:
-                prod = (cg_exact(a, ma, b, mb, c)
-                        * cg_exact(c, mc, d, md, e)
-                        * cg_exact(b, mb, d, md, f)
-                        * cg_exact(a, ma, f, mf, e))
-                if not prod.is_zero():
-                    terms.append(prod)
+                yield (cg(a, ma, b, mb, c) * cg(c, mc, d, md, e)
+                       * cg(b, mb, d, md, f) * cg(a, ma, f, mf, e))
             mb += 1
         ma += 1
-    if not terms:
-        return SignedRadical.zero()
+
+
+def recoupling_exact(a, b, e, d, c, f) -> SignedRadical:
+    """<(a b) c, d; e | a, (b d) f; e> at q = 1 (_magnetic_products).
+
+    Exact: all terms share one radical class.
+    """
+    terms = [p for p in _magnetic_products(cg_exact, a, b, e, d, c, f)
+             if not p.is_zero()]
     return radical_sum(terms, CTX1)
+
+
+_QMP = mpmath.mp.clone()
+_QMP.dps = 60
+
+
+def _qnum_mpf(q, n):
+    """[n] = (q^n - q^-n) / (q - q^-1) in _QMP, for an mpf q != 1."""
+    return (q ** n - q ** -n) / (q - 1 / q)
+
+
+@lru_cache(maxsize=None)
+def _qfact_mpf(q, n: int):
+    """[n]! in _QMP, for an mpf q != 1 and n >= 0."""
+    return _QMP.one if n == 0 else _qfact_mpf(q, n - 1) * _qnum_mpf(q, n)
+
+
+def _qpow_mpf(q, e: Fraction):
+    """q^e in _QMP for a rational exponent e."""
+    return _QMP.power(q, _QMP.mpf(e.numerator) / e.denominator)
+
+
+@lru_cache(maxsize=None)
+def qcg_mpf(q: Fraction, j1, m1, j2, m2, j):
+    """q-Clebsch-Gordan <j1 m1 j2 m2 | j (m1 + m2)>_q in 60-digit mpf, after
+    Kirillov and Reshetikhin (Infinite Dimensional Lie Algebras and Groups,
+    World Scientific 1989), with m = m1 + m2 and J = j1 + j2 + j + 1:
+
+        q^((j1 + j2 - j) J / 2 + j1 m2 - j2 m1)
+        sqrt([2j + 1] [j1 + j2 - j]! [j1 - j2 + j]! [-j1 + j2 + j]! / [J]!)
+        sqrt([j1 + m1]! [j1 - m1]! [j2 + m2]! [j2 - m2]! [j + m]! [j - m]!)
+        sum_z (-1)^z q^(-z J) / ([z]! [j1 + j2 - j - z]! [j1 - m1 - z]!
+                                [j2 + m2 - z]! [j - j2 + m1 + z]!
+                                [j - j1 - m2 + z]!)
+
+    over the z where every factorial argument is >= 0; q != 1 (cg_exact
+    is the q = 1 case).  Zero outside the triangle or the projection
+    ranges, as cg_exact.
+    """
+    j1, m1, j2, m2, j = (Fraction(x) for x in (j1, m1, j2, m2, j))
+    m = m1 + m2
+    if (abs(m1) > j1 or abs(m2) > j2 or abs(m) > j
+            or (j1 + m1).denominator != 1 or (j2 + m2).denominator != 1
+            or not _triangle_ok(j1, j2, j)):
+        return _QMP.zero
+    qm = _QMP.mpf(q.numerator) / q.denominator
+    big = int(j1 + j2 + j + 1)
+
+    def fact(x):
+        return _qfact_mpf(qm, int(x))
+
+    root = (_qnum_mpf(qm, int(2 * j + 1)) * fact(j1 + j2 - j) * fact(j1 - j2 + j)
+            * fact(-j1 + j2 + j) / fact(big)
+            * fact(j1 + m1) * fact(j1 - m1) * fact(j2 + m2) * fact(j2 - m2)
+            * fact(j + m) * fact(j - m))
+    total = _QMP.zero
+    for z in range(int(j1 + j2 - j) + 1):
+        args = (z, j1 + j2 - j - z, j1 - m1 - z, j2 + m2 - z,
+                j - j2 + m1 + z, j - j1 - m2 + z)
+        if min(args) < 0:
+            continue
+        den = _QMP.one
+        for x in args:
+            den *= fact(x)
+        term = qm ** (-z * big) / den
+        total += -term if z % 2 else term
+    return (_qpow_mpf(qm, (j1 + j2 - j) * big / 2 + j1 * m2 - j2 * m1)
+            * _QMP.sqrt(root) * total)
+
+
+def recoupling_qmpf(q: Fraction, a, b, e, d, c, f):
+    """<(a b) c, d; e | a, (b d) f; e>_q in 60-digit mpf: the magnetic sum
+    of recoupling_exact over the q-Clebsch-Gordan coefficients qcg_mpf."""
+    def cg(*args):
+        return qcg_mpf(q, *args)
+    return _QMP.fsum(_magnetic_products(cg, a, b, e, d, c, f))
 
 
 def qnum_fraction(q: Fraction, n: int) -> Fraction:

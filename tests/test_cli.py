@@ -201,7 +201,7 @@ class TestWeyl:
             value = inner(ctx, sig, u, t, form)
             if form == "b" and not moved:
                 moved.append((u, t))
-                value += ctx.from_fraction(Fraction(1, 10 ** 6))
+                value += ctx._mp.mpf(1) / 10 ** 6
             return value
 
         monkeypatch.setattr(cli, "weyl_via_racah", one_row_off)
@@ -228,6 +228,20 @@ class TestWeyl:
         rows = json.loads(out)["rows"]
         assert len(rows) == 9
         assert all(row["within_tolerance"] == "true" for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("--sig", "4,2,-2", "--q", "13/10", "--weight", "4,4,-4"),
+        ("--sig", "8,2,-2", "--q", "3", "--weight", "16,14,-22"),
+    ], ids=["desk", "q3-large"])
+    def test_via_racah_differences_are_zero(self, capsys, argv):
+        # the direct bracket and both q-Racah forms are each one exact value
+        # rounded once, so they agree to the last bit
+        code, out, _ = run(capsys, "weyl", *argv, "--via-racah",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and {row["difference"] for row in rows} == {"0"}
+        assert all(row["racah_form_a"] == row["racah_form_b"] for row in rows)
 
     def test_exact_mode_matches_golden(self, capsys):
         code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",

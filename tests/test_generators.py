@@ -58,7 +58,7 @@ class TestNorms:
         ctx = EvalContext.exact(Fraction(13, 10))
         sig = Signature(5, 2, -1)
         f13 = sig.f1 - sig.f3
-        acc = ctx.one()
+        acc = Fraction(1)
         for ell in range(1, 7):
             acc = acc * ctx.qnum(ell) * ctx.qnum(f13 + ell - 1)
             assert norm_u_sq(ctx, sig, 0, ell) == acc

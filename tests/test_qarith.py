@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qu21 import qarith
 from qu21.errors import NegativeFactorial, RadicalIncompatible
+from qu21.generators import norm_u_sq
 from qu21.qarith import EvalContext, SignedRadical, sqrt_fraction
+from qu21.repspace import Signature
 
 from oracles import qfact_fraction, qnum_fraction, radical_sum
 
@@ -125,13 +127,14 @@ class TestIntegerTables:
             assert ctx.qfact(m).numerator == fact
 
     def test_float_contexts_of_rational_q_share_the_exact_tables(self):
-        # weylracah reads them; float qnum and qfact still return mpf
+        # weylracah reads them, and a float context's q-numbers are the
+        # exact context's Fractions
         exact = EvalContext.exact(Fraction(13, 10))
         for precision in (30, 50):
             ctx = EvalContext.floating(Fraction(13, 10), precision)
             assert ctx.ints is exact.ints
             for value in (ctx.qnum(7), ctx.qfact(7), ctx.qfact_inv(7)):
-                assert hasattr(value, "_mpf_")
+                assert type(value) is Fraction
         assert EvalContext.floating(3, 50).ints is EvalContext.exact(3).ints
         # a float or mpf q is the exact binary rational it already is
         assert EvalContext.floating(1.3, 50).ints \
@@ -148,79 +151,99 @@ class TestContexts:
             EvalContext.exact(Fraction(-1, 2))
 
     def test_float_matches_exact(self):
-        q = Fraction(13, 10)
-        e = EvalContext.exact(q)
-        f = EvalContext.floating(q, precision=40)
-        for n in range(0, 12):
-            exact = e.qfact(n)
-            approx = f.qfact(n)
-            rel = abs(approx - f.from_fraction(exact)) / abs(approx)
-            assert rel < f.from_fraction(Fraction(1, 10 ** 35))
+        # one arithmetic: every q-number of a float context is the exact
+        # context's Fraction, as are the generator norms built from them
+        sig = Signature(4, 2, -2)
+        for q in (Fraction(13, 10), 3, 1.3, Fraction(1)):
+            e = EvalContext.exact(q)
+            f = EvalContext.floating(q, precision=40)
+            for n in range(0, 12):
+                for name in ("qnum", "qfact", "qfact_inv", "qbracket_half_sq"):
+                    value = getattr(f, name)(n)
+                    assert type(value) is Fraction
+                    assert value == getattr(e, name)(n)
+                assert f.qpow(n - 6) == e.qpow(n - 6) == e.q ** (n - 6)
+            for k in range(3):
+                for ell in range(4):
+                    value = norm_u_sq(f, sig, k, ell)
+                    assert type(value) is Fraction
+                    assert value == norm_u_sq(e, sig, k, ell)
 
     def test_as_float_keeps_q(self):
         e = EvalContext.exact(Fraction(13, 10))
         f = e.as_float(30)
         assert not f.is_exact()
         assert f.precision == 30
-        assert abs(f.qpow(1) - f.from_fraction(Fraction(13, 10))) == 0
+        assert f.q == Fraction(13, 10) and f.qpow(1) == Fraction(13, 10)
 
     def test_as_float_converts_the_given_q_afresh(self):
-        # a 50-digit context's q is rounded to 50 digits; a 100-digit
-        # companion must not carry that rounding into its own values
-        fresh = EvalContext.floating(Fraction(13, 10), 100)
-        for ctx in (EvalContext.floating(Fraction(13, 10), 50),
-                    EvalContext.exact(Fraction(13, 10))):
-            f = ctx.as_float(100)
-            assert f.q._mpf_ == fresh.q._mpf_
-            assert f.qnum(40)._mpf_ == fresh.qnum(40)._mpf_
+        # a companion at 100 digits keeps the exact q, so its roundings are
+        # those of a fresh 100-digit context, never a 50-digit one's
+        for q in (Fraction(13, 10), 1.3):
+            fresh = EvalContext.floating(q, 100)
+            rad = SignedRadical.make(-1, 40, Fraction(2, 3))
+            for ctx in (EvalContext.floating(q, 50), EvalContext.exact(q)):
+                f = ctx.as_float(100)
+                assert f.q == fresh.q == qarith.exact_fraction(q)
+                assert f.ints is fresh.ints
+                assert rad.to_float(f)._mpf_ == rad.to_float(fresh)._mpf_
+                assert rad.to_float(f) != rad.to_float(ctx.as_float(50))
 
-    def test_to_float_requires_float_mode(self):
+    def test_fixed_point_requires_float_mode(self):
         e = EvalContext.exact(Fraction(2))
-        with pytest.raises(ValueError):
-            e.to_float(Fraction(1, 3))
+        with pytest.raises(ValueError, match="float-mode"):
+            e.fixed_bits()
+        with pytest.raises(ValueError, match="float-mode"):
+            e.to_fixed(Fraction(1, 3))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             EvalContext("symbolic", Fraction(1))
 
     def test_sqrt_exact_only_for_squares(self):
-        e = EvalContext.exact(Fraction(1))
-        assert e.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        with pytest.raises(ValueError):
-            e.sqrt(Fraction(2))
+        assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
+        assert sqrt_fraction(Fraction(2)) is None
+        assert sqrt_fraction(Fraction(-9, 4)) is None
 
     def test_contexts_of_one_key_share_q_tables(self):
+        # one table entry per exact q: every mode and precision, and every
+        # spelling of one rational, share the memos
         memos = [name for name in EvalContext.__slots__ if name.endswith("_memo")]
         q = Fraction(13, 10)
         qarith._q_tables.cache_clear()
         a = EvalContext.floating(q, 50)
-        want = [a.qfact(12)._mpf_, a.qnum(7)._mpf_, a.qpow(-3)._mpf_]
-        b = EvalContext.floating(q, 50)
-        assert b._mp is a._mp and b.q is a.q
-        for name in memos:
-            assert getattr(b, name) is getattr(a, name)
-        assert 12 in b._qfact_memo and 7 in b._qnum_memo and -3 in b._qpow_memo
-
+        want = [a.qfact(12), a.qnum(7), a.qpow(-3)]
         global_dps = mpmath.mp.dps
         low, high = EvalContext.floating(q, 20), EvalContext.floating(q, 80)
-        others = [low, high, EvalContext.floating(Fraction(3, 2), 50),
-                  EvalContext.exact(q), EvalContext("exact", q, 50)]
-        assert EvalContext.floating(2, 50)._qnum_memo \
-            is not EvalContext.floating(Fraction(2), 50)._qnum_memo
-        for other in others:
+        for other in (EvalContext.floating(q, 50), low, high,
+                      EvalContext.exact(q), EvalContext("exact", q, 50)):
+            assert other.q is a.q and other.ints is a.ints
             for name in memos:
-                assert getattr(other, name) is not getattr(a, name)
+                assert getattr(other, name) is getattr(a, name)
+        assert 12 in low._qfact_memo and 7 in high._qnum_memo \
+            and -3 in low._qpow_memo
         assert (low._mp.dps, high._mp.dps) == (20, 80)
-        low.qfact(12), high.qfact(12)
+        assert low._mp is not a._mp and low._mp is not high._mp
+        low.qfact(14), high.qfact(14)
         assert mpmath.mp.dps == global_dps
         assert a._mp.dps == 50
+
+        twos = [EvalContext.floating(2, 50), EvalContext.floating(Fraction(2), 30),
+                EvalContext.floating(2.0, 50), EvalContext.exact(2),
+                EvalContext.exact(Fraction(2)), EvalContext.exact(2.0)]
+        for other in twos:
+            assert other.q == 2 and type(other.q) is Fraction
+            for name in memos:
+                assert getattr(other, name) is getattr(twos[0], name)
+        other = EvalContext.floating(Fraction(3, 2), 50)
+        for name in memos:
+            assert getattr(other, name) is not getattr(a, name)
 
         qarith._q_tables.cache_clear()
         fresh = EvalContext.floating(q, 50)
         assert fresh._qfact_memo is not a._qfact_memo
-        assert [fresh.qfact(12)._mpf_, fresh.qnum(7)._mpf_,
-                fresh.qpow(-3)._mpf_] == want
-        assert [b.qfact(12)._mpf_, b.qnum(7)._mpf_, b.qpow(-3)._mpf_] == want
+        assert [fresh.qfact(12), fresh.qnum(7), fresh.qpow(-3)] == want
+        assert [a.qfact(12), a.qnum(7), a.qpow(-3)] == want
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf"),
@@ -327,10 +350,12 @@ class TestSignedRadical:
         # the rounded q and 3/2 rounds twice and lands one ulp away
         ctx = EvalContext.exact(Fraction(13, 10))
         f = ctx.as_float()
+        mp = f._mp
         a = SignedRadical.make(-1, 1, Fraction(9, 4))
         v = a.to_float(f)
-        assert v == f.from_fraction(Fraction(-39, 20))
-        assert v != -f.qpow(1) * f.from_fraction(Fraction(3, 2))
+        assert v == mp.mpf(-39) / 20
+        assert v != -(mp.mpf(13) / 10) * (mp.mpf(3) / 2)
+        assert SignedRadical.zero().to_float(ctx) == 0
 
     @given(q=rationals_q, sign=st.sampled_from([-1, 1]),
            w=st.integers(-4, 4),
@@ -374,12 +399,12 @@ class TestSignedRadical:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_to_fraction_is_the_exact_mpf_value(self, sign, w):
         # qarith.exact_fraction, which reads a float or mpf q key
-        f = EvalContext.floating(1.3, 50)
-        x = sign * f.qpow(w)
+        mp = EvalContext.floating(1.3, 50)._mp
+        x = sign * mp.mpf(1.3) ** w
         got = qarith.exact_fraction(x)
-        assert f._mp.mpf(got.numerator) / got.denominator == x
+        assert mp.mpf(got.numerator) / got.denominator == x
         assert got.denominator & (got.denominator - 1) == 0
-        assert qarith.exact_fraction(f.zero()) == 0
+        assert qarith.exact_fraction(mp.zero) == 0
         assert qarith.exact_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
         assert qarith.exact_fraction(sign * 1.3) == sign * Fraction(1.3)
         for bad in ("nan", "inf", "-inf"):

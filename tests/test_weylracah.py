@@ -1,8 +1,10 @@
 """Transformation brackets between the two reduction chains, and q-Racah values."""
 
+import inspect
 import itertools
 import random
 import re
+import textwrap
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -16,6 +18,7 @@ from qu21.qarith import EvalContext, SignedRadical
 from qu21.repspace import (Signature, Weight, enumerate_u_basis,
                            lowest_t_label, lowest_u_label, t_labels_at_weight,
                            u_labels_at_weight, weight_of_t, weight_of_u)
+from qu21.verify import Truncation, complete_blocks
 from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
                             racah_args_from_rep, racah_triangles_ok,
                             weyl_block, weyl_coefficient,
@@ -23,7 +26,7 @@ from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
 
 from oracles import (half_integers, racah_form_fraction,
                      racah_triangles_fraction, recoupling_exact,
-                     triangle_fraction)
+                     recoupling_qmpf, triangle_fraction)
 
 SIGS = [Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 2, -1)]
 
@@ -186,6 +189,46 @@ class TestRacah:
             qracah(EvalContext.exact(Fraction(1)), args)
         with pytest.raises(ValueError):
             qracah_exact(EvalContext.floating(Fraction(1)), args)
+
+
+def _qoracle_worst(q):
+    """(largest |qracah - recoupling_qmpf|, sets compared) over every
+    in-triangle argument set with spins up to 3/2, at 50 digits."""
+    ctx = EvalContext.floating(q, 50)
+    worst, count = 0, 0
+    for args in itertools.product(half_integers(3), repeat=6):
+        if racah_triangles_fraction(*args):
+            worst = max(worst, abs(qracah(ctx, RacahArgs(*args))
+                                   - recoupling_qmpf(q, *args)))
+            count += 1
+    return worst, count
+
+
+class TestQClebschGordanOracle:
+    """U_q against the q-Clebsch-Gordan recoupling of the oracles, which
+    shares no formula with weylracah: values and phases at q != 1."""
+
+    @pytest.mark.parametrize("q", [Fraction(13, 10), Fraction(3),
+                                   Fraction(1, 2)], ids=str)
+    def test_qracah_matches_the_recoupling_sum(self, q):
+        worst, count = _qoracle_worst(q)
+        assert count == 181
+        assert worst < 1e-45
+
+    @pytest.mark.parametrize("fault", [
+        # every value negated
+        ("-1 if (a + d - c - f) % 4 else 1", "1 if (a + d - c - f) % 4 else -1"),
+        # the phase (-1)^((a + d - c - f) / 2) dropped
+        ("(a + d - c - f) % 4", "(a + d - c - f) % 2"),
+    ], ids=["negated", "phase-dropped"])
+    def test_a_sign_fault_in_qracah_fails_it(self, monkeypatch, fault):
+        source = textwrap.dedent(inspect.getsource(weylracah._qracah_doubled))
+        assert source.count(fault[0]) == 1
+        namespace = dict(vars(weylracah))
+        exec(source.replace(*fault), namespace)
+        monkeypatch.setattr(weylracah, "_qracah_doubled",
+                            namespace["_qracah_doubled"])
+        assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
 
 
 class TestDictionary:
@@ -496,6 +539,13 @@ def racah_bit_lines(order=None):
             for i, (prefix, _, _) in enumerate(inputs)]
 
 
+def _assert_one_value(ctx, sig, u, t):
+    """The direct bracket and both q-Racah forms have the same mpf bits."""
+    direct = weyl_coefficient(ctx, sig, u, t)._mpf_
+    for form in ("a", "b"):
+        assert weyl_via_racah(ctx, sig, u, t, form)._mpf_ == direct, (u, t, form)
+
+
 class TestBitIdentity:
     def test_values_match_golden_bits(self):
         assert racah_bit_lines() == GOLDEN_BITS.read_text().splitlines()
@@ -521,7 +571,7 @@ class TestBitIdentity:
         assert racah_bit_lines(order) == golden
         assert within_bound()
 
-        # Evicted: more than _Q_TABLES other keys push out all eight.
+        # Evicted: more than _Q_TABLES other q push out all four.
         for k in range(qarith._Q_TABLES + 1):
             EvalContext("float" if k % 2 else "exact", Fraction(k + 1, 97)).qfact(6)
             assert within_bound()
@@ -531,10 +581,8 @@ class TestBitIdentity:
         assert within_bound()
 
     def test_float_columns_are_within_one_ulp_of_the_exact_column(self):
-        # each float value of a line against its own exact= radical.  Form a
-        # multiplies the rounded U_q by a float square root of q-bracket
-        # ratios, whose own roundings may add up to 3 ulp more
-        bound = {"float": 1, "direct": 1, "form_a": 4, "form_b": 1}
+        # each float value of a line against its own exact= radical
+        bound = {"float": 1, "direct": 1, "form_a": 1, "form_b": 1}
         worst = dict.fromkeys(bound, 0)
         for line in GOLDEN_BITS.read_text().splitlines():
             sign, qpower, radicand = re.search(
@@ -546,6 +594,30 @@ class TestBitIdentity:
                 value = (-1) ** int(sgn) * int(man, 16) * Fraction(2) ** int(exp)
                 worst[name] = max(worst[name], ulps_off(value, exact))
         assert all(worst[name] <= bound[name] for name in bound), worst
+
+    def test_direct_and_racah_forms_are_bit_identical_on_the_golden_rows(self):
+        # each of the three is one exact value rounded once
+        rows = 0
+        for prefix, q, evaluate in _bit_inputs():
+            if prefix.startswith("weyl"):
+                sig, u, t = evaluate["float"].args
+                _assert_one_value(EvalContext.floating(q, 50), sig, u, t)
+                rows += 1
+        assert rows == 100
+
+    @pytest.mark.parametrize("q", [Fraction(13, 10), Fraction(3),
+                                   Fraction(1, 2)], ids=str)
+    def test_direct_and_racah_forms_are_bit_identical_on_desk_blocks(self, q):
+        sig = Signature(4, 2, -2)
+        ctx = EvalContext.floating(q, 50)
+        blocks = complete_blocks(ctx, sig, Truncation(6, 6, 6))
+        entries = 0
+        for blk in blocks.values():
+            for u in blk.u_labels:
+                for t in blk.t_labels:
+                    _assert_one_value(ctx, sig, u, t)
+                    entries += 1
+        assert (len(blocks), entries) == (42, 198)
 
     def test_integer_triangle_test_matches_fraction_definition(self):
         values = ([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]
