@@ -269,14 +269,16 @@ def cmd_weyl(args, out) -> int:
             row = {"u_label": str(ul), "t_label": str(tl),
                    **(cols if exact else {"value": cols["value"]})}
             if args.via_racah:
-                value = entry.to_float(fctx)
-                va = weyl_via_racah(fctx, sig, ul, tl, form="a")
-                vb = weyl_via_racah(fctx, sig, ul, tl, form="b")
+                # each form is printed as value is, its exact radical rounded
+                # once; the difference is that of the three rounded values
+                forms = [weyl_via_racah(ectx, sig, ul, tl, form=f)
+                         for f in "ab"]
+                value, va, vb = (x.to_float(fctx) for x in (entry, *forms))
                 diff = max(abs(value - va), abs(value - vb), abs(va - vb))
                 within = float(diff) <= args.tolerance
                 all_within = all_within and within
-                row["racah_form_a"] = format_float(va, digits)
-                row["racah_form_b"] = format_float(vb, digits)
+                for name, x in zip(("racah_form_a", "racah_form_b"), forms):
+                    row[name] = format_root(x.sign, x.squared(ectx), digits)
                 row["difference"] = format_float(diff, 3)
                 row["within_tolerance"] = str(within).lower()
             rows.append(row)

@@ -17,10 +17,11 @@ same target multiplet.  As in the projection-operator derivation, each
 such element is a reduced part shared by the doublet (the shift, three
 numerator brackets and the denominator [2J][2J+1], J the larger of the
 source and target spins) times one M-dependent q-Clebsch-Gordan bracket
-of its own; the reduced part is stated once, in _Reduced.  Besides the
-doublets, each table holds the two ladder rows inside a multiplet: A12/A21,
-the compact su_q(2) ladder of the U basis, and A23/A32, the noncompact
-su_q(1,1) ladder of the T basis.
+of its own; the reduced part is stated once, in _Reduced, and evaluated
+once per (row, multiplet) in a build (_RowValues, _multiplet_rows).
+Besides the doublets, each table holds the two ladder rows inside a
+multiplet: A12/A21, the compact su_q(2) ladder of the U basis, and A23/A32,
+the noncompact su_q(1,1) ladder of the T basis.
 
 basis_action returns every matrix element as a SignedRadical attached to a
 validated target label.  A row's radicand is formed in integers from the
@@ -30,7 +31,9 @@ sign sqrt(q^(2e) prod [a] / prod [b]) rounded once to the fixed-point scale
 2^-F (qarith.fixed_root), with no mpf intermediate.  A vanishing bracket
 factor in a numerator silently drops the term; this is also what keeps
 boundary labels (k or p at the ends of their ranges, multiplet bottoms) from
-producing out-of-range targets.
+producing out-of-range targets.  The squared norms are products of the same
+integer tables too (F_m for the closed forms, G_m for the recursions), made
+into one Fraction each.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Tuple
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, NegativeFactorial
 from .qarith import EvalContext, QIntegers, SignedRadical, _as_int, fixed_root
 from .repspace import (
     Signature,
-    _check_t_key,
+    _check_t_m,
     _check_t_multiplet,
-    _check_u_key,
+    _check_u_m,
     _check_u_multiplet,
     _t_label_at,
     _t_weight,
@@ -81,19 +84,77 @@ class ActionTerm(NamedTuple):
 
 
 # ----------------------------------------------------------------------------
-# norms
+# integer q-number products and norms
 # ----------------------------------------------------------------------------
+
+def _brackets(ints: QIntegers, nums, dens, neg: int = 0, num: int = 1,
+              den: int = 1):
+    """(-1)^neg num / den times prod [a] / prod [b] over a in nums, b in
+    dens, as ints (neg, N, D): the ratio is (-1)^neg N / D, with N >= 0 and
+    D > 0 (given num >= 0 and den > 0).
+
+    [m] = G_m / z^(m-1) and [-m] = -[m] (qarith.QIntegers); no gcd is
+    taken.  The table of G grows only when an argument passes its end.
+    """
+    g = ints.g_table(0)
+    zexp = 0
+    for a in nums:
+        if a < 0:
+            a, neg = -a, neg ^ 1
+        if a >= len(g):
+            g = ints.g_table(a)
+        num *= g[a]
+        zexp -= a - 1
+    for b in dens:
+        if b < 0:
+            b, neg = -b, neg ^ 1
+        if b >= len(g):
+            g = ints.g_table(b)
+        den *= g[b]
+        zexp += b - 1
+    if zexp >= 0:
+        return neg, num * ints.z ** zexp, den
+    return neg, num, den * ints.z ** -zexp
+
+
+def _factorial_ratio(ints: QIntegers, nums, dens) -> Fraction:
+    """prod [a]! / prod [b]! over a in nums, b in dens, as one Fraction.
+
+    [m]! = F_m / z^(m(m-1)/2) (qarith.QIntegers): the F_m and the power of
+    z multiply in integers, and the Fraction is formed once.
+    NegativeFactorial for a negative argument.
+    """
+    if min(nums + dens) < 0:
+        raise NegativeFactorial(f"[{min(nums + dens)}]! is undefined")
+    f = ints.f_table(max(nums + dens))
+    num = den = 1
+    zexp = 0
+    for a in nums:
+        num *= f[a]
+        zexp -= a * (a - 1) // 2
+    for b in dens:
+        den *= f[b]
+        zexp += b * (b - 1) // 2
+    if zexp >= 0:
+        return Fraction(num * ints.z ** zexp, den)
+    return Fraction(num, den * ints.z ** -zexp)
+
+
+def _bracket_fraction(ints: QIntegers, nums, dens) -> Fraction:
+    """prod [a] / prod [b] over a in nums, b in dens (_brackets), as one
+    Fraction."""
+    neg, num, den = _brackets(ints, tuple(nums), tuple(dens))
+    return Fraction(-num if neg else num, den)
+
 
 def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fraction:
     """Squared norm N^2(k, ell) of the unnormalized U-basis construction,
     an exact Fraction in either mode."""
     twoU = _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    num = (ctx.qfact(k) * ctx.qfact(ell) * ctx.qfact(twoU + 1)
-           * ctx.qfact(f12) * ctx.qfact(f23 + k - 2) * ctx.qfact(f13 + ell - 1))
-    den = (ctx.qfact(f12 - k) * ctx.qfact(f12 + ell + 1)
-           * ctx.qfact(f13 - 1) * ctx.qfact(f23 - 2))
-    return num / den
+    return _factorial_ratio(
+        ctx.ints, (k, ell, twoU + 1, f12, f23 + k - 2, f13 + ell - 1),
+        (f12 - k, f12 + ell + 1, f13 - 1, f23 - 2))
 
 
 def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fraction:
@@ -106,13 +167,11 @@ def norm_u_sq_stepwise(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fr
     """
     _check_u_multiplet(sig, k, ell)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    acc = Fraction(1)
-    for j in range(1, ell + 1):
-        acc = acc * ctx.qnum(j) * ctx.qnum(f13 + j - 1)
-    for i in range(1, k + 1):
-        acc = (acc * ctx.qnum(i) * ctx.qnum(f12 - i + 1) * ctx.qnum(f23 + i - 2)
-               / ctx.qnum(f12 - i + ell + 2))
-    return acc
+    nums = [x for j in range(1, ell + 1) for x in (j, f13 + j - 1)]
+    nums += [x for i in range(1, k + 1)
+             for x in (i, f12 - i + 1, f23 + i - 2)]
+    return _bracket_fraction(ctx.ints, nums,
+                             [f12 - i + ell + 2 for i in range(1, k + 1)])
 
 
 def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Fraction:
@@ -120,32 +179,31 @@ def norm_t_sq(ctx: EvalContext, sig: Signature, s: int, p: int) -> Fraction:
     an exact Fraction in either mode."""
     twoT = _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    num = (ctx.qfact(s) * ctx.qfact(p) * ctx.qfact(f12)
-           * ctx.qfact(f13 + s - 1) * ctx.qfact(f23 + s - 2) * ctx.qfact(f23 + p - 2))
-    den = (ctx.qfact(f12 - p) * ctx.qfact(f13 - 1) * ctx.qfact(f23 - 2)
-           * ctx.qfact(twoT))
-    return num / den
+    return _factorial_ratio(
+        ctx.ints, (s, p, f12, f13 + s - 1, f23 + s - 2, f23 + p - 2),
+        (f12 - p, f13 - 1, f23 - 2, twoT))
 
 
 def norm_t_sq_stepwise(ctx: EvalContext, sig: Signature, s: int, p: int) -> Fraction:
-    """N^2(s, p) from one-step ratios of the closed form (cross-check path)."""
+    """N^2(s, p) from one-step ratios of the closed form (cross-check path):
+    N^2(j, 0) / N^2(j - 1, 0) = [j][f1 - f3 + j - 1] for j <= s, then
+    N^2(s, i) / N^2(s, i - 1)
+        = [i][f1 - f2 - i + 1][f2 - f3 + i - 2] / [f2 - f3 + i + s - 2]
+    for i <= p."""
     _check_t_multiplet(sig, s, p)
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    acc = Fraction(1)
-    for j in range(1, s + 1):
-        # ratio N^2(j, 0) / N^2(j - 1, 0)
-        acc = acc * ctx.qnum(j) * ctx.qnum(f13 + j - 1)
-    for i in range(1, p + 1):
-        # ratio N^2(s, i) / N^2(s, i - 1)
-        acc = (acc * ctx.qnum(i) * ctx.qnum(f12 - i + 1) * ctx.qnum(f23 + i - 2)
-               / ctx.qnum(f23 + i + s - 2))
-    return acc
+    nums = [x for j in range(1, s + 1) for x in (j, f13 + j - 1)]
+    nums += [x for i in range(1, p + 1)
+             for x in (i, f12 - i + 1, f23 + i - 2)]
+    return _bracket_fraction(ctx.ints, nums,
+                             [f23 + i + s - 2 for i in range(1, p + 1)])
 
 
 def norm_su11_sq(ctx: EvalContext, T, M) -> Fraction:
     """Squared norm [M - T - 1]! [T + M]! / [2T + 1]! of the su_q(1,1) ladder state."""
     T, M = Fraction(T), Fraction(M)
-    return (ctx.qfact(M - T - 1) * ctx.qfact(T + M) / ctx.qfact(2 * T + 1))
+    return _factorial_ratio(ctx.ints, (_as_int(M - T - 1), _as_int(T + M)),
+                            (_as_int(2 * T + 1),))
 
 
 # ----------------------------------------------------------------------------
@@ -163,7 +221,7 @@ def projector_t_coeff(ctx: EvalContext, T, r: int) -> Fraction:
     twoT = _as_int(2 * Fraction(T))
     if r > twoT:
         return Fraction(0)
-    return ctx.qfact(twoT - r) * ctx.qfact_inv(r) / ctx.qfact(twoT)
+    return _factorial_ratio(ctx.ints, (twoT - r,), (r, twoT))
 
 
 def casimir_su11_eigenvalue(ctx: EvalContext, T) -> Fraction:
@@ -213,7 +271,11 @@ class TableEntry:
 
     A row that changes multiplet is one of a doublet (see _Reduced): its
     (d1, d2), its first three num brackets and its den are the doublet's
-    reduced part, and num[3] is its own M-dependent bracket.
+    reduced part, and num[3] is its own M-dependent bracket.  shared counts
+    the leading num brackets of the reduced part: 3 on a doublet row, 0 on
+    a ladder row, whose brackets all depend on M.  The shared brackets and
+    den read only the multiplet (k, ell or s, p, the spin and sig), so
+    _key_action evaluates them once per source multiplet.
     """
 
     eid: str
@@ -225,6 +287,7 @@ class TableEntry:
     qexp: Callable
     num: Tuple[Callable, ...]
     den: Tuple[Callable, ...]
+    shared: int = 0
 
 
 class _Reduced(NamedTuple):
@@ -241,7 +304,7 @@ def _row(eid: str, gen: str, part: _Reduced, dtwoM: int, sign: int,
          qexp: Callable, own: Callable) -> TableEntry:
     """A doublet row: the reduced part's brackets, then its own one."""
     return TableEntry(eid, gen, part.d1, part.d2, dtwoM, sign, qexp,
-                      part.num + (own,), part.den)
+                      part.num + (own,), part.den, len(part.num))
 
 
 # [2J][2J+1] with J the larger spin: the spin rises (up) or falls (down)
@@ -346,78 +409,83 @@ def table_entries(basis: str) -> Tuple[TableEntry, ...]:
     raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
 
 
-def _bracket_ratio(ints: QIntegers, nums, dens):
-    """prod [a] / prod [b] over a in nums, b in dens, as two ints (N, D).
-
-    [m] = G_m / z^(m-1) and [-m] = -[m] (qarith.QIntegers); no gcd is taken.
-    D > 0, and a negative ratio raises ValueError (no radicand is negative).
-    """
-    g = ints.g_table(max(map(abs, nums + dens)))
-    num = den = 1
-    zexp = neg = 0
-    for a in nums:
-        if a < 0:
-            a, neg = -a, neg ^ 1
-        num *= g[a]
-        zexp -= a - 1
-    for b in dens:
-        if b < 0:
-            b, neg = -b, neg ^ 1
-        den *= g[b]
-        zexp += b - 1
-    if neg:
-        raise ValueError("radicand must be nonnegative")
-    if zexp >= 0:
-        return num * ints.z ** zexp, den
-    return num, den * ints.z ** -zexp
-
-
-def _radical(ctx: EvalContext):
-    """A row (sign, qexp, nums, dens) -> its SignedRadical, whose radicand
-    is the exact Fraction formed on the integer tables of q (ctx.ints), in
-    either mode."""
-    ints = ctx.ints
-
-    def radical(sign, qexp, nums, dens):
-        return SignedRadical(sign, qexp,
-                             Fraction(*_bracket_ratio(ints, nums, dens)))
-    return radical
+def _radical(qexp: int, num: int, den: int) -> SignedRadical:
+    """The row magnitude q^qexp sqrt(num / den), num and den positive ints,
+    as a SignedRadical, whose radicand is the exact Fraction of its
+    integers."""
+    return SignedRadical(1, qexp, Fraction(num, den))
 
 
 def _rep_entry(ctx: EvalContext):
-    """A row (sign, qexp, nums, dens) -> its value as a rep entry.
+    """The row magnitude (qexp, num, den), q^qexp sqrt(num / den) with num
+    and den positive ints, -> its rep entry.
 
-    Exact mode gives the SignedRadical.  Float mode gives the fixed-point
-    int n of n 2^-F, F = ctx.fixed_bits(): it rounds
-    sign sqrt(q^(2 qexp) prod [a] / prod [b]), formed in integers, once
-    (qarith.fixed_root).
+    Exact mode gives the SignedRadical (_radical).  Float mode gives the
+    fixed-point int n of n 2^-F, F = ctx.fixed_bits(): it rounds
+    sqrt(q^(2 qexp) num / den), formed in integers, once
+    (qarith.fixed_root), with q^(2 qexp) formed once per qexp.
     """
     if ctx.is_exact():
-        return _radical(ctx)
+        return _radical
     ints, bits = ctx.ints, ctx.fixed_bits()
+    qpows = {}
 
-    def value(sign, qexp, nums, dens):
-        num, den = _bracket_ratio(ints, nums, dens)
-        qnum, qden = ints.qpow2(qexp)
-        return fixed_root(sign, num * qnum, den * qden, bits)
+    def value(qexp, num, den):
+        qpow = qpows.get(qexp)
+        if qpow is None:
+            qpow = qpows[qexp] = ints.qpow2(qexp)
+        return fixed_root(1, num * qpow[0], den * qpow[1], bits)
     return value
 
 
-class _RowValues(dict):
-    """Memo of one evaluator: row (sign, qexp, nums, dens) -> its value.
+class _Part(NamedTuple):
+    """A table row at one source multiplet, its reduced part evaluated.
 
-    A missing row is evaluated on first lookup, so each distinct row is
-    evaluated once per memo.
+    own are the row's M-dependent num brackets and qexp its q-power;
+    sign has the build's flip_entry applied; (a, b) is the target multiplet
+    and two_spin its 2U or 2T, checked against the domain; reduced indexes
+    the reduced part's ratio in _RowValues.ratios.
     """
 
-    __slots__ = ("evaluate",)
+    own: Tuple[Callable, ...]
+    qexp: Callable
+    sign: int
+    a: int
+    b: int
+    dtwoM: int
+    two_spin: int
+    reduced: int
 
-    def __init__(self, evaluate: Callable):
+
+class _RowValues(dict):
+    """The memo of one build of the tables: one signature, one flip_entry.
+
+    parts maps (basis, generator, source multiplet) -> the generator's rows
+    that apply there, as _Parts; reduced maps the bracket arguments
+    (nums, dens) of a reduced part -> the index of its ratio (neg, N, D)
+    (_brackets) in ratios; and the dict itself maps a row magnitude
+    (reduced index, q-power, own brackets) -> the value evaluate gives it,
+    which _key_action negates for a row of sign -1 (a rounding to nearest
+    is symmetric).  Each is filled on first lookup, so each reduced part is
+    evaluated once per (row, multiplet) and each distinct magnitude once
+    per memo.
+    """
+
+    __slots__ = ("ints", "evaluate", "flip_entry", "parts", "reduced",
+                 "ratios")
+
+    def __init__(self, ints: QIntegers, evaluate: Callable,
+                 flip_entry: str | None = None):
         super().__init__()
-        self.evaluate = evaluate
+        self.ints, self.evaluate, self.flip_entry = ints, evaluate, flip_entry
+        self.parts, self.reduced, self.ratios = {}, {}, []
 
     def __missing__(self, row):
-        value = self[row] = self.evaluate(*row)
+        reduced, qexp, own = row
+        neg, num, den = _brackets(self.ints, own, (), *self.ratios[reduced])
+        if neg:
+            raise ValueError("radicand must be nonnegative")
+        value = self[row] = self.evaluate(qexp, num, den)
         return value
 
 
@@ -434,10 +502,13 @@ def _t_env(sig: Signature, key) -> _TEnv:
 
 
 # per basis: label check (returns the key), key -> weight, key -> table
-# environment, key check, key -> label; the last three trust their key
+# environment, multiplet check (returns the spin), spin projection check,
+# key -> label; the last one trusts its key
 _BASES = {
-    "u": (require_u_label, _u_weight, _u_env, _check_u_key, _u_label_at),
-    "t": (require_t_label, _t_weight, _t_env, _check_t_key, _t_label_at),
+    "u": (require_u_label, _u_weight, _u_env, _check_u_multiplet, _check_u_m,
+          _u_label_at),
+    "t": (require_t_label, _t_weight, _t_env, _check_t_multiplet, _check_t_m,
+          _t_label_at),
 }
 
 
@@ -466,38 +537,71 @@ def _check_flip_entry(flip_entry: str | None) -> None:
                          "of U1..U10, T1..T10")
 
 
-def _key_action(sig: Signature, basis: str, key, gens, values: _RowValues,
-                flip_entry: str | None = None):
+def _multiplet_rows(sig: Signature, basis: str, gen: str, a: int, b: int,
+                    env, values: _RowValues) -> Tuple[_Part, ...]:
+    """The rows of gen that apply to the source multiplet (a, b), k and ell
+    or s and p, whose table environment (any label's) is env.
+
+    A row whose reduced part has a vanishing bracket is dropped here, for
+    every M; the target multiplet of every other row is checked against
+    the label domain (ConstraintViolation), and its reduced part's ratio
+    is entered into values.ratios.
+    """
+    check_multiplet = _BASES[basis][3]
+    out = []
+    for entry in _ROWS[basis][gen]:
+        nums = tuple([f(env) for f in entry.num[:entry.shared]])
+        if 0 in nums:
+            continue
+        dens = tuple([f(env) for f in entry.den])
+        a2, b2 = a + entry.d1, b + entry.d2
+        two_spin = check_multiplet(sig, a2, b2)
+        reduced = values.reduced.get((nums, dens))
+        if reduced is None:
+            reduced = values.reduced[nums, dens] = len(values.ratios)
+            values.ratios.append(_brackets(values.ints, nums, dens))
+        sign = -entry.sign if entry.eid == values.flip_entry else entry.sign
+        out.append(_Part(entry.num[entry.shared:], entry.qexp, sign, a2, b2,
+                         entry.dtwoM, two_spin, reduced))
+    return tuple(out)
+
+
+def _key_action(sig: Signature, basis: str, key, gens, values: _RowValues):
     """Action of each off-diagonal generator in gens on the basis vector
     with this key.
 
     The one evaluator of the tables: basis_action and the truncated reps
-    of verify both go through it.  Each row that applies is read as
-    (sign, q-power, numerator bracket arguments, denominator bracket
-    arguments), and its value is values[row] (see _RowValues, _radical and
-    _rep_entry).  Returns one list per generator of (target key, value) pairs
-    in the targets' sort_key order.  The key must name a label of sig (both
-    callers hand in checked or enumerated labels); every target is checked
-    against the label domain, so a row that leaves it raises
+    of verify both go through it.  The rows of each generator at the key's
+    multiplet, with their reduced parts, come from values.parts
+    (_multiplet_rows, once per memo); per label only the own brackets and
+    the q-power are read, and the value is the row's sign times
+    values[reduced part, q-power, own brackets] (see _RowValues).  Returns
+    one list per generator of (target key, value) pairs in the targets'
+    sort_key order.
+    The key must name a label of sig (both callers hand in checked or
+    enumerated labels); every target is checked against the label domain,
+    its multiplet once and its M here, so a row that leaves it raises
     ConstraintViolation.
     """
-    _, _, env_of, check_key, _ = _BASES[basis]
+    _, _, env_of, _, check_m, _ = _BASES[basis]
     env = env_of(sig, key)
-    rows = _ROWS[basis]
     a, b, c = key
+    parts = values.parts
     out = []
     for gen in gens:
+        rows = parts.get((basis, gen, a, b))
+        if rows is None:
+            rows = parts[basis, gen, a, b] = _multiplet_rows(
+                sig, basis, gen, a, b, env, values)
         terms = []
-        for entry in rows[gen]:
-            nums = tuple([f(env) for f in entry.num])
-            if 0 in nums:
+        for own, qexp, sign, a2, b2, dtwoM, two_spin, reduced in rows:
+            brackets = tuple([f(env) for f in own])
+            if 0 in brackets:
                 continue
-            sign = -entry.sign if entry.eid == flip_entry else entry.sign
-            coeff = values[sign, entry.qexp(env), nums,
-                           tuple([f(env) for f in entry.den])]
-            target = (a + entry.d1, b + entry.d2, c + entry.dtwoM)
-            check_key(sig, *target)  # a target that is no label raises
-            terms.append((target, coeff))
+            c2 = c + dtwoM
+            check_m(two_spin, c2)  # a target that is no label raises
+            value = values[reduced, qexp(env), brackets]
+            terms.append(((a2, b2, c2), value if sign > 0 else -value))
         out.append(terms)
     return out
 
@@ -515,7 +619,7 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
     if basis not in _BASES:
         raise ValueError(f"basis must be 'u' or 't', got {basis!r}")
     _check_flip_entry(flip_entry)
-    require, weight_of, _, _, label_at = _BASES[basis]
+    require, weight_of, *_, label_at = _BASES[basis]
     key = require(sig, lab)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
@@ -523,6 +627,6 @@ def basis_action(ctx: EvalContext, sig: Signature, basis: str, gen: str, lab,
         m = weight_of(sig, key)[_DIAGONAL[gen]]
         return [ActionTerm(label_at(sig, key),
                            SignedRadical.from_rational(Fraction(m)))]
-    [terms] = _key_action(sig, basis, key, (gen,), _RowValues(_radical(ctx)),
-                          flip_entry)
+    [terms] = _key_action(sig, basis, key, (gen,),
+                          _RowValues(ctx.ints, _radical, flip_entry))
     return [ActionTerm(label_at(sig, key), coeff) for key, coeff in terms]

@@ -36,9 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt
 
-import mpmath
-from mpmath.libmp import from_man_exp, round_nearest
-
 from .errors import NegativeFactorial, RadicalIncompatible
 
 _EXACT = "exact"
@@ -68,17 +65,19 @@ class QIntegers:
     G_m = sum_{i<m} r^2i s^2(m-1-i), so G_0 = 0, G_1 = 1 and G_m = m at
     q = 1; F_m = G_1 ... G_m, with F_0 = 1.  Then [m] = G_m / z^(m-1) and
     [m]! = F_m / z^(m(m-1)/2) with z = rs; G_m and F_m are prime to z, so
-    both fractions are already in lowest terms.  The table of G grows on
-    demand, through G_(m+1) = r^2 G_m + s^2m, and an entry never changes.
+    both fractions are already in lowest terms.  The tables of G and F grow
+    on demand, through G_(m+1) = r^2 G_m + s^2m and F_(m+1) = F_m G_(m+1),
+    and an entry never changes.
     """
 
-    __slots__ = ("z", "_r2", "_s2", "_g")
+    __slots__ = ("z", "_r2", "_s2", "_g", "_f")
 
     def __init__(self, q: Fraction):
         r, s = q.numerator, q.denominator
         self.z = r * s
         self._r2, self._s2 = r * r, s * s
         self._g = [0, 1]
+        self._f = [1, 1]
 
     def g_table(self, n: int):
         """The list G_0, G_1, ..., G_N for some N >= n; read, never write."""
@@ -86,6 +85,15 @@ class QIntegers:
         for m in range(len(g) - 1, n):
             g.append(r2 * g[m] + s2 ** m)
         return g
+
+    def f_table(self, n: int):
+        """The list F_0, F_1, ..., F_N for some N >= n; read, never write."""
+        f = self._f
+        if len(f) <= n:
+            g = self.g_table(n)
+            for m in range(len(f), n + 1):
+                f.append(f[m - 1] * g[m])
+        return f
 
     def qpow2(self, e: int):
         """q^(2e) = (r^2 / s^2)^e as a pair (numerator, denominator)."""
@@ -137,15 +145,16 @@ def rounded_root(ctx: "EvalContext", sign: int, num: int, den: int):
     to at least wp = precision + _GUARD_BITS bits, with a sticky bit
     (_root_bits), so one rounding to nearest at the context's precision
     rounds exactly as the root itself would, whatever the scale of num and
-    den.  Returns the context's zero when sign or num is 0.
+    den.  Returns the context's zero when sign or num is 0.  The mpf of
+    (man, exp) is man 2^exp rounded to nearest at the context's precision
+    (mpmath's from_man_exp), so no mpmath name is imported here.
     """
     mp = ctx._mp
     if sign == 0 or num == 0:
         return mp.zero
     man, k = _root_bits(num, den, mp.prec + _GUARD_BITS
                         + (den.bit_length() - num.bit_length() + 2) // 2)
-    return mp.make_mpf(from_man_exp(man if sign > 0 else -man, -k, mp.prec,
-                                    round_nearest))
+    return mp.mpf((man if sign > 0 else -man, -k))
 
 
 def _round_div(num: int, den: int) -> int:
@@ -159,21 +168,31 @@ def fixed_root(sign: int, num: int, den: int, bits: int) -> int:
     """sign * sqrt(num / den) rounded once to the nearest multiple of
     2^-bits (ties to even), as the int n of n 2^-bits.
 
-    num >= 0 and den > 0 are ints, in any common scale: the root is taken
-    two bits past the last with a sticky bit (_root_bits, as in
-    rounded_root), which decides the rounding exactly.  0 when sign or num
+    num >= 0 and den > 0 are ints, in any common scale.  With
+    X = (num / den) 4^bits, r = isqrt(floor(4X)) = floor(2 sqrt(X)), so the
+    nearest int to sqrt(X) is (r + 1) // 2, unless 2 sqrt(X) is exactly the
+    odd r, a tie, which goes to the even neighbour.  0 when sign or num
     is 0.
     """
     if sign == 0 or num == 0:
         return 0
-    man, k = _root_bits(num, den, bits + 2)
-    n = _round_div(man, 1 << (k - bits))
+    quot, rem = divmod(num << 2 * bits + 2, den)
+    r = isqrt(quot)
+    n = (r + 1) >> 1
+    if n & 1 and r & 1 and not rem and r * r == quot:
+        n -= 1
     return n if sign > 0 else -n
 
 
 @lru_cache(maxsize=_MP_CONTEXTS)
 def _mp_context(precision: int):
-    """The mpmath context shared by every float EvalContext at this precision."""
+    """The mpmath context shared by every float EvalContext at this precision.
+
+    mpmath is imported here, where the first mpf is made, so a run that
+    makes none (verify, basis, matrix, exact racah) never loads it.
+    """
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.dps = precision
     return ctx
@@ -241,7 +260,9 @@ class EvalContext:
                    SignedRadical.to_fixed).  The mpf results live on an
                    mpmath context that every float EvalContext of that
                    precision shares (one per precision, from a bounded
-                   memo).  No code may change that context's precision; so
+                   memo), built when the first mpf is made; the
+                   fixed-point scale needs none.  No code may change that
+                   context's precision; so
                    instances never interfere with each other or with the
                    global mpmath state.
 
@@ -264,7 +285,7 @@ class EvalContext:
     same tables, at a precision.
     """
 
-    __slots__ = ("mode", "q", "precision", "ints", "_mp",
+    __slots__ = ("mode", "q", "precision", "ints",
                  "_qpow_memo", "_qnum_memo", "_qfact_memo", "_qfact_inv_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
@@ -276,7 +297,12 @@ class EvalContext:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
         (self.q, self.ints, self._qpow_memo, self._qnum_memo,
          self._qfact_memo, self._qfact_inv_memo) = _q_tables(q)
-        self._mp = _mp_context(self.precision) if mode == _FLOAT else None
+
+    @property
+    def _mp(self):
+        """The shared mpmath context of this float context's precision
+        (_mp_context), built on first use; None in exact mode."""
+        return _mp_context(self.precision) if self.mode == _FLOAT else None
 
     # -- constructors ------------------------------------------------------
 
@@ -364,10 +390,16 @@ class EvalContext:
 
     def fixed_bits(self) -> int:
         """F = working bits + _GUARD_BITS: a fixed-point int n of this float
-        context stands for n 2^-F."""
+        context stands for n 2^-F.
+
+        The working bits are those of its mpmath context, by mpmath's own
+        formula for the bits of ``precision`` digits (libmp.dps_to_prec),
+        so no mpmath context is built for them.
+        """
         if self.mode == _EXACT:
             raise ValueError("fixed_bits requires a float-mode context")
-        return self._mp.prec + _GUARD_BITS
+        bits = max(1, round((self.precision + 1) * 3.3219280948873626))
+        return bits + _GUARD_BITS
 
     def to_fixed(self, x) -> int:
         """x rounded once to the nearest n 2^-F (ties to even), as the int n.

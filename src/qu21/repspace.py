@@ -207,30 +207,42 @@ def _check_t_multiplet(sig: Signature, s: int, p: int) -> int:
     return _two_t(sig, s, p)
 
 
-def _check_u_key(sig: Signature, k: int, ell: int, twoMU: int) -> int:
-    """2U of a U-basis key; ConstraintViolation outside the domain."""
-    twoU = _check_u_multiplet(sig, k, ell)
+def _check_u_m(twoU: int, twoMU: int) -> None:
+    """ConstraintViolation unless 2MU is a projection of the spin 2U."""
     if (twoU - twoMU) % 2:
         rule = "U - MU must be an integer"
     elif not -twoU <= twoMU <= twoU:
         rule = "-U <= MU <= U violated"
     else:
-        return twoU
+        return
     raise ConstraintViolation(
         f"{rule}: U = {Fraction(twoU, 2)}, MU = {Fraction(twoMU, 2)}")
 
 
-def _check_t_key(sig: Signature, s: int, p: int, twoM: int) -> int:
-    """2T of a T-basis key; ConstraintViolation outside the domain."""
-    twoT = _check_t_multiplet(sig, s, p)
+def _check_t_m(twoT: int, twoM: int) -> None:
+    """ConstraintViolation unless 2M is on the ladder of the spin 2T."""
     if (twoM - twoT) % 2:
         rule = "M - T must be an integer"
     elif twoM < twoT + 2:
         rule = "M >= T + 1 violated"
     else:
-        return twoT
+        return
     raise ConstraintViolation(
         f"{rule}: T = {Fraction(twoT, 2)}, M = {Fraction(twoM, 2)}")
+
+
+def _check_u_key(sig: Signature, k: int, ell: int, twoMU: int) -> int:
+    """2U of a U-basis key; ConstraintViolation outside the domain."""
+    twoU = _check_u_multiplet(sig, k, ell)
+    _check_u_m(twoU, twoMU)
+    return twoU
+
+
+def _check_t_key(sig: Signature, s: int, p: int, twoM: int) -> int:
+    """2T of a T-basis key; ConstraintViolation outside the domain."""
+    twoT = _check_t_multiplet(sig, s, p)
+    _check_t_m(twoT, twoM)
+    return twoT
 
 
 def _u_label_at(sig: Signature, key) -> UBasisLabel:
@@ -253,10 +265,16 @@ def _u_weight(sig: Signature, key) -> Weight:
     return Weight(sig.f1 + ell - drop, sig.f2 + k + drop, sig.f3 - k - ell)
 
 
+def _t_depth(sig: Signature, key) -> int:
+    """The ladder depth M - T - 1 of a T-basis key of sig."""
+    s, p, twoM = key
+    return (twoM - _two_t(sig, s, p)) // 2 - 1
+
+
 def _t_weight(sig: Signature, key) -> Weight:
     """The weight of a T-basis key of sig."""
-    s, p, twoM = key
-    x = (twoM - _two_t(sig, s, p)) // 2 - 1  # the ladder depth M - T - 1
+    s, p, _ = key
+    x = _t_depth(sig, key)
     return Weight(sig.f1 - p + s, sig.f2 + p + x, sig.f3 - s - x)
 
 
@@ -274,18 +292,29 @@ def t_label(sig: Signature, s: int, p: int, M) -> TBasisLabel:
     return _t_label_at(sig, key)
 
 
-def enumerate_u_basis(sig: Signature, ell_max: int) -> List[UBasisLabel]:
-    """All U-basis labels with ell <= ell_max, ordered by (ell, k, MU)."""
-    return [_u_label_at(sig, (k, ell, 2 * j - _two_u(sig, k, ell)))
+def _u_keys(sig: Signature, ell_max: int) -> List[Tuple[int, int, int]]:
+    """The keys of the U-basis labels with ell <= ell_max, by (ell, k, MU)."""
+    return [(k, ell, 2 * j - _two_u(sig, k, ell))
             for ell in range(ell_max + 1) for k in range(sig.f1 - sig.f2 + 1)
             for j in range(_two_u(sig, k, ell) + 1)]
 
 
-def enumerate_t_basis(sig: Signature, s_max: int, depth: int) -> List[TBasisLabel]:
-    """All T-basis labels with s <= s_max and M - T - 1 <= depth, by (s, p, M)."""
-    return [_t_label_at(sig, (s, p, _two_t(sig, s, p) + 2 + 2 * x))
+def _t_keys(sig: Signature, s_max: int, depth: int) -> List[Tuple[int, int, int]]:
+    """The keys of the T-basis labels with s <= s_max and M - T - 1 <= depth,
+    by (s, p, M)."""
+    return [(s, p, _two_t(sig, s, p) + 2 + 2 * x)
             for s in range(s_max + 1) for p in range(sig.f1 - sig.f2 + 1)
             for x in range(depth + 1)]
+
+
+def enumerate_u_basis(sig: Signature, ell_max: int) -> List[UBasisLabel]:
+    """All U-basis labels with ell <= ell_max, ordered by (ell, k, MU)."""
+    return [_u_label_at(sig, key) for key in _u_keys(sig, ell_max)]
+
+
+def enumerate_t_basis(sig: Signature, s_max: int, depth: int) -> List[TBasisLabel]:
+    """All T-basis labels with s <= s_max and M - T - 1 <= depth, by (s, p, M)."""
+    return [_t_label_at(sig, key) for key in _t_keys(sig, s_max, depth)]
 
 
 def weight_of_u(sig: Signature, lab: UBasisLabel) -> Weight:
@@ -357,8 +386,8 @@ def label_from_gg(pattern: GGPattern) -> Tuple[Signature, UBasisLabel]:
     return sig, _u_label_at(sig, (k, ell, twoMU))
 
 
-def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
-    """Every U-basis label of the full module at weight w, by ascending U."""
+def _u_keys_at_weight(sig: Signature, w: Weight) -> List[Tuple[int, int, int]]:
+    """The keys of u_labels_at_weight, in its order."""
     if w.m1 + w.m2 + w.m3 != sig.f1 + sig.f2 + sig.f3:
         return []
     c = sig.f3 - w.m3  # = k + ell
@@ -368,12 +397,12 @@ def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
         twoU = _two_u(sig, k, ell)
         drop = sig.f1 + ell - w.m1  # = U - MU
         if 0 <= drop <= twoU:
-            out.append(_u_label_at(sig, (k, ell, twoU - 2 * drop)))
+            out.append((k, ell, twoU - 2 * drop))
     return out
 
 
-def t_labels_at_weight(sig: Signature, w: Weight) -> List[TBasisLabel]:
-    """Every T-basis label of the full module at weight w, by ascending T."""
+def _t_keys_at_weight(sig: Signature, w: Weight) -> List[Tuple[int, int, int]]:
+    """The keys of t_labels_at_weight, in its order."""
     if w.m1 + w.m2 + w.m3 != sig.f1 + sig.f2 + sig.f3:
         return []
     c = sig.f3 - w.m3  # = s + x
@@ -381,8 +410,18 @@ def t_labels_at_weight(sig: Signature, w: Weight) -> List[TBasisLabel]:
     for s in range(max(0, w.m1 - sig.f1), min(c, w.m1 - sig.f2) + 1):
         p = sig.f1 + s - w.m1
         x = c - s
-        out.append(_t_label_at(sig, (s, p, _two_t(sig, s, p) + 2 + 2 * x)))
+        out.append((s, p, _two_t(sig, s, p) + 2 + 2 * x))
     return out
+
+
+def u_labels_at_weight(sig: Signature, w: Weight) -> List[UBasisLabel]:
+    """Every U-basis label of the full module at weight w, by ascending U."""
+    return [_u_label_at(sig, key) for key in _u_keys_at_weight(sig, w)]
+
+
+def t_labels_at_weight(sig: Signature, w: Weight) -> List[TBasisLabel]:
+    """Every T-basis label of the full module at weight w, by ascending T."""
+    return [_t_label_at(sig, key) for key in _t_keys_at_weight(sig, w)]
 
 
 def require_u_label(sig: Signature, lab: UBasisLabel) -> Tuple[int, int, int]:

@@ -26,23 +26,32 @@ location, and marks a check with no columns vacuous.
 
 One pass: each TruncatedRep visits each of its labels once.  repspace reads
 the label's integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not
-checked again, and gives its weight; the key is turned into its table
-environment once; one call of generators._key_action, which checks every
-target, gives the terms of the six off-diagonal generators, and targets are
-looked up by key; the three diagonal ones are the weights.  Each build keeps
-one memo of the table rows it met, keyed by (sign, q-power, bracket
-arguments), so each distinct row is evaluated once.  Each matrix is filled
-column by column, each column's terms in sort_key order.
+checked again, and gives its weight and its spin 2U or 2T; the key is
+turned into its table environment once; one call of
+generators._key_action, which checks every target, gives the terms of the
+six off-diagonal generators, and targets are looked up by key; the three
+diagonal ones are the weights.  Each build keeps one memo of the tables
+(generators._RowValues): each row's M-independent reduced part (its
+shared brackets, its denominator, their zero test and the target
+multiplet's domain check) is evaluated once per multiplet, and each
+distinct magnitude (reduced part, q-power, own brackets) once, so a label
+costs only its own brackets and q-power.  Each matrix is filled column by
+column, each column's terms in sort_key order.  The checks select and group
+columns by these integer keys and spins, never by the labels' Fraction
+fields.
 
 Fixed point: in float mode every rep entry and every complete Weyl block
 entry is an int n that stands for n 2^-F, with one scale F for the whole
 run: the float context's working bits plus qarith._GUARD_BITS
-(EvalContext.fixed_bits), so F follows from the precision.  Each entry is
-its exact value, formed in integers and rounded once (qarith.fixed_root),
-and each scalar a check needs (a weight, a bracket, an eigenvalue, a
-coefficient) is an exact rational rounded once, but for the projector's c_r,
-whose terms c_r T+^r T-^r are rounded once; a q given as a float or an mpf
-is read as the exact rational it is.  The checks then add and
+(EvalContext.fixed_bits, no mpmath needed), so F follows from the
+precision.  Each entry is its exact value, formed in integers and rounded
+once (qarith.fixed_root): a rep entry from its row's integers, a block
+entry straight from the unreduced integers of weylracah._racah_form_exact,
+with no Fraction in between.  Each scalar a check needs (a weight, a
+bracket, an eigenvalue, a coefficient, a norm) is an exact rational rounded
+once, per distinct value, but for the projector's c_r, whose terms
+c_r T+^r T-^r are rounded once; a q given as a float or an mpf is read as
+the exact rational it is.  The checks then add and
 multiply ints only, exactly: a product's scale is the sum of its factors'
 scales, a multiple of F; _mat_lin aligns its terms by exact left shifts; and
 _report converts the largest magnitude to a float once.  So each residual is
@@ -88,20 +97,26 @@ from .generators import (
     norm_u_sq_stepwise,
     projector_t_coeff,
 )
-from .qarith import EvalContext, SignedRadical
+from .qarith import EvalContext, SignedRadical, fixed_root
 from .repspace import (
     Signature,
     Weight,
+    _t_depth,
     _t_key,
+    _t_keys_at_weight,
+    _t_label_at,
     _t_weight,
+    _two_t,
+    _two_u,
     _u_key,
+    _u_keys,
+    _u_keys_at_weight,
+    _u_label_at,
     _u_weight,
     enumerate_t_basis,
     enumerate_u_basis,
-    t_labels_at_weight,
-    u_labels_at_weight,
 )
-from .weylracah import WeylBlock, weyl_block
+from .weylracah import WeylBlock, _bracket_args, _racah_form_exact
 
 # (row, col) -> entry: in float mode the int n of n 2^-bits, in exact mode a
 # SignedRadical
@@ -155,6 +170,26 @@ class CheckReport:
         return out
 
 
+def _diagonal(ctx: EvalContext, keys: Iterable[int],
+              scalar: Callable[[int], object]) -> Entries:
+    """Diagonal matrix of one scalar per label, in the entry type of ctx:
+    entry j is scalar(keys[j]), keys being ints.
+
+    Each scalar is a rational, as ctx gives it: wrapped exactly in exact
+    mode, rounded once to the fixed-point scale in float mode.  It is
+    evaluated and converted once per distinct key.
+    """
+    convert = SignedRadical.from_rational if ctx.is_exact() else ctx.to_fixed
+    converted: Dict[int, Entry] = {}
+    out: Entries = {}
+    for j, k in enumerate(keys):
+        x = converted.get(k)
+        if x is None:
+            x = converted[k] = convert(scalar(k))
+        out[j, j] = x
+    return out
+
+
 class TruncatedRep:
     """Finite window onto one basis: per-generator sparse matrices.
 
@@ -165,7 +200,9 @@ class TruncatedRep:
     whose target falls outside the truncation are dropped from the matrix
     but remembered in the interior masks.  interior1[j] means every
     generator image of column j stays inside; interior2[j] additionally
-    requires that of every image of an image (two-step words).
+    requires that of every image of an image (two-step words).  keys[j] is
+    the integer key of label j, (k, ell, 2MU) or (s, p, 2M), and spins[j]
+    its 2U or 2T; the checks select and group labels by these.
     """
 
     def __init__(self, ctx: EvalContext, sig: Signature, basis: str,
@@ -180,13 +217,14 @@ class TruncatedRep:
         self.truncation = truncation
         if basis == "u":
             labels = enumerate_u_basis(sig, truncation.ell_max)
-            key_of, weight_of = _u_key, _u_weight
+            key_of, weight_of, two_spin = _u_key, _u_weight, _two_u
         else:
             labels = enumerate_t_basis(sig, truncation.s_max, truncation.depth)
-            key_of, weight_of = _t_key, _t_weight
+            key_of, weight_of, two_spin = _t_key, _t_weight, _two_t
         self.labels = tuple(labels)
         self.index = {l: i for i, l in enumerate(self.labels)}
-        keys = [key_of(l) for l in self.labels]
+        self.keys = keys = tuple(key_of(l) for l in self.labels)
+        self.spins = tuple(two_spin(sig, a, b) for a, b, _ in keys)
         self.weights = tuple(weight_of(sig, key) for key in keys)
         key_index = {key: i for i, key in enumerate(keys)}
         self.matrices: Dict[str, Entries] = {g: {} for g in GENERATORS}
@@ -194,11 +232,11 @@ class TruncatedRep:
         n = len(self.labels)
         stays_in = [True] * n
         reach: List[set] = [set() for _ in range(n)]
-        # this build's memo: each distinct row is evaluated once
-        values = _RowValues(_rep_entry(ctx))
+        # this build's memo: each reduced part and each distinct value is
+        # evaluated once
+        values = _RowValues(ctx.ints, _rep_entry(ctx), flip_entry)
         for j, key in enumerate(keys):
-            actions = _key_action(sig, basis, key, _OFF_DIAGONAL, values,
-                                  flip_entry)
+            actions = _key_action(sig, basis, key, _OFF_DIAGONAL, values)
             for m, terms in zip(mats, actions):
                 for tgt, coeff in terms:
                     i = key_index.get(tgt)
@@ -208,28 +246,17 @@ class TruncatedRep:
                     reach[j].add(i)
                     m[(i, j)] = coeff
         for g, c in _DIAGONAL.items():
-            self.matrices[g] = self.diagonal(w[c] for w in self.weights)
+            self.matrices[g] = _diagonal(ctx, (w[c] for w in self.weights),
+                                         lambda m: m)
         self.interior1 = tuple(stays_in)
         self.interior2 = tuple(
             stays_in[j] and all(stays_in[i] for i in reach[j])
             for j in range(n))
 
-    def diagonal(self, values) -> Entries:
-        """Diagonal matrix of one scalar per label, in the rep's entry type.
-
-        Each value is a rational, as self.ctx gives it: wrapped exactly in
-        exact mode, rounded once to the fixed-point scale in float mode.
-        """
-        if self.ctx.is_exact():
-            values = map(SignedRadical.from_rational, values)
-        else:
-            values = map(self.ctx.to_fixed, values)
-        return {(j, j): v for j, v in enumerate(values)}
-
     def diagonal_weight_bracket(self) -> Entries:
         """Diagonal matrix of [m2 - m3] per label (the [2 T0] operator)."""
-        return self.diagonal(self.ctx.qnum(w.m2 - w.m3)
-                             for w in self.weights)
+        return _diagonal(self.ctx, (w.m2 - w.m3 for w in self.weights),
+                         self.ctx.qnum)
 
     def rounded(self, fctx: EvalContext) -> "TruncatedRep":
         """This exact rep's float twin on the fixed-point scale of fctx.
@@ -276,8 +303,8 @@ def _mat(rep: TruncatedRep, g: str) -> _Mat:
     return _Mat(rep.matrices[g], rep.bits)
 
 
-def _diag(rep: TruncatedRep, values) -> _Mat:
-    return _Mat(rep.diagonal(values), rep.bits)
+def _diag(rep: TruncatedRep, keys, scalar) -> _Mat:
+    return _Mat(_diagonal(rep.ctx, keys, scalar), rep.bits)
 
 
 def _adder(ctx: EvalContext):
@@ -426,7 +453,8 @@ def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Ch
     """
     ctx = rep.ctx
     note = "exact" if ctx.is_exact() else ""
-    t0 = _diag(rep, (Fraction(w.m2 - w.m3, 2) for w in rep.weights))
+    t0 = _diag(rep, (w.m2 - w.m3 for w in rep.weights),
+               lambda d: Fraction(d, 2))
     tp, tm = _mat(rep, "A23"), _mat(rep, "A32")
     residuals = [
         ("raising", _mat_lin(ctx, [(1, _mat_mul(ctx, t0, tp)),
@@ -491,25 +519,23 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     """
     if rep.basis != "t":
         raise ValueError("check_casimir needs a T-basis rep")
-    ctx = rep.ctx
+    ctx, keys, spins = rep.ctx, rep.keys, rep.spins
     tp, tm = _mat(rep, "A23"), _mat(rep, "A32")
-    labels = rep.labels
-    cols_ok = [lab.depth() < rep.truncation.depth for lab in labels]
-    # each distinct 2M + 1 and T is evaluated once
-    m_sq = {m: ctx.qbracket_half_sq(m) for m in {2 * l.M + 1 for l in labels}}
-    lam = {t: casimir_su11_eigenvalue(ctx, t) for t in {l.T for l in labels}}
+    cols_ok = [_t_depth(rep.sig, key) < rep.truncation.depth for key in keys]
+    # [M + 1/2]^2 from each distinct 2M + 1, the eigenvalue from each 2T
+    lam = {t: casimir_su11_eigenvalue(ctx, Fraction(t, 2)) for t in set(spins)}
     c2 = _mat_lin(ctx, [
         (1, _mat_mul(ctx, tm, tp)),
-        (1, _diag(rep, (m_sq[2 * lab.M + 1] for lab in labels))),
-        (-1, _diag(rep, (lam[lab.T] for lab in labels)))])
+        (1, _diag(rep, (m + 1 for _, _, m in keys), ctx.qbracket_half_sq)),
+        (-1, _diag(rep, spins, lam.__getitem__))])
     reports = [_matrix_report("casimir-eigenvalue", rep, c2, tolerance,
                               cols_ok, "exact" if ctx.is_exact() else "")]
 
     # eigenvalue separation per weight space at this q (exact gaps at an int
     # or Fraction q)
     by_weight: Dict[Weight, set] = {}
-    for lab, w in zip(labels, rep.weights):
-        by_weight.setdefault(w, set()).add(lab.T)
+    for t, w in zip(spins, rep.weights):
+        by_weight.setdefault(w, set()).add(t)
     min_gap = None
     for w, ts in sorted(by_weight.items()):
         vals = sorted(ts)
@@ -557,25 +583,36 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
                     truncation: Truncation) -> Dict[Weight, FixedBlock]:
     """Weyl blocks of all weights whose label sets fit the truncation.
 
-    Each block is evaluated exactly, in the exact context of fctx's q, and
-    each entry is rounded once to fctx's fixed-point scale
-    (EvalContext.to_fixed).
+    Each entry is the bracket weyl_block evaluates (the same _bracket_args
+    on the same integer evaluator, weylracah._racah_form_exact), rounded
+    once to fctx's fixed-point scale straight from the evaluator's
+    unreduced integers (qarith.fixed_root): so it is to_fixed of the exact
+    entry, with no Fraction formed.
     """
-    ctx, fix, bits = EvalContext.exact(fctx.q), fctx.to_fixed, fctx.fixed_bits()
-    weights = sorted({_u_weight(sig, _u_key(l))
-                      for l in enumerate_u_basis(sig, truncation.ell_max)})
+    ints, bits = fctx.ints, fctx.fixed_bits()
+
+    def fixed(ukey, tkey) -> int:
+        sign, root_num, root_den, rest = _racah_form_exact(
+            ints, *_bracket_args(sig, ukey, tkey))
+        return fixed_root(sign, root_num * root_num * rest,
+                          root_den * root_den, bits)
+
+    weights = sorted({_u_weight(sig, key)
+                      for key in _u_keys(sig, truncation.ell_max)})
     out: Dict[Weight, FixedBlock] = {}
     for w in weights:
-        us = u_labels_at_weight(sig, w)
-        ts = t_labels_at_weight(sig, w)
-        if not all(l.ell <= truncation.ell_max for l in us):
+        ukeys = _u_keys_at_weight(sig, w)
+        if not all(ell <= truncation.ell_max for _, ell, _ in ukeys):
             continue
-        if not all(l.s <= truncation.s_max
-                   and l.depth() <= truncation.depth for l in ts):
+        tkeys = _t_keys_at_weight(sig, w)
+        if not all(key[0] <= truncation.s_max
+                   and _t_depth(sig, key) <= truncation.depth
+                   for key in tkeys):
             continue
-        blk = weyl_block(ctx, sig, w, labels=(us, ts))
-        out[w] = FixedBlock(w, blk.u_labels, blk.t_labels,
-                            tuple(tuple(map(fix, row)) for row in blk.entries),
+        out[w] = FixedBlock(w, tuple(_u_label_at(sig, k) for k in ukeys),
+                            tuple(_t_label_at(sig, k) for k in tkeys),
+                            tuple(tuple(fixed(u, t) for t in tkeys)
+                                  for u in ukeys),
                             bits)
     return out
 
@@ -698,12 +735,13 @@ def check_projector(rep: TruncatedRep, t_value,
         raise ValueError("projector checks run in floating mode")
     T = Fraction(t_value)
     tol = tolerance
-    bottom = T + 1
-    cols = [j for j, l in enumerate(rep.labels) if l.M == bottom]
+    two_t = int(2 * T)
+    # the columns at M = T + 1, by their keys (s, p, 2M)
+    cols = [j for j, (_, _, m) in enumerate(rep.keys) if m == two_t + 2]
     if not cols:
         return [CheckReport("projector", True, 0.0, tol, "", 0,
                             f"T={T}: no coverage")]
-    labels = rep.labels
+    labels, spins = rep.labels, rep.spins
     ctx, fix, bits = rep.ctx, rep.ctx.to_fixed, rep.bits
     # T+ and T- only move M inside one (s, p) multiplet, so each column of
     # A23 and A32 holds at most one entry: column -> (row, factor)
@@ -724,7 +762,6 @@ def check_projector(rep: TruncatedRep, t_value,
             coeff *= v
         return coeff, j
 
-    two_t = int(2 * T)
     # P's scale: c_r T+^r T-^r is rounded on (2r + 1) bits, aligned at r = 2T
     top = (2 * two_t + 1) * bits
     coeffs = [projector_t_coeff(ctx, T, r) for r in range(two_t + 1)]
@@ -749,7 +786,7 @@ def check_projector(rep: TruncatedRep, t_value,
     one = 1 << top
     reports = [_report(
         f"projector-diagonal-T{T}",
-        ((abs(p[j] - (one if labels[j].T == T else 0)), (j,)) for j in cols),
+        ((abs(p[j] - (one if spins[j] == two_t else 0)), (j,)) for j in cols),
         at_col, len(cols), tol, bits=top)]
 
     # T- P = 0: P column is diag scalar, then one lowering step
@@ -764,10 +801,11 @@ def check_projector(rep: TruncatedRep, t_value,
     reports.append(CheckReport(f"projector-leading-T{T}", c0 <= tol, c0, tol,
                                "r=0", 1))
 
-    # spectral projector: interpolate over the distinct T' present, and
+    # spectral projector: interpolate over the distinct 2T' present, and
     # evaluate at C2 = T- T+ + [M + 1/2]^2 read from the ladder entries
-    tprimes = sorted({labels[j].T for j in cols})
-    lam = {tp: casimir_su11_eigenvalue(ctx, tp) for tp in set(tprimes) | {T}}
+    tprimes = sorted({spins[j] for j in cols})
+    lam = {tp: casimir_su11_eigenvalue(ctx, Fraction(tp, 2))
+           for tp in set(tprimes) | {two_t}}
     risen = [(j, up) for j in cols
              if (up := chain(up_step, j, 1)) is not None]
     degenerate = any(
@@ -781,9 +819,9 @@ def check_projector(rep: TruncatedRep, t_value,
         # [M + 1/2]^2 at M = T + 1, and each eigenvalue, on the scale 2 bits
         m_sq = fix(ctx.qbracket_half_sq(2 * T + 3)) << bits
         lam_fix = {tp: fix(v) for tp, v in lam.items()}
-        others = [tp for tp in tprimes if tp != T]
+        others = [tp for tp in tprimes if tp != two_t]
         # the interpolation's denominator, on the scale len(others) * bits
-        den = math.prod(lam_fix[T] - lam_fix[tp] for tp in others)
+        den = math.prod(lam_fix[two_t] - lam_fix[tp] for tp in others)
 
         def spectral(up) -> Fraction:
             c2 = chain(down_step, up[1], 1)[0] * up[0] + m_sq
@@ -798,14 +836,17 @@ def check_projector(rep: TruncatedRep, t_value,
 
     # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace, relative to
     # N^2, which grows past 1e80 within the window
+    # N^2(T, T+1+x), rounded once per x, on the scale 2x bits
+    n2s = {x: fix(norm_su11_sq(ctx, T, T + 1 + x)) << (2 * x - 1) * bits
+           for x in range(1, rep.truncation.depth + 1)}
     power = []
     for j in cols:
-        if labels[j].T != T:
+        if spins[j] != two_t:
             continue
         for x in range(1, rep.truncation.depth + 1):
             up = chain(up_step, j, x)
             lhs = chain(down_step, up[1], x)[0] * up[0]    # scale 2x bits
-            n2 = fix(norm_su11_sq(ctx, T, T + 1 + x)) << (2 * x - 1) * bits
+            n2 = n2s[x]
             power.append((Fraction(abs(lhs - (-n2 if x % 2 else n2)), n2),
                           (x, j)))
     reports.append(_report(f"projector-power-T{T}", power,

@@ -16,10 +16,12 @@ what the verify module checks.
 Both closed forms have one shape: a signed square root of a q-factorial
 ratio times a single alternating q-factorial sum.  One private evaluator,
 _racah_form, computes that shape in either mode; the bracket and the q-Racah
-coefficient only build its argument lists from their own formulas, so the
-two paths above stay independent.  The dimension factor and phase of path 2
-fold into the q-Racah coefficient's own root and sign, so each path is one
-_racah_form call.
+coefficient only build its argument lists from their own formulas
+(_bracket_args, _qracah_doubled), so the two paths above stay independent.
+The dimension factor and phase of path 2 fold into the q-Racah
+coefficient's own root and sign, so each path is one _racah_form call.
+verify.complete_blocks evaluates the same bracket argument lists and rounds
+the evaluator's unreduced integers straight to its fixed-point scale.
 
 At a rational q = r/s in lowest terms, z = rs, every q-factorial is an
 integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
@@ -54,9 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
-
-import mpmath
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
 from .qarith import EvalContext, QIntegers, SignedRadical, rounded_root
@@ -77,6 +77,9 @@ from .repspace import (
     t_labels_at_weight,
     u_labels_at_weight,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 # ----------------------------------------------------------------------------
 # direct transformation bracket
@@ -212,20 +215,26 @@ def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
     return (sign if h > 0 else -sign), root_num, root_den, rest
 
 
-def _bracket(ctx: EvalContext, sig: Signature, ukey, tkey):
-    """<U|T>_q for the keys of two labels of sig at one weight."""
+def _bracket_args(sig: Signature, ukey, tkey):
+    """The arguments (sign, dims, pref_num, pref_den, tops, bottoms) of
+    _racah_form that give <U|T>_q, for the keys of two labels of sig at one
+    weight."""
     f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
     (k, ell, twoMU), (s, p, twoM) = ukey, tkey
     twoU, twoT = _two_u(sig, k, ell), _two_t(sig, s, p)
     drop = (twoU - twoMU) // 2
     # the sum's sign (-1)^(k + n) contributes its (-1)^k to the overall sign
-    return _racah_form(
-        ctx, -1 if k % 2 else 1, (twoU + 1, twoT + 1),
-        (k, (twoM - twoT) // 2 - 1, (twoU + twoMU) // 2, (twoT + twoM) // 2,
-         f12 - k, f12 + ell + 1, f23 + s - 2, f23 + p - 2),
-        (s, p, ell, drop, f13 + s - 1, f12 - p, f23 + k - 2, f13 + ell - 1),
-        (drop + k, ell + k, f13 + ell + k - 1),
-        (k, twoU + 1 + k, ell - s + k, f23 + p + ell + k - 1))
+    return (-1 if k % 2 else 1, (twoU + 1, twoT + 1),
+            (k, (twoM - twoT) // 2 - 1, (twoU + twoMU) // 2, (twoT + twoM) // 2,
+             f12 - k, f12 + ell + 1, f23 + s - 2, f23 + p - 2),
+            (s, p, ell, drop, f13 + s - 1, f12 - p, f23 + k - 2, f13 + ell - 1),
+            (drop + k, ell + k, f13 + ell + k - 1),
+            (k, twoU + 1 + k, ell - s + k, f23 + p + ell + k - 1))
+
+
+def _bracket(ctx: EvalContext, sig: Signature, ukey, tkey):
+    """<U|T>_q for the keys of two labels of sig at one weight."""
+    return _racah_form(ctx, *_bracket_args(sig, ukey, tkey))
 
 
 def weyl_coefficient_exact(ctx: EvalContext, sig: Signature,
@@ -260,19 +269,13 @@ class WeylBlock:
     entries: Tuple[Tuple[object, ...], ...]
 
 
-def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight, *,
-               labels=None) -> WeylBlock:
+def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
     """The complete (full-range) block at a weight; EmptyWeightSpace if none.
 
     The labels are those repspace enumerates at this weight, so their keys
-    are read unchecked; a caller that already holds them passes them as
-    labels = (u_labels_at_weight(...), t_labels_at_weight(...)).  Entries
-    are SignedRadicals in exact mode.
+    are read unchecked.  Entries are SignedRadicals in exact mode.
     """
-    if labels is None:
-        labels = (u_labels_at_weight(sig, weight),
-                  t_labels_at_weight(sig, weight))
-    us, ts = labels
+    us, ts = u_labels_at_weight(sig, weight), t_labels_at_weight(sig, weight)
     if not us or not ts:
         raise EmptyWeightSpace(f"no basis labels at weight {weight} of {sig}")
     ukeys, tkeys = list(map(_u_key, us)), list(map(_t_key, ts))
@@ -414,28 +417,26 @@ def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> Racah
 
 
 def weyl_via_racah(ctx: EvalContext, sig: Signature,
-                   u: UBasisLabel, t: TBasisLabel, form: str = "a") -> mpmath.mpf:
-    """<U|T>_q computed through the q-Racah coefficient (float contexts).
+                   u: UBasisLabel, t: TBasisLabel, form: str = "a"):
+    """<U|T>_q computed through the q-Racah coefficient, in either mode.
 
     form 'a':  (-1)^s sqrt([2U+1][2T+1] / ([2 j2+1][2 j+1])) U_q(T j3 j1 U; j2 j)
     form 'b':  (-1)^k U_q(j1 j2 j j3; U T)
 
-    Both forms must agree with each other and with weyl_coefficient.  The
+    Both forms must agree with each other and with the direct bracket.  The
     labels are checked once; both forms then take the doubled substitution
     straight to the q-Racah argument map.  Form a's dimension factor
     cancels the [2 j2+1][2 j+1] under U_q's root, so it passes [2U+1][2T+1]
     as that root's pair in their place.  So each form, like the direct
-    bracket, is one exact evaluation rounded once, and the three agree to
-    the last bit.
+    bracket, is one exact evaluation: a SignedRadical in exact mode, rounded
+    once in float mode, where the three agree to the last bit.
     """
-    if ctx.is_exact():
-        raise ValueError("weyl_via_racah requires a float-mode context")
     ukey, tkey = _check_match(sig, u, t)
     a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
     if form == "a":
-        sign = -1 if tkey[0] % 2 else 1
-        return sign * _qracah_doubled(ctx, a, b, e, d, c, f, (d + 1, a + 1))
+        value = _qracah_doubled(ctx, a, b, e, d, c, f, (d + 1, a + 1))
+        return -value if tkey[0] % 2 else value
     if form == "b":
-        sign = -1 if ukey[0] % 2 else 1
-        return sign * _qracah_doubled(ctx, e, c, f, b, d, a)
+        value = _qracah_doubled(ctx, e, c, f, b, d, a)
+        return -value if ukey[0] % 2 else value
     raise ValueError(f"form must be 'a' or 'b', got {form!r}")

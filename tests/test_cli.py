@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +62,33 @@ def radical_rows_rounded(rows, q: Fraction, digits: int):
     return [row for row in rows if not correctly_rounded(
         row["value"], int(row["sign"]),
         q ** (2 * int(row["qpower"])) * Fraction(row["radicand"]), digits)]
+
+
+def test_mpmath_is_loaded_only_where_an_mpf_is_made():
+    # desk verify (float and exact), basis, matrix and an exact racah make
+    # no mpf: their values are rounded from integers straight to fixed
+    # point or to decimal, so the process never imports mpmath
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from qu21 import cli
+        for argv in (
+                ["verify", "--sig", "4,2,-2", "--q", "13/10"],
+                ["verify", "--sig", "4,2,-2", "--q", "13/10", "--mode",
+                 "exact", "--lmax", "3", "--smax", "3", "--depth", "3"],
+                ["basis", "--sig", "4,2,-2", "--basis", "t"],
+                ["matrix", "--sig", "4,2,-2", "--q", "13/10", "--gen", "A13"],
+                ["racah", "--mode", "exact", "--q", "13/10", "--",
+                 "1", "1", "1", "1", "1", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print("mpmath" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestParsing:
@@ -193,15 +224,16 @@ class TestWeyl:
         assert "no basis labels" in err
 
     def test_out_of_tolerance_via_racah_exits_1(self, capsys, monkeypatch):
-        # one form b value of the desk block moved by 1e-6: that row alone
-        # is out of tolerance
+        # one form b radical of the desk block moved by a relative 5e-6:
+        # that row alone is out of tolerance
         inner, moved = cli.weyl_via_racah, []
 
         def one_row_off(ctx, sig, u, t, form="a"):
             value = inner(ctx, sig, u, t, form)
             if form == "b" and not moved:
                 moved.append((u, t))
-                value += ctx._mp.mpf(1) / 10 ** 6
+                value = SignedRadical(value.sign, value.qpower,
+                                      value.radicand * (1 + Fraction(1, 10 ** 5)))
             return value
 
         monkeypatch.setattr(cli, "weyl_via_racah", one_row_off)
@@ -219,6 +251,22 @@ class TestWeyl:
         rows = json.loads(out)["rows"]
         assert len(rows) == 49
         assert all(row["within_tolerance"] == "true" for row in rows)
+
+    @pytest.mark.parametrize("sig, q, weight", [
+        ("8,2,-2", "3", "16,14,-22"), ("4,2,-2", "13/10", "4,4,-4")])
+    def test_via_racah_prints_each_form_as_value(self, capsys, sig, q,
+                                                 weight):
+        # value and both forms are one exact radical each, rounded once to
+        # the printed digits; at q = 3 one row printed its forms from a
+        # second rounding of the 50-digit float, a last digit apart
+        code, out, _ = run(capsys, "weyl", "--sig", sig, "--q", q,
+                           "--weight", weight, "--via-racah")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows and all(
+            r["value"] == r["racah_form_a"] == r["racah_form_b"]
+            for r in rows)
+        assert {r["difference"] for r in rows} == {"0"}
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_desk_weight_via_racah_exits_0(self, capsys, mode):

@@ -246,36 +246,52 @@ class TestActions:
 
     @pytest.mark.parametrize("basis", ["u", "t"])
     def test_each_label_is_checked_once(self, monkeypatch, basis):
-        # the source through require_*_label, which returns its key, each
-        # target in _key_action; the target labels are built from those
-        # keys unchecked
+        # the source through require_*_label, which returns its key; each
+        # target in _key_action, its multiplet once with its row's reduced
+        # part and its M per target; the target labels are built from
+        # those keys unchecked
         sig = Signature(4, 2, -2)
         ctx = EvalContext.exact(Fraction(13, 10))
         name = f"_check_{basis}_key"
         inner = getattr(repspace_mod, name)
-        checked = []
+        checked, multiplets, projections = [], [], []
 
         def counting(sig_, *key):
             checked.append(key)
             return inner(sig_, *key)
 
-        monkeypatch.setattr(repspace_mod, name, counting)
         row = generators_mod._BASES[basis]
+        check_multiplet, check_m = row[3], row[4]
+
+        def counting_multiplet(sig_, a, b):
+            multiplets.append((a, b))
+            return check_multiplet(sig_, a, b)
+
+        def counting_m(two_spin, c):
+            projections.append(c)
+            return check_m(two_spin, c)
+
+        monkeypatch.setattr(repspace_mod, name, counting)
         monkeypatch.setitem(generators_mod._BASES, basis,
-                            row[:3] + (counting,) + row[4:])
+                            row[:3] + (counting_multiplet, counting_m)
+                            + row[5:])
         labels = (enumerate_u_basis(sig, 2) if basis == "u"
                   else enumerate_t_basis(sig, 2, 2))
         checks = 0
         for lab in labels:
             for g in GENERATORS:
-                del checked[:]
+                for seen in (checked, multiplets, projections):
+                    del seen[:]
                 terms = basis_action(ctx, sig, basis, g, lab)
                 key = KEY_OF[basis](lab)
                 targets = ([] if g in ("A11", "A22", "A33") else
                            [KEY_OF[basis](t.target) for t in terms])
-                assert checked == [key] + targets, (lab, g)
-                checks += len(checked)
-        assert checks > len(labels) * len(GENERATORS)  # targets were seen
+                assert checked == [key], (lab, g)
+                assert projections == [t[2] for t in targets], (lab, g)
+                assert len(set(multiplets)) == len(multiplets), (lab, g)
+                assert {t[:2] for t in targets} <= set(multiplets), (lab, g)
+                checks += len(projections)
+        assert checks > len(labels)  # targets were seen
 
     def test_out_of_domain_source_and_target_raise(self, monkeypatch):
         sig = Signature(4, 2, -2)
@@ -342,14 +358,21 @@ class TestRowValues:
             want *= ctx.qnum(a)
         for b in dens:
             want /= ctx.qnum(b)
-        if want < 0:
-            with pytest.raises(ValueError):
-                generators_mod._bracket_ratio(ctx.ints, tuple(nums),
-                                              tuple(dens))
-        else:
-            num, den = generators_mod._bracket_ratio(ctx.ints, tuple(nums),
-                                                     tuple(dens))
-            assert den > 0 and Fraction(num, den) == want
+        neg, num, den = generators_mod._brackets(ctx.ints, tuple(nums),
+                                                 tuple(dens))
+        assert num >= 0 and den > 0
+        assert (-1) ** neg * Fraction(num, den) == want
+
+    def test_negative_radicand_raises(self, monkeypatch):
+        # a row whose brackets multiply to a negative radicand is refused
+        sig = Signature(4, 2, -2)
+        ctx = EvalContext.exact(Fraction(13, 10))
+        [row] = generators_mod._ROWS["u"]["A12"]
+        monkeypatch.setitem(generators_mod._ROWS["u"], "A12",
+                            (dataclasses.replace(
+                                row, num=(lambda e: -1,) + row.num[1:]),))
+        with pytest.raises(ValueError, match="nonnegative"):
+            basis_action(ctx, sig, "u", "A12", u_label(sig, 0, 0, -1))
 
     @pytest.mark.parametrize("basis", ["u", "t"])
     def test_float_mode_radicals_are_exact_at_rational_q(self, basis):
@@ -391,6 +414,28 @@ class TestDoublets:
         assert a.den == b.den
         assert a.num[3] is not b.num[3]
         assert a.gen != b.gen and a.dtwoM == -b.dtwoM
+
+    def test_shared_counts_the_reduced_brackets(self):
+        for e in table_entries("u") + table_entries("t"):
+            assert e.shared == (3 if e.den else 0), e.eid
+
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    def test_reduced_part_does_not_depend_on_m(self, basis):
+        # _key_action evaluates it once per multiplet, at any of its labels:
+        # on the desk window every label of a multiplet gives the same one
+        sig = Signature(4, 2, -2)
+        labels = (enumerate_u_basis(sig, 6) if basis == "u"
+                  else enumerate_t_basis(sig, 6, 6))
+        env_of = generators_mod._BASES[basis][2]
+        seen = {}
+        for lab in labels:
+            key = KEY_OF[basis](lab)
+            env = env_of(sig, key)
+            for e in table_entries(basis):
+                part = (tuple(f(env) for f in e.num[:e.shared]),
+                        tuple(f(env) for f in e.den))
+                assert seen.setdefault((e.eid, key[:2]), part) == part
+        assert len(seen) < len(labels) * 10
 
     @pytest.mark.parametrize("basis", ["u", "t"])
     def test_denominator_is_2j_2j_plus_1(self, basis):

@@ -253,6 +253,26 @@ class TestContexts:
         with pytest.raises(ValueError, match="q must be finite and positive"):
             EvalContext(mode, q)
 
+    def test_fixed_bits_are_mpmaths_bits_plus_the_guard(self):
+        # fixed_bits computes mpmath's own dps -> bits formula, so a float
+        # context needs no mpmath context for its fixed-point scale
+        from mpmath.libmp import dps_to_prec
+        q = Fraction(13, 10)
+        for dps in range(1, 2001):
+            assert EvalContext.floating(q, dps).fixed_bits() == \
+                dps_to_prec(dps) + qarith._GUARD_BITS, dps
+        for dps in (1, 15, 50, 333):
+            f = EvalContext.floating(q, dps)
+            assert f.fixed_bits() == f._mp.prec + qarith._GUARD_BITS
+
+    def test_float_context_builds_its_mpmath_context_on_first_use(self):
+        qarith._mp_context.cache_clear()
+        f = EvalContext.floating(Fraction(7, 3), 41)
+        assert f.fixed_bits() and f.to_fixed(Fraction(1, 3))
+        assert qarith._mp_context.cache_info().currsize == 0
+        assert f._mp.dps == 41 and f._mp is f._mp
+        assert qarith._mp_context.cache_info().currsize == 1
+
     def test_exact_context_builds_no_mpmath_context(self):
         before = qarith._mp_context.cache_info()
         e = EvalContext.exact(Fraction(7, 3))
@@ -394,6 +414,24 @@ class TestSignedRadical:
             == [2, 4, -2, -4]
         assert [qarith.fixed_root(s, n * n, 4, 0)
                 for s, n in ((1, 5), (1, 7), (-1, 5), (-1, 7))] == [2, 4, -2, -4]
+
+    @given(sign=st.sampled_from([-1, 1]), root=st.integers(0, 10 ** 12),
+           num=st.integers(0, 10 ** 40), den=st.integers(1, 10 ** 25),
+           bits=st.integers(0, 90), square=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_root_is_the_nearest_multiple(self, sign, root, num, den,
+                                                bits, square):
+        # any scale, ties to even: half-odd roots, (root / 2)^2 4^-bits,
+        # are drawn as often as the rest
+        if square:
+            num, den = root * root, 4 << 2 * bits
+        n = qarith.fixed_root(sign, num, den, bits)
+        x = Fraction(num, den) * 4 ** bits
+        half = Fraction(1, 2)
+        assert max(abs(n) - half, 0) ** 2 <= x <= (abs(n) + half) ** 2
+        if x in ((abs(n) - half) ** 2, (abs(n) + half) ** 2) and x:
+            assert abs(n) % 2 == 0
+        assert n == 0 or (n > 0) == (sign > 0)
 
     @pytest.mark.parametrize("w", [-40, -1, 0, 3, 500])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -308,7 +308,7 @@ class TestIndividualChecks:
         def no_build(*_args, **_kwargs):
             raise AssertionError("a check built its own input")
 
-        for name in ("weyl_block", "TruncatedRep", "complete_blocks"):
+        for name in ("_racah_form_exact", "TruncatedRep", "complete_blocks"):
             monkeypatch.setattr(verify_mod, name, no_build)
         assert check_weyl_orthogonality(blocks).passed
         assert check_intertwiner(blocks, reps).passed
@@ -480,38 +480,55 @@ class TestOnePass:
 
     def test_each_block_and_rep_built_once(self, monkeypatch):
         trunc = Truncation(3, 3, 3)
-        calls = {"weyl_block": [], "key_action": [], "u_labels": []}
-        weyl_block, key_action = verify_mod.weyl_block, verify_mod._key_action
-        u_labels_at_weight = verify_mod.u_labels_at_weight
+        blocks = complete_blocks(float_ctx(), SIG, trunc)
+        calls = {"bracket": [], "key_action": [], "rows": [], "u_keys": []}
+        bracket_args = verify_mod._bracket_args
+        key_action = verify_mod._key_action
+        multiplet_rows = generators_mod._multiplet_rows
+        u_keys_at_weight = verify_mod._u_keys_at_weight
 
-        def counting_weyl_block(ctx, sig, weight, **kwargs):
-            calls["weyl_block"].append(weight)
-            return weyl_block(ctx, sig, weight, **kwargs)
+        def counting_bracket_args(sig, ukey, tkey):
+            calls["bracket"].append((ukey, tkey))
+            return bracket_args(sig, ukey, tkey)
 
         def counting_key_action(sig, basis, key, *args):
             calls["key_action"].append((basis, key))
             return key_action(sig, basis, key, *args)
 
-        def counting_u_labels(sig, weight):
-            calls["u_labels"].append(weight)
-            return u_labels_at_weight(sig, weight)
+        def counting_rows(sig, basis, gen, a, b, *args):
+            calls["rows"].append((basis, gen, a, b))
+            return multiplet_rows(sig, basis, gen, a, b, *args)
 
-        monkeypatch.setattr(verify_mod, "weyl_block", counting_weyl_block)
+        def counting_u_keys(sig, weight):
+            calls["u_keys"].append(weight)
+            return u_keys_at_weight(sig, weight)
+
+        monkeypatch.setattr(verify_mod, "_bracket_args", counting_bracket_args)
         monkeypatch.setattr(verify_mod, "_key_action", counting_key_action)
-        for mod in (verify_mod, weylracah_mod):
-            monkeypatch.setattr(mod, "u_labels_at_weight", counting_u_labels)
+        monkeypatch.setattr(generators_mod, "_multiplet_rows", counting_rows)
+        for mod in (verify_mod, repspace_mod):
+            monkeypatch.setattr(mod, "_u_keys_at_weight", counting_u_keys)
         reports = run_all_checks(SIG, Q, truncation=trunc)
         ortho = next(r for r in reports if r.name == "weyl-orthogonality")
-        assert len(calls["weyl_block"]) == ortho.columns_checked > 0
-        assert len(set(calls["weyl_block"])) == len(calls["weyl_block"])
+        # each block once: every entry evaluated once, and the entries
+        # cover the ortho.columns_checked complete weights
+        assert len(blocks) == ortho.columns_checked > 0
+        pairs = [(_u_key(u), _t_key(t)) for blk in blocks.values()
+                 for u in blk.u_labels for t in blk.t_labels]
+        assert calls["bracket"] == pairs
         # each weight's labels are enumerated once, blocks included
-        assert len(set(calls["u_labels"])) == len(calls["u_labels"])
+        assert len(set(calls["u_keys"])) == len(calls["u_keys"]) > 0
         # one table evaluation per label of each rep, all generators at once
         labels = ([("u", _u_key(l))
                    for l in enumerate_u_basis(SIG, trunc.ell_max)]
                   + [("t", _t_key(l))
                      for l in enumerate_t_basis(SIG, trunc.s_max, trunc.depth)])
         assert sorted(calls["key_action"]) == sorted(labels)
+        # each generator's rows, with their reduced parts, once per multiplet
+        multiplets = {(b, a, c) for b, (a, c, _) in labels}
+        assert sorted(calls["rows"]) == sorted(
+            (b, g, a, c) for b, a, c in multiplets
+            for g in generators_mod._OFF_DIAGONAL)
 
     def test_projector_alone_builds_only_the_t_rep(self, monkeypatch):
         built = []
@@ -613,6 +630,45 @@ class TestOnePass:
 _ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                            st.integers(-2 ** 200, 2 ** 200), max_size=10)
 _MATS = st.builds(verify_mod._Mat, _ENTRIES, st.integers(0, 300))
+
+
+# desk at four q, and the large config at 13/10
+ONE_PASS_CASES = ([(SIG, Truncation(6, 6, 6), q) for q in
+                   (Q, Fraction(1), Fraction(1, 2), Fraction(3))]
+                  + [(Signature(8, 2, -2), Truncation(10, 10, 10), Q)])
+
+
+class TestOneIntegerPass:
+    """Every float input of verify is its exact value rounded once: the
+    complete blocks and the float reps, built in one pass over the integer
+    tables, equal the exact blocks and reps rounded entry for entry."""
+
+    @pytest.mark.parametrize("sig, trunc, q", ONE_PASS_CASES)
+    def test_blocks_are_the_exact_blocks_rounded(self, sig, trunc, q):
+        fctx, ectx = float_ctx(q), EvalContext.exact(q)
+        blocks = complete_blocks(fctx, sig, trunc)
+        assert blocks
+        for w, blk in blocks.items():
+            exact = weylracah_mod.weyl_block(ectx, sig, w)
+            assert (blk.u_labels, blk.t_labels) == \
+                (exact.u_labels, exact.t_labels)
+            assert blk.entries == tuple(tuple(map(fctx.to_fixed, row))
+                                        for row in exact.entries), w
+
+    @pytest.mark.parametrize("basis", ["u", "t"])
+    @pytest.mark.parametrize("sig, trunc, q", ONE_PASS_CASES)
+    def test_float_reps_are_the_exact_reps_rounded(self, sig, trunc, q,
+                                                   basis):
+        fctx = float_ctx(q)
+        direct = TruncatedRep(fctx, sig, basis, trunc)
+        twin = TruncatedRep(EvalContext.exact(q), sig, basis,
+                            trunc).rounded(fctx)
+        assert twin.bits == direct.bits
+        for g in GENERATORS:
+            assert list(twin.matrices[g].items()) == \
+                list(direct.matrices[g].items()), g
+        assert (twin.labels, twin.interior1, twin.interior2) == \
+            (direct.labels, direct.interior1, direct.interior2)
 
 
 def exact_values(m) -> dict:

@@ -77,9 +77,28 @@ class TestWeylCoefficient:
             weyl_coefficient(EvalContext.exact(Fraction(1)), sig, u, t)
         with pytest.raises(ValueError):
             weyl_coefficient_exact(EvalContext.floating(Fraction(1)), sig, u, t)
-        for form in ("a", "b"):
-            with pytest.raises(ValueError):
-                weyl_via_racah(EvalContext.exact(Fraction(1)), sig, u, t, form)
+        with pytest.raises(ValueError, match="form"):
+            weyl_via_racah(EvalContext.exact(Fraction(1)), sig, u, t, "c")
+
+    @pytest.mark.parametrize("q", [Fraction(13, 10), Fraction(1), Fraction(3)])
+    def test_exact_via_racah_is_the_exact_bracket(self, q):
+        # both forms give the bracket's exact radical, and their float
+        # values are those radicals rounded once
+        sig = Signature(4, 2, -2)
+        ectx, fctx = EvalContext.exact(q), EvalContext.floating(q, 50)
+        seen = 0
+        for w in small_weights(sig):
+            block = weyl_block(ectx, sig, w)
+            for u, row in zip(block.u_labels, block.entries):
+                for t, want in zip(block.t_labels, row):
+                    for form in ("a", "b"):
+                        got = weyl_via_racah(ectx, sig, u, t, form)
+                        assert isinstance(got, SignedRadical)
+                        assert got.same_value(want, ectx), (u, t, form)
+                        assert weyl_via_racah(fctx, sig, u, t, form) == \
+                            got.to_float(fctx)
+                    seen += 1
+        assert seen > 20
 
 
 class TestWeylBlock:
@@ -228,6 +247,37 @@ class TestQClebschGordanOracle:
         exec(source.replace(*fault), namespace)
         monkeypatch.setattr(weylracah, "_qracah_doubled",
                             namespace["_qracah_doubled"])
+        assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
+
+    @pytest.mark.parametrize("first, second", [
+        # a root numerator argument and a root denominator one
+        ("(a + e - f) // 2", "(a - e + f) // 2"),
+        ("(-c + d + e) // 2", "(c + d - e) // 2"),
+    ], ids=["aef", "cde"])
+    def test_an_argument_map_fault_in_qracah_fails_it(self, monkeypatch,
+                                                      first, second):
+        # two prefactor arguments swapped between the root's numerator and
+        # its denominator
+        source = textwrap.dedent(inspect.getsource(weylracah._qracah_doubled))
+        assert source.count(first) == source.count(second) == 1
+        mutated = (source.replace(first, "@").replace(second, first)
+                   .replace("@", second))
+        namespace = dict(vars(weylracah))
+        exec(mutated, namespace)
+        monkeypatch.setattr(weylracah, "_qracah_doubled",
+                            namespace["_qracah_doubled"])
+        assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
+
+    def test_a_sum_cut_by_one_term_fails_it(self, monkeypatch):
+        # the alternating sum stops one term short: n = 0..N-1 for 0..N
+        source = textwrap.dedent(inspect.getsource(weylracah._racah_form_exact))
+        loop = "for k in range(last - 1, -1, -1):"
+        assert source.count(loop) == 1
+        namespace = dict(vars(weylracah))
+        exec(source.replace(loop, "for k in range(last - 2, -1, -1):"),
+             namespace)
+        monkeypatch.setattr(weylracah, "_racah_form_exact",
+                            namespace["_racah_form_exact"])
         assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
 
 
