@@ -51,10 +51,11 @@ with no Fraction in between.  Each scalar a check needs (a weight, a
 bracket, an eigenvalue, a coefficient, a norm) is an exact rational rounded
 once, per distinct value, but for the projector's c_r, whose terms
 c_r T+^r T-^r are rounded once; a q given as a float or an mpf is read as
-the exact rational it is.  The checks then add and
-multiply ints only, exactly: a product's scale is the sum of its factors'
-scales, a multiple of F; _mat_lin aligns its terms by exact left shifts; and
-_report converts the largest magnitude to a float once.  So each residual is
+the exact rational it is.  The checks then add and multiply ints only,
+exactly: su11, hermiticity and the Casimir are lists of relations
+(_relation), where a product's scale is the sum of its factors' scales, a
+multiple of F, and terms are aligned by exact left shifts; and _report
+converts the largest magnitude to a float once.  So each residual is
 the exact residual of inputs that were each rounded once, and
 rounding_bound bounds it a priori; run_all_checks refuses a tolerance below
 that bound.  Exact mode keeps SignedRadical entries and exact sums
@@ -76,8 +77,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .generators import (
     GENERATORS,
@@ -163,8 +164,8 @@ class CheckReport:
         status = "pass" if self.passed else "FAIL"
         out = (f"{status:4s}  {self.name:28s} residual {self.max_residual:.3e}"
                f"  tol {self.tolerance:.1e}  cols {self.columns_checked}")
-        if not self.passed or self.location:
-            out += f"  at {self.location}" if self.location else ""
+        if self.location:
+            out += f"  at {self.location}"
         if self.note:
             out += f"  [{self.note}]"
         return out
@@ -283,78 +284,75 @@ class FixedBlock(WeylBlock):
 
 
 # ----------------------------------------------------------------------------
-# sparse helpers (plain dicts of fixed-point ints that carry their scale, or
-# of SignedRadicals in exact mode)
+# relations: sums of words in named operators
 # ----------------------------------------------------------------------------
 
 
-class _Mat(NamedTuple):
-    """Sparse entries and their scale: an int n stands for n 2^-bits.
-
-    The scale of a product is the sum of its factors' scales.  Exact-mode
-    entries are SignedRadicals, and bits is 0 throughout.
+def _word(rep: TruncatedRep, ops: dict, word: tuple, columns, add) -> Entries:
+    """Product of word's operators, multiplied out right to left on the
+    columns marked True (all if None), kept in ops under (word, columns).
+    A name is ops[name] (a _diagonal), a generator of rep or its transpose
+    g + "^T"; a left factor is read by column, kept under (name,).
     """
-
-    entries: Entries
-    bits: int
-
-
-def _mat(rep: TruncatedRep, g: str) -> _Mat:
-    return _Mat(rep.matrices[g], rep.bits)
-
-
-def _diag(rep: TruncatedRep, keys, scalar) -> _Mat:
-    return _Mat(_diagonal(rep.ctx, keys, scalar), rep.bits)
-
-
-def _adder(ctx: EvalContext):
-    """Entry addition: int +, or SignedRadical.add_exact in exact mode."""
-    return (lambda x, y: x.add_exact(y, ctx)) if ctx.is_exact() else operator.add
-
-
-def _mat_mul(ctx: EvalContext, a: _Mat, b: _Mat) -> _Mat:
-    """Sparse product a b."""
-    add = _adder(ctx)
-    rows_of_a: Dict[int, List[Tuple[int, Entry]]] = {}
-    for (i, k), v in a.entries.items():
-        rows_of_a.setdefault(k, []).append((i, v))
-    out: Entries = {}
-    for (k, j), bv in b.entries.items():
-        for i, av in rows_of_a.get(k, ()):
-            key = (i, j)
-            cur = out.get(key)
-            out[key] = av * bv if cur is None else add(cur, av * bv)
-    return _Mat(out, a.bits + b.bits)
+    key = (word, columns)
+    got = ops.get(key)
+    if got is not None:
+        return got
+    name = word[0]
+    if len(word) > 1:
+        left = ops.get((name,))
+        if left is None:
+            left = ops[name,] = {}
+            for (i, k), v in _word(rep, ops, (name,), None, add).items():
+                left.setdefault(k, []).append((i, v))
+        got = {}
+        for (k, j), v in _word(rep, ops, word[1:], columns, add).items():
+            for i, y in left.get(k, ()):
+                cur = got.get((i, j))
+                got[i, j] = y * v if cur is None else add(cur, y * v)
+    elif columns is not None:
+        got = {ij: v for ij, v in _word(rep, ops, word, None, add).items()
+               if columns[ij[1]]}
+    elif name.endswith("^T"):
+        got = {(j, i): v for (i, j), v in rep.matrices[name[:-2]].items()}
+    else:
+        got = ops[name] if name in ops else rep.matrices[name]
+    ops[key] = got
+    return got
 
 
-def _mat_transpose(a: _Mat) -> _Mat:
-    return _Mat({(j, i): v for (i, j), v in a.entries.items()}, a.bits)
-
-
-def _mat_times(c: int, bits: int, a: _Mat) -> _Mat:
-    """c 2^-bits times a (float mode)."""
-    return _Mat({k: c * v for k, v in a.entries.items()}, bits + a.bits)
-
-
-def _mat_lin(ctx: EvalContext, terms: Sequence[Tuple[int, _Mat]]) -> _Mat:
-    """Sum of sign * a over terms (sign +1 or -1), exactly.
-
-    The sum takes the largest scale among the terms; each term at a smaller
-    scale is aligned to it by an exact left shift.
+def _relation(rep: TruncatedRep, ops: dict, terms: Sequence[tuple],
+              columns: Optional[tuple] = None) -> Tuple[Entries, int]:
+    """(entries, bits) of the exact sum of c word over terms (c, word) on
+    the columns marked True (all if None); relations sharing ops form each
+    product once.  In float mode a word of L factors is on the scale L bits,
+    a coefficient other than +-1 is rounded once (ctx.to_fixed) and adds
+    bits, and terms are aligned to the largest scale by exact left shifts.
+    Exact mode sums by add_exact, on bits 0.
     """
-    add = _adder(ctx)
-    bits = max(a.bits for _, a in terms)
+    ctx, bits = rep.ctx, rep.bits
+    exact = ctx.is_exact()
+    add = (lambda x, y: x.add_exact(y, ctx)) if exact else operator.add
+    scales = [(len(word) + (c not in (1, -1))) * bits for c, word in terms]
+    top = max(scales)
     out: Entries = {}
-    for sign, (entries, a_bits) in terms:
-        shift = bits - a_bits
+    get = out.get
+    for (c, word), scale in zip(terms, scales):
+        shift = top - scale
+        f = SignedRadical.from_rational(c) if exact else (
+            int(c) if c in (1, -1) else ctx.to_fixed(c))
+        prod = _word(rep, ops, word, columns, add)
         if shift:
-            entries = {k: sign * v << shift for k, v in entries.items()}
-        elif sign < 0:
-            entries = {k: -v for k, v in entries.items()}
-        for key, v in entries.items():
-            cur = out.get(key)
-            out[key] = v if cur is None else add(cur, v)
-    return _Mat(out, bits)
+            prod = {ij: f * v << shift for ij, v in prod.items()}
+        elif c != 1:
+            prod = {ij: f * v for ij, v in prod.items()}
+        if not out:
+            out.update(prod)
+            continue
+        for ij, v in prod.items():
+            cur = get(ij)
+            out[ij] = v if cur is None else add(cur, v)
+    return out, top
 
 
 def _report(name: str,
@@ -381,10 +379,11 @@ def _report(name: str,
     return CheckReport(name, residual <= tol, residual, tol, where, ncols, note)
 
 
-def _matrix_report(name: str, rep: TruncatedRep, m: _Mat, tol: float,
-                   columns: Optional[Sequence[bool]] = None,
+def _matrix_report(name: str, rep: TruncatedRep, m: Tuple[Entries, int],
+                   tol: float, columns: Optional[Sequence[bool]] = None,
                    note: str = "") -> CheckReport:
-    """_report over a sparse residual matrix, on the columns marked True.
+    """_report over the (entries, bits) of a _relation on the columns marked
+    True (every column if columns is None).
 
     Exact-mode entries are SignedRadicals: exact zeros are skipped and every
     other entry is rounded once to the fixed-point scale of the float
@@ -397,8 +396,7 @@ def _matrix_report(name: str, rep: TruncatedRep, m: _Mat, tol: float,
                    if not v.is_zero()}
         bits = fctx.fixed_bits()
     labels = rep.labels
-    residuals = ((abs(v), (i, j)) for (i, j), v in sorted(entries.items())
-                 if columns is None or columns[j])
+    residuals = ((abs(v), ij) for ij, v in sorted(entries.items()))
     ncols = len(labels) if columns is None else sum(columns)
     return _report(name, residuals,
                    lambda i, j: f"row={labels[i]} col={labels[j]}",
@@ -410,25 +408,27 @@ def rounding_bound(fctx: EvalContext, reps: Sequence[TruncatedRep]) -> float:
 
     F = fctx.fixed_bits() is the fixed-point scale of the float reps, and
     A = max(1, M, q^2, q^-2), M being the largest magnitude of their
-    entries; q^2 and q^-2 bound the hermiticity coefficients q^2, q^2 - 1
-    and q - 1/q, and a Weyl block entry is at most 1.  Every input the
-    kernels read (an entry, a diagonal value, a coefficient) is its exact
-    value at the exact rational q rounded once, off by at most u/2 with
-    u = 2^-F, and every sum and product after that is exact.  Each row and
-    column of a generator matrix holds at most two entries, so a residual
+    entries; q^2 and q^-2 bound the coefficients q^2, q^2 - 1 and q - 1/q,
+    and a Weyl block entry is at most 1.  Every input the kernels read (an
+    entry, a diagonal value, a coefficient) is its exact value at the exact
+    rational q rounded once, off by at most u/2 with u = 2^-F, and every
+    sum and product after that is exact.  A relation term c w sums
+    products of len(w) inputs, one more if c is not +-1: at most two per
+    entry if w is two generators, as a generator's rows and columns hold
+    at most two entries, and one if w has a diagonal factor.  So a residual
     entry of su11, the Casimir or the intertwiner sums at most four
-    products of two inputs and two single inputs: each product is off by at
-    most A u + u^2/4.  A hermiticity residual sums at most four products of
-    three inputs and three of at most two: a product of three is off by at
-    most 3 A^2 u/2 + O(u^2), so the form agreement, the largest, is off by
-    at most 6 A^2 u + A u + u/2 + O(u^2).  Orthogonality sums n products of
-    block entries, off by at most (sqrt(n) + 1) u, below the bound for n up
-    to 225.  The projector rounds each term c_r T+^r T-^r once, from c_r
-    and the exact product of its rounded ladder factors; a ladder factor is
-    at least 1, so the term is off by at most r u times its size plus that
-    one rounding.  The size of those terms is not bounded here, so for the
-    projector's reports the bound is confirmed by the tests (at desk and
-    large scale, and over small windows) rather than derived.
+    products of two inputs and two single inputs, each product off by at
+    most A u + u^2/4; the form agreement, the largest hermiticity residual,
+    four products of three (each off by at most 3 A^2 u/2 + O(u^2)) and
+    one of two, so it is off by at most 6 A^2 u + A u + O(u^2).
+    Orthogonality sums n products of block entries, off by at most
+    (sqrt(n) + 1) u, below the bound for n up to 225.  The projector rounds
+    each term c_r T+^r T-^r once, from c_r and the exact product of its
+    rounded ladder factors; a ladder factor is at least 1, so the term is
+    off by at most r u times its size plus that one rounding.  The size of
+    those terms is not bounded here, so for the projector's reports the
+    bound is confirmed by the tests (at desk and large scale, and over
+    small windows) rather than derived.
     """
     bits = fctx.fixed_bits()
     q2 = fctx.qpow(2)
@@ -452,23 +452,21 @@ def check_su11_relations(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Ch
     exactly zero; its reports carry the note 'exact'.
     """
     ctx = rep.ctx
+    ops = {"T0": _diagonal(ctx, (w.m2 - w.m3 for w in rep.weights),
+                           lambda d: Fraction(d, 2)),
+           "[2T0]": rep.diagonal_weight_bracket(),
+           "T+": rep.matrices["A23"], "T-": rep.matrices["A32"]}
+    relations = [
+        ("raising", [(1, ("T0", "T+")), (-1, ("T+", "T0")), (-1, ("T+",))],
+         None),
+        ("lowering", [(1, ("T0", "T-")), (-1, ("T-", "T0")), (1, ("T-",))],
+         None),
+        ("commutator", [(1, ("T+", "T-")), (-1, ("T-", "T+")),
+                        (-1, ("[2T0]",))], rep.interior2)]
     note = "exact" if ctx.is_exact() else ""
-    t0 = _diag(rep, (w.m2 - w.m3 for w in rep.weights),
-               lambda d: Fraction(d, 2))
-    tp, tm = _mat(rep, "A23"), _mat(rep, "A32")
-    residuals = [
-        ("raising", _mat_lin(ctx, [(1, _mat_mul(ctx, t0, tp)),
-                                   (-1, _mat_mul(ctx, tp, t0)), (-1, tp)]),
-         None),
-        ("lowering", _mat_lin(ctx, [(1, _mat_mul(ctx, t0, tm)),
-                                    (-1, _mat_mul(ctx, tm, t0)), (1, tm)]),
-         None),
-        ("commutator", _mat_lin(ctx, [
-            (1, _mat_mul(ctx, tp, tm)), (-1, _mat_mul(ctx, tm, tp)),
-            (-1, _Mat(rep.diagonal_weight_bracket(), rep.bits))]),
-         rep.interior2)]
-    return [_matrix_report(f"su11-{kind}-{rep.basis}", rep, r, tolerance, cols,
-                           note) for kind, r, cols in residuals]
+    return [_matrix_report(f"su11-{kind}-{rep.basis}", rep,
+                           _relation(rep, ops, terms, cols), tolerance, cols,
+                           note) for kind, terms, cols in relations]
 
 
 def check_hermiticity(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckReport]:
@@ -486,26 +484,21 @@ def check_hermiticity(rep: TruncatedRep, tolerance: float = 1e-10) -> List[Check
     ctx = rep.ctx
     if ctx.is_exact():
         raise ValueError("hermiticity checks run in floating mode")
-    fix, bits = ctx.to_fixed, rep.bits
-    q2 = ctx.qpow(2)
-    qq, q2, q2m1 = fix(ctx.qpow(1) - ctx.qpow(-1)), fix(q2), fix(q2 - 1)
-    a13t = _mat_transpose(_mat(rep, "A13"))
-    a21, a31, a32 = _mat(rep, "A21"), _mat(rep, "A31"), _mat(rep, "A32")
-    form1 = _mat_lin(ctx, [(1, a13t), (1, a31),
-                           (-1, _mat_times(qq, bits, _mat_mul(ctx, a21, a32)))])
-    form2 = _mat_lin(ctx, [(1, a13t), (1, _mat_times(q2, bits, a31)),
-                           (-1, _mat_times(q2m1, bits,
-                                           _mat_mul(ctx, a32, a21)))])
+    q2, qq = ctx.qpow(2), ctx.qpow(1) - ctx.qpow(-1)
+    first = [(1, ("A13^T",)), (1, ("A31",)), (-qq, ("A21", "A32"))]
+    second = [(1, ("A13^T",)), (q2, ("A31",)), (1 - q2, ("A32", "A21"))]
     inner = rep.interior2
-    residuals = [
-        ("compact", _mat_lin(ctx, [(1, _mat_transpose(_mat(rep, "A12"))),
-                                   (-1, a21)]), None),
-        ("noncompact", _mat_lin(ctx, [(1, _mat_transpose(_mat(rep, "A23"))),
-                                      (1, a32)]), None),
-        ("a13-first", form1, inner), ("a13-second", form2, inner),
-        ("form-agreement", _mat_lin(ctx, [(1, form1), (-1, form2)]), inner)]
-    return [_matrix_report(f"herm-{kind}-{rep.basis}", rep, r, tolerance, cols)
-            for kind, r, cols in residuals]
+    relations = [
+        ("compact", [(1, ("A12^T",)), (-1, ("A21",))], None),
+        ("noncompact", [(1, ("A23^T",)), (1, ("A32",))], None),
+        ("a13-first", first, inner), ("a13-second", second, inner),
+        # first - second, where the A13^T terms cancel
+        ("form-agreement", [(1 - q2, ("A31",)), (-qq, ("A21", "A32")),
+                            (q2 - 1, ("A32", "A21"))], inner)]
+    ops: dict = {}
+    return [_matrix_report(f"herm-{kind}-{rep.basis}", rep,
+                           _relation(rep, ops, terms, cols), tolerance, cols)
+            for kind, terms, cols in relations]
 
 
 def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckReport]:
@@ -520,29 +513,28 @@ def check_casimir(rep: TruncatedRep, tolerance: float = 1e-10) -> List[CheckRepo
     if rep.basis != "t":
         raise ValueError("check_casimir needs a T-basis rep")
     ctx, keys, spins = rep.ctx, rep.keys, rep.spins
-    tp, tm = _mat(rep, "A23"), _mat(rep, "A32")
-    cols_ok = [_t_depth(rep.sig, key) < rep.truncation.depth for key in keys]
+    cols_ok = tuple(_t_depth(rep.sig, key) < rep.truncation.depth
+                    for key in keys)
     # [M + 1/2]^2 from each distinct 2M + 1, the eigenvalue from each 2T
     lam = {t: casimir_su11_eigenvalue(ctx, Fraction(t, 2)) for t in set(spins)}
-    c2 = _mat_lin(ctx, [
-        (1, _mat_mul(ctx, tm, tp)),
-        (1, _diag(rep, (m + 1 for _, _, m in keys), ctx.qbracket_half_sq)),
-        (-1, _diag(rep, spins, lam.__getitem__))])
+    ops = {"T+": rep.matrices["A23"], "T-": rep.matrices["A32"],
+           "[T0+1/2]^2": _diagonal(ctx, (m + 1 for _, _, m in keys),
+                                   ctx.qbracket_half_sq),
+           "[T+1/2]^2": _diagonal(ctx, spins, lam.__getitem__)}
+    c2 = _relation(rep, ops, [(1, ("T-", "T+")), (1, ("[T0+1/2]^2",)),
+                              (-1, ("[T+1/2]^2",))], cols_ok)
     reports = [_matrix_report("casimir-eigenvalue", rep, c2, tolerance,
                               cols_ok, "exact" if ctx.is_exact() else "")]
 
     # eigenvalue separation per weight space at this q (exact gaps at an int
-    # or Fraction q)
+    # or Fraction q), each pair of neighbouring spins measured once
     by_weight: Dict[Weight, set] = {}
     for t, w in zip(spins, rep.weights):
         by_weight.setdefault(w, set()).add(t)
-    min_gap = None
-    for w, ts in sorted(by_weight.items()):
-        vals = sorted(ts)
-        for i in range(len(vals) - 1):
-            gap = abs(lam[vals[i + 1]] - lam[vals[i]])
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
+    pairs = set()
+    for ts in map(sorted, by_weight.values()):
+        pairs.update(zip(ts, ts[1:]))
+    min_gap = min((abs(lam[b] - lam[a]) for a, b in pairs), default=None)
     if min_gap is None:
         sep_note = "no weight holds two T values"
     elif float(min_gap) <= tolerance:

@@ -4,6 +4,7 @@ import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -18,7 +19,7 @@ import qu21.generators as generators_mod
 from qu21.errors import ConstraintViolation
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
                              table_entries)
-from qu21.qarith import EvalContext, SignedRadical
+from qu21.qarith import EvalContext, SignedRadical, sqrt_fraction
 from qu21.repspace import (Signature, Weight, _t_key, _u_key,
                            enumerate_t_basis, enumerate_u_basis,
                            lowest_t_label, lowest_u_label)
@@ -218,8 +219,7 @@ class TestIndividualChecks:
         rep = TruncatedRep(EvalContext.exact(Q), SIG, "t", Truncation(2, 2, 2))
         entries = {(0, 0): SignedRadical.from_rational(Fraction(1, 10**12)),
                    (1, 1): SignedRadical.from_rational(Fraction(5))}
-        report = verify_mod._matrix_report("scan", rep,
-                                           verify_mod._Mat(entries, 0), 1e-10,
+        report = verify_mod._matrix_report("scan", rep, (entries, 0), 1e-10,
                                            note="exact")
         assert not report.passed
         assert report.max_residual == 5.0
@@ -626,10 +626,16 @@ class TestOnePass:
         assert reports["intertwiner"].columns_checked == 1098 - 3 * 132
 
 
-# sparse matrices of dyadic values: an int n at scale 2^-bits
+# sparse 4x4 matrices of dyadic values: an int n stands for n 2^-F
 _ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                            st.integers(-2 ** 200, 2 ** 200), max_size=10)
-_MATS = st.builds(verify_mod._Mat, _ENTRIES, st.integers(0, 300))
+# an operator name of _relation: a generator, a transpose or a diagonal
+_NAMES = st.sampled_from(("A12", "A21", "A12^T", "D"))
+_TERMS = st.lists(
+    st.tuples(st.one_of(st.sampled_from((1, -1)),
+                        st.fractions(-10, 10, max_denominator=1000)),
+              st.lists(_NAMES, min_size=1, max_size=3).map(tuple)),
+    min_size=1, max_size=4)
 
 
 # desk at four q, and the large config at 13/10
@@ -671,43 +677,98 @@ class TestOneIntegerPass:
             (direct.labels, direct.interior1, direct.interior2)
 
 
-def exact_values(m) -> dict:
-    """The values of a fixed-point _Mat as Fractions."""
-    return {k: Fraction(v, 1 << m.bits) for k, v in m.entries.items()}
+def check_relation(a12, a21, diagonal, terms, columns, mode):
+    """_relation against Fractions, and _report on its result.
+
+    Each matrix entry is a dyadic value, an int n of n 2^-F in float mode
+    and a SignedRadical in exact mode; a float context rounds each diagonal
+    value and each coefficient other than +-1 once; then every sum and
+    product is exact.
+    """
+    fctx = float_ctx()
+    bits = fctx.fixed_bits()
+    dyadic = lambda n: Fraction(n, 1 << bits)
+    if mode == "exact":
+        ctx, rounded = EvalContext.exact(Q), lambda c: c
+        as_entry = lambda n: SignedRadical.from_rational(dyadic(n))
+    else:
+        ctx, as_entry = fctx, lambda n: n
+        rounded = lambda c: c if c in (1, -1) else \
+            dyadic(fctx.to_fixed(c))
+    rep = SimpleNamespace(
+        ctx=ctx, bits=0 if mode == "exact" else bits,
+        matrices={"A12": {k: as_entry(n) for k, n in a12.items()},
+                  "A21": {k: as_entry(n) for k, n in a21.items()}})
+    ops = {"D": verify_mod._diagonal(ctx, range(4), diagonal.__getitem__)}
+    got, got_bits = verify_mod._relation(rep, ops, terms, columns)
+
+    def matrix(name):
+        if name == "D":
+            return {(k, k): rounded(x) for k, x in enumerate(diagonal)}
+        entries = a21 if name == "A21" else a12
+        return {((j, i) if name == "A12^T" else (i, j)): dyadic(n)
+                for (i, j), n in entries.items()}
+
+    want = {}
+    for c, word in terms:
+        prod = {(j, j): Fraction(1) for j in range(4)
+                if columns is None or columns[j]}
+        for name in reversed(word):
+            step = {}
+            for (i, k), x in matrix(name).items():
+                for (k2, j), y in prod.items():
+                    if k == k2:
+                        step[(i, j)] = step.get((i, j), 0) + x * y
+            prod = step
+        for k, x in prod.items():
+            want[k] = want.get(k, 0) + rounded(c) * x
+    want = {k: x for k, x in want.items() if x}
+    if mode == "exact":
+        assert got_bits == 0
+        got = {k: v.sign * sqrt_fraction(v.squared(ctx))
+               for k, v in got.items()}
+    else:
+        assert got_bits == bits * max(len(w) + (c not in (1, -1))
+                                      for c, w in terms)
+    assert {k: x for k, v in got.items()
+            if (x := Fraction(v, 1 << got_bits))} == want
+    # and the report converts the exact largest magnitude once
+    report = verify_mod._report(
+        "scan", ((abs(v), k) for k, v in sorted(got.items())),
+        lambda i, j: f"{i},{j}", 1, 1.0, bits=got_bits)
+    assert report.max_residual == float(max(map(abs, want.values()),
+                                            default=0))
+
+
+_DIAGONALS = st.lists(st.fractions(-10, 10, max_denominator=1000),
+                      min_size=4, max_size=4)
 
 
 class TestFixedPoint:
     """The float-mode kernels are exact on their fixed-point inputs."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_MATS, _MATS)
+    @given(_ENTRIES, _ENTRIES)
     def test_sparse_product_is_exact(self, a, b):
-        got = verify_mod._mat_mul(float_ctx(), a, b)
-        want = {}
-        for (i, k), x in exact_values(a).items():
-            for (k2, j), y in exact_values(b).items():
-                if k == k2:
-                    want[(i, j)] = want.get((i, j), 0) + x * y
-        assert got.bits == a.bits + b.bits
-        assert exact_values(got) == want
+        # one product of two generators, on the scale 2F
+        check_relation(a, b, [1] * 4, [(1, ("A12", "A21"))], None, "float")
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from((1, -1)), _MATS),
+    @given(_ENTRIES, _ENTRIES, _DIAGONALS,
+           st.lists(st.tuples(st.sampled_from((1, -1)),
+                              _NAMES.map(lambda name: (name,))),
                     min_size=1, max_size=4))
-    def test_linear_combination_is_exact(self, terms):
-        got = verify_mod._mat_lin(float_ctx(), terms)
-        want = {}
-        for sign, m in terms:
-            for k, x in exact_values(m).items():
-                want[k] = want.get(k, 0) + sign * x
-        assert got.bits == max(m.bits for _, m in terms)
-        assert exact_values(got) == want
-        # and the report converts the exact largest magnitude once
-        report = verify_mod._report(
-            "scan", ((abs(v), k) for k, v in sorted(got.entries.items())),
-            lambda i, j: f"{i},{j}", 1, 1.0, bits=got.bits)
-        assert report.max_residual == float(max(map(abs, want.values()),
-                                                default=0))
+    def test_linear_combination_is_exact(self, a12, a21, diagonal, terms):
+        # a signed sum of single operators, on the scale F
+        check_relation(a12, a21, diagonal, terms, None, "float")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ENTRIES, _ENTRIES, _DIAGONALS, _TERMS,
+           st.one_of(st.none(), st.tuples(*[st.booleans()] * 4)),
+           st.sampled_from(("float", "exact")))
+    def test_relation_is_exact(self, a12, a21, diagonal, terms, columns,
+                               mode):
+        check_relation(a12, a21, diagonal, terms, columns, mode)
 
     def test_float_key_reaches_the_verdicts_of_its_fraction(self):
         # a float q is read as its exact binary rational, 13/10 is another
@@ -763,6 +824,42 @@ class TestFixedPoint:
                   + [("t", _t_key(l))
                      for l in enumerate_t_basis(SIG, trunc.s_max, trunc.depth)])
         assert sorted(calls) == sorted(labels)
+
+
+def definition_residual(rep: TruncatedRep, q) -> float:
+    """The larger residual of the u_q(2,1) definitions
+    A13 = A12 A23 - q A23 A12 and A31 = A32 A21 - q^-1 A21 A32, by
+    verify._relation on the rep's two-step interior columns."""
+    ops, cols = {}, rep.interior2
+    definitions = ([(1, ("A13",)), (-1, ("A12", "A23")), (q, ("A23", "A12"))],
+                   [(1, ("A31",)), (-1, ("A32", "A21")),
+                    (1 / q, ("A21", "A32"))])
+    return max(verify_mod._matrix_report(
+        "definition", rep, verify_mod._relation(rep, ops, terms, cols), 1e-10,
+        cols).max_residual for terms in definitions)
+
+
+class TestDefiningRelations:
+    """A13 and A31 are the q-commutators that define them (Jimbo, Lett.
+    Math. Phys. 11 (1986) 247) on both desk reps, and a flipped table sign
+    breaks one of them."""
+
+    @pytest.mark.parametrize("q", [Q, Fraction(1), Fraction(1, 2)])
+    def test_hold_within_the_rounding_bound(self, q):
+        fctx = float_ctx(q)
+        reps = [TruncatedRep(fctx, SIG, b, Truncation(6, 6, 6))
+                for b in ("u", "t")]
+        bound = rounding_bound(fctx, reps)
+        for rep in reps:
+            assert definition_residual(rep, q) <= bound, rep.basis
+
+    @pytest.mark.parametrize(
+        "eid", [e.eid for b in ("u", "t") for e in table_entries(b)])
+    @pytest.mark.parametrize("q", [Q, Fraction(1), Fraction(1, 2)])
+    def test_catch_every_flipped_entry(self, q, eid):
+        rep = TruncatedRep(float_ctx(q), SIG, eid[0].lower(),
+                           Truncation(6, 6, 6), flip_entry=eid)
+        assert definition_residual(rep, q) > 1e-10
 
 
 class TestRoundingBound:
