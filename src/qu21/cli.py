@@ -270,12 +270,14 @@ def cmd_weyl(args, out) -> int:
                    **(cols if exact else {"value": cols["value"]})}
             if args.via_racah:
                 # each form is printed as value is, its exact radical rounded
-                # once; the difference is that of the three rounded values
+                # once; the difference is that of the three values rounded
+                # once to the fixed-point scale 2^-F (a bracket is at most 1)
                 forms = [weyl_via_racah(ectx, sig, ul, tl, form=f)
                          for f in "ab"]
-                value, va, vb = (x.to_float(fctx) for x in (entry, *forms))
-                diff = max(abs(value - va), abs(value - vb), abs(va - vb))
-                within = float(diff) <= args.tolerance
+                fixed = [x.to_fixed(fctx) for x in (entry, *forms)]
+                diff = Fraction(max(fixed) - min(fixed),
+                                1 << fctx.fixed_bits())
+                within = diff <= args.tolerance
                 all_within = all_within and within
                 for name, x in zip(("racah_form_a", "racah_form_b"), forms):
                     row[name] = format_root(x.sign, x.squared(ectx), digits)

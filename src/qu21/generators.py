@@ -33,7 +33,8 @@ factor in a numerator silently drops the term; this is also what keeps
 boundary labels (k or p at the ends of their ranges, multiplet bottoms) from
 producing out-of-range targets.  The squared norms are products of the same
 integer tables too (F_m for the closed forms, G_m for the recursions), made
-into one Fraction each.
+into one Fraction each; these products live beside the tables, in qarith
+(_brackets, _bracket_fraction, _factorial_ratio).
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Tuple
 
-from .errors import ConstraintViolation, NegativeFactorial
-from .qarith import EvalContext, QIntegers, SignedRadical, _as_int, fixed_root
+from .errors import ConstraintViolation
+from .qarith import (EvalContext, QIntegers, SignedRadical, _as_int,
+                     _bracket_fraction, _brackets, _factorial_ratio,
+                     fixed_root)
 from .repspace import (
     Signature,
     _check_t_m,
@@ -84,68 +87,8 @@ class ActionTerm(NamedTuple):
 
 
 # ----------------------------------------------------------------------------
-# integer q-number products and norms
+# norms
 # ----------------------------------------------------------------------------
-
-def _brackets(ints: QIntegers, nums, dens, neg: int = 0, num: int = 1,
-              den: int = 1):
-    """(-1)^neg num / den times prod [a] / prod [b] over a in nums, b in
-    dens, as ints (neg, N, D): the ratio is (-1)^neg N / D, with N >= 0 and
-    D > 0 (given num >= 0 and den > 0).
-
-    [m] = G_m / z^(m-1) and [-m] = -[m] (qarith.QIntegers); no gcd is
-    taken.  The table of G grows only when an argument passes its end.
-    """
-    g = ints.g_table(0)
-    zexp = 0
-    for a in nums:
-        if a < 0:
-            a, neg = -a, neg ^ 1
-        if a >= len(g):
-            g = ints.g_table(a)
-        num *= g[a]
-        zexp -= a - 1
-    for b in dens:
-        if b < 0:
-            b, neg = -b, neg ^ 1
-        if b >= len(g):
-            g = ints.g_table(b)
-        den *= g[b]
-        zexp += b - 1
-    if zexp >= 0:
-        return neg, num * ints.z ** zexp, den
-    return neg, num, den * ints.z ** -zexp
-
-
-def _factorial_ratio(ints: QIntegers, nums, dens) -> Fraction:
-    """prod [a]! / prod [b]! over a in nums, b in dens, as one Fraction.
-
-    [m]! = F_m / z^(m(m-1)/2) (qarith.QIntegers): the F_m and the power of
-    z multiply in integers, and the Fraction is formed once.
-    NegativeFactorial for a negative argument.
-    """
-    if min(nums + dens) < 0:
-        raise NegativeFactorial(f"[{min(nums + dens)}]! is undefined")
-    f = ints.f_table(max(nums + dens))
-    num = den = 1
-    zexp = 0
-    for a in nums:
-        num *= f[a]
-        zexp -= a * (a - 1) // 2
-    for b in dens:
-        den *= f[b]
-        zexp += b * (b - 1) // 2
-    if zexp >= 0:
-        return Fraction(num * ints.z ** zexp, den)
-    return Fraction(num, den * ints.z ** -zexp)
-
-
-def _bracket_fraction(ints: QIntegers, nums, dens) -> Fraction:
-    """prod [a] / prod [b] over a in nums, b in dens (_brackets), as one
-    Fraction."""
-    neg, num, den = _brackets(ints, tuple(nums), tuple(dens))
-    return Fraction(-num if neg else num, den)
-
 
 def norm_u_sq(ctx: EvalContext, sig: Signature, k: int, ell: int) -> Fraction:
     """Squared norm N^2(k, ell) of the unnormalized U-basis construction,

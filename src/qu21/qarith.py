@@ -17,9 +17,11 @@ with G_m = (r^2m - s^2m) / (r^2 - s^2) (G_m = m at q = 1) and F_m = G_1 ... G_m.
 Every context holds these tables, of q read as the exact rational it is: an
 int or a Fraction as given, a float or an mpf as its binary rational
 (exact_fraction); one table set is kept per exact q, whatever the mode or
-precision.  The q-Racah evaluator of weylracah and the generator tables read
-them.  In both modes q^w, [n], [n]!, 1/[n]! and [x]^2 are exact Fractions,
-from the symmetric formula and the [n]! chain.
+precision.  Products of brackets and of factorials are formed on them in
+integers (_brackets, _factorial_ratio), for the generator tables, the norms
+and EvalContext's [n], [n]! and 1/[n]!; the q-Racah evaluator of weylracah
+reads them too.  In both modes q^w, [n], [n]!, 1/[n]! and [x]^2 are exact
+Fractions.
 
 A value that leaves the rationals is a radical, sign sqrt(x) with x
 rational.  Exact mode keeps it exact (SignedRadical); a float context only
@@ -100,6 +102,69 @@ class QIntegers:
         if e >= 0:
             return self._r2 ** e, self._s2 ** e
         return self._s2 ** -e, self._r2 ** -e
+
+
+def _tri(m: int) -> int:
+    """m(m-1)/2, the power of 1/z in [m]! (see QIntegers)."""
+    return m * (m - 1) // 2
+
+
+def _brackets(ints: QIntegers, nums, dens, neg: int = 0, num: int = 1,
+              den: int = 1):
+    """(-1)^neg num / den times prod [a] / prod [b] over a in nums, b in
+    dens, as ints (neg, N, D): the ratio is (-1)^neg N / D, with N >= 0 and
+    D > 0 (given num >= 0 and den > 0).
+
+    [m] = G_m / z^(m-1) and [-m] = -[m] (QIntegers); no gcd is taken.  The
+    table of G grows only when an argument passes its end.
+    """
+    g = ints.g_table(0)
+    zexp = 0
+    for a in nums:
+        if a < 0:
+            a, neg = -a, neg ^ 1
+        if a >= len(g):
+            g = ints.g_table(a)
+        num *= g[a]
+        zexp -= a - 1
+    for b in dens:
+        if b < 0:
+            b, neg = -b, neg ^ 1
+        if b >= len(g):
+            g = ints.g_table(b)
+        den *= g[b]
+        zexp += b - 1
+    if zexp >= 0:
+        return neg, num * ints.z ** zexp, den
+    return neg, num, den * ints.z ** -zexp
+
+
+def _bracket_fraction(ints: QIntegers, nums, dens) -> Fraction:
+    """prod [a] / prod [b] over a in nums, b in dens (_brackets), as one
+    Fraction."""
+    neg, num, den = _brackets(ints, tuple(nums), tuple(dens))
+    return Fraction(-num if neg else num, den)
+
+
+def _factorial_ratio(ints: QIntegers, nums, dens) -> Fraction:
+    """prod [a]! / prod [b]! over a in nums, b in dens, as one Fraction.
+
+    [m]! = F_m / z^(m(m-1)/2) (QIntegers): the F_m and the power of z
+    multiply in integers, and the Fraction is formed once.
+    NegativeFactorial for a negative argument.
+    """
+    if min(nums + dens) < 0:
+        raise NegativeFactorial(f"[{min(nums + dens)}]! is undefined")
+    f = ints.f_table(max(nums + dens))
+    num = den = 1
+    for a in nums:
+        num *= f[a]
+    for b in dens:
+        den *= f[b]
+    zexp = sum(map(_tri, dens)) - sum(map(_tri, nums))
+    if zexp >= 0:
+        return Fraction(num * ints.z ** zexp, den)
+    return Fraction(num, den * ints.z ** -zexp)
 
 
 def sqrt_fraction(value: Fraction):
@@ -221,11 +286,11 @@ def _q_tables(q):
     """The q-number tables of every EvalContext of this q, in either mode.
 
     Returns q as the exact Fraction it is (exact_fraction), its QIntegers
-    and the qpow, qnum, qfact and qfact_inv memos, whose entries are exact
-    Fractions.  A key that is not a Fraction (an int, a float, an mpf) takes
-    the tables of its exact_fraction; so one exact q has one table set (2,
-    Fraction(2) and 2.0 share it), which the exact context and the float
-    contexts at every precision share.  A table entry is a fixed function
+    and the qpow memo, whose entries are exact Fractions.  A key that is
+    not a Fraction (an int, a float, an mpf) takes the tables of its
+    exact_fraction; so one exact q has one table set (2, Fraction(2) and
+    2.0 share it), which the exact context and the float contexts at every
+    precision share.  A table entry is a fixed function
     of (q, n), so which context fills a table, and when, never changes a
     value.  Raises ValueError unless q is finite and positive (a raise is
     not cached).
@@ -240,7 +305,7 @@ def _q_tables(q):
         raise ValueError("q must be finite and positive")
     if type(q) is not Fraction:
         return _q_tables(value)
-    return value, QIntegers(value), {}, {}, {0: Fraction(1)}, {}
+    return value, QIntegers(value), {}
 
 
 class EvalContext:
@@ -266,12 +331,12 @@ class EvalContext:
                    instances never interfere with each other or with the
                    global mpmath state.
 
-    All operations are pure; the only internal mutation is memoization, one
-    dict per function, keyed by its integer argument: q-powers (qpow),
-    q-brackets (qnum), q-factorials (qfact) and their inverses (qfact_inv).
-    ``ints`` holds the integer table G_m (see QIntegers) of q; weylracah
-    reads it for q-Racah values and brackets, the generator tables for
-    their matrix elements and SignedRadical.to_float for its q-power.
+    All operations are pure; the only internal mutation is the growth of
+    the tables on demand.  ``ints`` holds the integer tables G_m and F_m
+    (see QIntegers) of q; qnum, qfact and qfact_inv read them
+    (_bracket_fraction, _factorial_ratio), as do weylracah for q-Racah
+    values and brackets, the generator tables for their matrix elements and
+    SignedRadical.to_float for its q-power; qpow keeps a memo of q^w.
     Every context of one exact q, in either mode and at every precision,
     shares these tables, taken at construction from a process-wide memo of
     the ``_Q_TABLES`` (32) most recently used q (_q_tables); so a table
@@ -285,8 +350,7 @@ class EvalContext:
     same tables, at a precision.
     """
 
-    __slots__ = ("mode", "q", "precision", "ints",
-                 "_qpow_memo", "_qnum_memo", "_qfact_memo", "_qfact_inv_memo")
+    __slots__ = ("mode", "q", "precision", "ints", "_qpow_memo")
 
     def __init__(self, mode: str, q, precision: int = 50):
         if mode not in (_EXACT, _FLOAT):
@@ -295,8 +359,7 @@ class EvalContext:
         self.precision = int(precision)
         if self.precision < 1:
             raise ValueError(f"precision must be at least 1 digit, got {precision}")
-        (self.q, self.ints, self._qpow_memo, self._qnum_memo,
-         self._qfact_memo, self._qfact_inv_memo) = _q_tables(q)
+        self.q, self.ints, self._qpow_memo = _q_tables(q)
 
     @property
     def _mp(self):
@@ -342,37 +405,15 @@ class EvalContext:
 
     def qnum(self, n) -> Fraction:
         """Symmetric q-bracket [n]; [n] -> n at q = 1, [-n] = -[n]."""
-        n = _as_int(n)
-        memo = self._qnum_memo
-        if n not in memo:
-            if self.is_classical():
-                memo[n] = Fraction(n)
-            else:
-                q = self.q
-                memo[n] = (q ** n - q ** (-n)) / (q - q ** -1)
-        return memo[n]
+        return _bracket_fraction(self.ints, (_as_int(n),), ())
 
     def qfact(self, n) -> Fraction:
         """q-factorial [n]! with [0]! = 1; raises NegativeFactorial for n < 0."""
-        n = _as_int(n)
-        if n < 0:
-            raise NegativeFactorial(f"[{n}]! is undefined")
-        memo = self._qfact_memo
-        if n not in memo:
-            top = max(memo)
-            acc = memo[top]
-            for m in range(top + 1, n + 1):
-                acc = acc * self.qnum(m)
-                memo[m] = acc
-        return memo[n]
+        return _factorial_ratio(self.ints, (_as_int(n),), ())
 
     def qfact_inv(self, n) -> Fraction:
         """1/[n]!; raises NegativeFactorial for n < 0."""
-        n = _as_int(n)
-        memo = self._qfact_inv_memo
-        if n not in memo:
-            memo[n] = 1 / self.qfact(n)
-        return memo[n]
+        return _factorial_ratio(self.ints, (), (_as_int(n),))
 
     def qbracket_half_sq(self, two_x) -> Fraction:
         """[x]^2 for the half-integer x = two_x / 2.

@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
-from .qarith import EvalContext, QIntegers, SignedRadical, rounded_root
+from .qarith import EvalContext, QIntegers, SignedRadical, _tri, rounded_root
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -122,11 +122,6 @@ def _racah_form(ctx: EvalContext, sign: int, dims, pref_num, pref_den,
     # the gcd that reduces the root runs on half the bits of the radicand;
     # squaring it needs none, and rest is a few small factors
     return SignedRadical(sign, 0, Fraction(root_num, root_den) ** 2 * rest)
-
-
-def _tri(m: int) -> int:
-    """m(m-1)/2, the power of 1/z in [m]! (see qarith.QIntegers)."""
-    return m * (m - 1) // 2
 
 
 def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,

@@ -65,9 +65,10 @@ def radical_rows_rounded(rows, q: Fraction, digits: int):
 
 
 def test_mpmath_is_loaded_only_where_an_mpf_is_made():
-    # desk verify (float and exact), basis, matrix and an exact racah make
-    # no mpf: their values are rounded from integers straight to fixed
-    # point or to decimal, so the process never imports mpmath
+    # desk verify (float and exact), basis, matrix, weyl --via-racah and an
+    # exact racah make no mpf: their values are rounded from integers
+    # straight to fixed point or to decimal, so the process never imports
+    # mpmath
     script = textwrap.dedent("""
         import contextlib, io, sys
         from qu21 import cli
@@ -77,6 +78,8 @@ def test_mpmath_is_loaded_only_where_an_mpf_is_made():
                  "exact", "--lmax", "3", "--smax", "3", "--depth", "3"],
                 ["basis", "--sig", "4,2,-2", "--basis", "t"],
                 ["matrix", "--sig", "4,2,-2", "--q", "13/10", "--gen", "A13"],
+                ["weyl", "--sig", "4,2,-2", "--q", "13/10", "--weight",
+                 "4,4,-4", "--via-racah"],
                 ["racah", "--mode", "exact", "--q", "13/10", "--",
                  "1", "1", "1", "1", "1", "1"]):
             with contextlib.redirect_stdout(io.StringIO()):

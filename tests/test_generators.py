@@ -5,22 +5,26 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qu21.generators as generators_mod
 import qu21.repspace as repspace_mod
-from qu21.errors import ConstraintViolation, LabelOutOfDomain
+from qu21.errors import (ConstraintViolation, LabelOutOfDomain,
+                         NegativeFactorial)
 from qu21.generators import (GENERATORS, WEIGHT_SHIFTS, basis_action,
                              casimir_su11_eigenvalue, norm_su11_sq,
                              norm_t_sq, norm_t_sq_stepwise, norm_u_sq,
                              norm_u_sq_stepwise, projector_t_coeff,
                              table_entries)
-from qu21.qarith import EvalContext, SignedRadical
+from qu21.qarith import (EvalContext, SignedRadical, _brackets,
+                         _factorial_ratio)
 from qu21.repspace import (Signature, TBasisLabel, UBasisLabel, classify,
                            enumerate_t_basis, enumerate_u_basis,
                            lowest_t_label, lowest_u_label, t_label, u_label,
                            weight_of_t, weight_of_u)
+
+from oracles import qfact_fraction, qnum_fraction
 
 KEY_OF = {"u": repspace_mod._u_key, "t": repspace_mod._t_key}
 
@@ -352,16 +356,40 @@ class TestRowValues:
            dens=st.lists(st.integers(-12, 12).filter(bool), max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_bracket_ratio_is_the_bracket_product(self, q, nums, dens):
-        ctx = EvalContext.exact(q)
+        # against the Fraction [a], and -[-a] for a negative a
+        def bracket(a):
+            return qnum_fraction(q, a) if a > 0 else -qnum_fraction(q, -a)
+
         want = Fraction(1)
         for a in nums:
-            want *= ctx.qnum(a)
+            want *= bracket(a)
         for b in dens:
-            want /= ctx.qnum(b)
-        neg, num, den = generators_mod._brackets(ctx.ints, tuple(nums),
-                                                 tuple(dens))
+            want /= bracket(b)
+        neg, num, den = _brackets(EvalContext.exact(q).ints, tuple(nums),
+                                  tuple(dens))
         assert num >= 0 and den > 0
         assert (-1) ** neg * Fraction(num, den) == want
+
+    @given(q=st.fractions(min_value=Fraction(1, 9), max_value=9,
+                          max_denominator=12).filter(lambda x: x > 0),
+           nums=st.lists(st.integers(0, 12), max_size=4),
+           dens=st.lists(st.integers(0, 12), max_size=4),
+           negative=st.integers(-12, -1))
+    @settings(max_examples=80, deadline=None)
+    def test_factorial_ratio_is_the_factorial_product(self, q, nums, dens,
+                                                      negative):
+        assume(nums or dens)
+        ints = EvalContext.exact(q).ints
+        want = Fraction(1)
+        for a in nums:
+            want *= qfact_fraction(q, a)
+        for b in dens:
+            want /= qfact_fraction(q, b)
+        assert _factorial_ratio(ints, tuple(nums), tuple(dens)) == want
+        with pytest.raises(NegativeFactorial):
+            _factorial_ratio(ints, tuple(nums) + (negative,), tuple(dens))
+        with pytest.raises(NegativeFactorial):
+            _factorial_ratio(ints, tuple(nums), (negative,) + tuple(dens))
 
     def test_negative_radicand_raises(self, monkeypatch):
         # a row whose brackets multiply to a negative radicand is refused

@@ -207,8 +207,8 @@ class TestContexts:
 
     def test_contexts_of_one_key_share_q_tables(self):
         # one table entry per exact q: every mode and precision, and every
-        # spelling of one rational, share the memos
-        memos = [name for name in EvalContext.__slots__ if name.endswith("_memo")]
+        # spelling of one rational, share the integer tables and the memo
+        memos = ("ints", "_qpow_memo")
         q = Fraction(13, 10)
         qarith._q_tables.cache_clear()
         a = EvalContext.floating(q, 50)
@@ -220,8 +220,8 @@ class TestContexts:
             assert other.q is a.q and other.ints is a.ints
             for name in memos:
                 assert getattr(other, name) is getattr(a, name)
-        assert 12 in low._qfact_memo and 7 in high._qnum_memo \
-            and -3 in low._qpow_memo
+        assert len(low.ints.f_table(0)) > 12 \
+            and len(high.ints.g_table(0)) > 7 and -3 in low._qpow_memo
         assert (low._mp.dps, high._mp.dps) == (20, 80)
         assert low._mp is not a._mp and low._mp is not high._mp
         low.qfact(14), high.qfact(14)
@@ -241,7 +241,7 @@ class TestContexts:
 
         qarith._q_tables.cache_clear()
         fresh = EvalContext.floating(q, 50)
-        assert fresh._qfact_memo is not a._qfact_memo
+        assert fresh.ints is not a.ints and fresh._qpow_memo is not a._qpow_memo
         assert [fresh.qfact(12), fresh.qnum(7), fresh.qpow(-3)] == want
         assert [a.qfact(12), a.qnum(7), a.qpow(-3)] == want
 

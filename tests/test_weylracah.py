@@ -625,8 +625,9 @@ class TestBitIdentity:
         for k in range(qarith._Q_TABLES + 1):
             EvalContext("float" if k % 2 else "exact", Fraction(k + 1, 97)).qfact(6)
             assert within_bound()
-        assert EvalContext.floating(Fraction(13, 10), 50)._qfact_memo \
-            is not held._qfact_memo
+        fresh = EvalContext.floating(Fraction(13, 10), 50)
+        assert fresh.ints is not held.ints \
+            and fresh._qpow_memo is not held._qpow_memo
         assert racah_bit_lines(order) == golden
         assert within_bound()
 
