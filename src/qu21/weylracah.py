@@ -1,25 +1,27 @@
 """Transformation brackets between the two reductions and q-Racah coefficients.
 
 The overlap <U|T>_q between a U-basis and a T-basis vector of the same weight
-is computed two independent ways:
+is computed directly, from its closed-form square-root prefactor and single
+balanced q-factorial sum, indexed by n (_bracket_args).  weyl_via_racah
+evaluates it through the general q-Racah coefficient U_q(a b e d; c f) in
+two forms:
 
-1. directly, from its closed-form square-root prefactor and single balanced
-   q-factorial sum, indexed by n;
-2. through the general q-Racah coefficient U_q(a b e d; c f) under the
-   substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) built from the two
-   labels, times a dimension factor and phase.
+a. under the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) built
+   from the two labels, times a dimension factor and phase.  This is the
+   direct bracket re-indexed: its _racah_form arguments equal
+   _bracket_args as multisets, sign included, so it runs the same sum;
+b. U_q(j1 j2 j j3; U T), a Racah symmetry of form a with a different sum.
 
-The agreement of the two paths, together with orthogonality of the resulting
-weight blocks and the intertwining property against the generator tables, is
-what the verify module checks.
+The independent checks of the bracket are form b, orthogonality of the
+weight blocks and the intertwining property against both generator tables
+(the verify module), and the q-Clebsch-Gordan oracle of the tests.
 
 Both closed forms have one shape: a signed square root of a q-factorial
 ratio times a single alternating q-factorial sum.  One private evaluator,
 _racah_form, computes that shape in either mode; the bracket and the q-Racah
-coefficient only build its argument lists from their own formulas
-(_bracket_args, _qracah_doubled), so the two paths above stay independent.
-The dimension factor and phase of path 2 fold into the q-Racah
-coefficient's own root and sign, so each path is one _racah_form call.
+coefficient only build its argument lists (_bracket_args, _qracah_doubled).
+The dimension factor and phase of form a fold into the q-Racah
+coefficient's own root and sign, so each form is one _racah_form call.
 verify.complete_blocks evaluates the same bracket argument lists and rounds
 the evaluator's unreduced integers straight to its fixed-point scale.
 
@@ -31,8 +33,8 @@ over its term ratios, so no term is reduced on its own.  Every context has
 these tables (a float or mpf q is read as its exact binary rational).  Exact
 mode returns the radicand as a Fraction, reduced through its square root
 part; float mode rounds the same exact value once to its precision, so
-cancellation in the sum costs it no digit, and the two paths give the same
-bits wherever the algebra holds.
+cancellation in the sum costs it no digit, and the bracket and both forms
+give the same bits wherever the algebra holds.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
 (c,d,e), (b,d,f); arguments outside any triangle give 0 by convention, as do

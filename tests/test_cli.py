@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qu21 import cli
+from qu21 import cli, generators, weylracah
 from qu21.generators import GENERATORS
 from qu21.qarith import EvalContext, SignedRadical
 from qu21.weylracah import RacahArgs, qracah_exact
@@ -92,6 +92,88 @@ def test_mpmath_is_loaded_only_where_an_mpf_is_made():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+_COMMAND_ARGV = {
+    "basis": ["basis", "--sig", "4,2,-2", "--lmax", "1"],
+    "matrix": ["matrix", "--sig", "4,2,-2", "--q", "13/10", "--gen", "A13",
+               "--lmax", "1", "--format", "csv"],
+    "weyl": ["weyl", "--sig", "4,2,-2", "--q", "13/10", "--weight", "4,4,-4",
+             "--via-racah"],
+    "racah": ["racah", "--q", "13/10", "--", "1", "1", "1", "1", "1", "1"],
+    "verify": ["verify", "--sig", "4,2,-2", "--lmax", "1", "--smax", "1",
+               "--depth", "1"],
+}
+
+
+def test_each_process_loads_only_the_layers_it_runs():
+    # a fresh interpreter per case: the modules a bare import of the cli and
+    # each subcommand leave in sys.modules
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        from qu21 import cli
+        if sys.argv[1:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(sys.argv[1:]) == 0, sys.argv
+        print(" ".join(sorted(set(sys.modules) - before)))
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    never = {None: {"qu21.generators", "qu21.verify", "qu21.weylracah",
+                    "json", "csv"},
+             "racah": {"qu21.verify", "qu21.generators"},
+             "weyl": {"qu21.verify", "qu21.generators"},
+             "basis": {"qu21.verify", "qu21.weylracah"},
+             "matrix": {"qu21.verify", "qu21.weylracah"}}
+    for command, absent in never.items():
+        argv = _COMMAND_ARGV[command] if command else []
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "qu21.cli" in loaded
+        assert not loaded & absent, (command, sorted(loaded & absent))
+
+
+def test_deferred_names_are_read_from_their_owning_module():
+    # the benchmark's tracer wraps a function in every namespace that holds
+    # it and restores it on removal; cli holds none of its layers' names, so
+    # it shows whatever the owner holds, and a removal leaves nothing behind
+    assert cli.basis_action is generators.basis_action
+    assert cli.weyl_via_racah is weylracah.weyl_via_racah
+    assert "basis_action" not in vars(cli)
+    assert "weyl_via_racah" not in vars(cli)
+    assert cli.json.dumps and cli.csv.DictWriter
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize("source", ["option", "QU21_PRECISION"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_precision_below_one_is_usage_error(capsys, monkeypatch, command,
+                                            value, source):
+    argv = _COMMAND_ARGV[command]
+    if source == "option":
+        argv = [argv[0], "--precision", value, *argv[1:]]
+    else:
+        monkeypatch.setenv(source, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == (f"qu21 {command}: error: argument "
+                                    f"--precision: expected a positive "
+                                    f"integer, got '{value}'")
+
+
+@pytest.mark.parametrize("digits", [0, -2])
+def test_formatters_refuse_fewer_than_one_digit(digits):
+    with pytest.raises(ValueError, match="at least 1 digit"):
+        cli.format_float(Fraction(1, 3), digits)
+    with pytest.raises(ValueError, match="at least 1 digit"):
+        cli.format_root(1, Fraction(1, 3), digits)
 
 
 class TestParsing:
@@ -229,7 +311,7 @@ class TestWeyl:
     def test_out_of_tolerance_via_racah_exits_1(self, capsys, monkeypatch):
         # one form b radical of the desk block moved by a relative 5e-6:
         # that row alone is out of tolerance
-        inner, moved = cli.weyl_via_racah, []
+        inner, moved = weylracah.weyl_via_racah, []
 
         def one_row_off(ctx, sig, u, t, form="a"):
             value = inner(ctx, sig, u, t, form)
@@ -239,7 +321,7 @@ class TestWeyl:
                                       value.radicand * (1 + Fraction(1, 10 ** 5)))
             return value
 
-        monkeypatch.setattr(cli, "weyl_via_racah", one_row_off)
+        monkeypatch.setattr(weylracah, "weyl_via_racah", one_row_off)
         code, out, _ = run(capsys, "weyl", "--sig", "4,2,-2", "--q", "13/10",
                            "--weight", "4,4,-4", "--via-racah")
         assert code == 1
