@@ -8,6 +8,7 @@ Subpackages:
 - weylracah: transformation brackets between the two bases and q-Racah coefficients
 - verify: self-contained identity checks on truncated matrix representations
 - cli: command line front end
+- records: the frozen-record base of the package's value classes
 """
 
 from .qarith import EvalContext, SignedRadical

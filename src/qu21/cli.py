@@ -26,9 +26,11 @@ generators, weyl and racah add weylracah, and verify adds verify (which
 loads both).  json or csv is loaded only for the format asked; verify's
 text report needs neither.  Without a bytecode cache
 (PYTHONDONTWRITEBYTECODE=1, so every start compiles what it imports), the
-imports take about 31 ms for the module alone, 41 ms for basis or matrix,
-38 ms for weyl or racah and 52 ms for verify (Python 3.11, shared 2-core
-Linux container, medians of 15 fresh processes).
+imports take about 17 ms for the module alone, 22 ms for basis or matrix,
+19 ms for weyl or racah and 33 ms for verify (Python 3.11, shared 2-core
+Linux container, medians of 15 fresh processes).  No subcommand loads
+inspect: the package's records are slotted classes (qu21.records), because
+generating them at import cost every start about 10 ms more.
 """
 
 from __future__ import annotations

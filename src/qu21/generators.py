@@ -39,7 +39,6 @@ into one Fraction each; these products live beside the tables, in qarith
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -47,6 +46,7 @@ from .errors import ConstraintViolation
 from .qarith import (EvalContext, QIntegers, SignedRadical, _as_int,
                      _bracket_fraction, _brackets, _factorial_ratio,
                      fixed_root)
+from .records import Record
 from .repspace import (
     Signature,
     _check_t_m,
@@ -199,8 +199,7 @@ class _TEnv(NamedTuple):
     twoM: int
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
     """One closed-form matrix element of an off-diagonal generator.
 
     (d1, d2) are the shifts of (k, ell) in the U table and of (s, p) in the
@@ -219,18 +218,14 @@ class TableEntry:
     a ladder row, whose brackets all depend on M.  The shared brackets and
     den read only the multiplet (k, ell or s, p, the spin and sig), so
     _key_action evaluates them once per source multiplet.
+
+    eid and gen are strings; qexp is a callable, num and den are tuples of
+    callables, and the other fields are ints.
     """
 
-    eid: str
-    gen: str
-    d1: int
-    d2: int
-    dtwoM: int
-    sign: int
-    qexp: Callable
-    num: Tuple[Callable, ...]
-    den: Tuple[Callable, ...]
-    shared: int = 0
+    __slots__ = ("eid", "gen", "d1", "d2", "dtwoM", "sign", "qexp", "num",
+                 "den", "shared")
+    _defaults = {"shared": 0}
 
 
 class _Reduced(NamedTuple):

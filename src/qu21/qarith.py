@@ -33,12 +33,12 @@ on.  So every float value is an exact value rounded once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt
 
 from .errors import NegativeFactorial, RadicalIncompatible
+from .records import Record, _set
 
 _EXACT = "exact"
 _FLOAT = "float"
@@ -461,28 +461,37 @@ class EvalContext:
         return f"EvalContext(mode={self.mode!r}, q={self.q!r}, precision={self.precision})"
 
 
-@dataclass(frozen=True)
-class SignedRadical:
+class SignedRadical(Record):
     """Exact factored value  sign * q^qpower * sqrt(radicand).
 
-    sign is -1, 0, or +1; qpower is an integer; radicand is a nonnegative
-    Fraction (or int).  sign == 0 if and only if the radicand
-    is zero, in which case the canonical form (0, 0, 0) is enforced.  The type
-    is closed under multiplication and division but not addition; a restricted
-    exact sum is available when radicand ratios are rational squares.
+    sign is -1, 0, or +1; qpower is an int; radicand is a nonnegative
+    Fraction or int (anything else is a TypeError).  sign == 0 if and only
+    if the radicand is zero, in which case the canonical form (0, 0, 0) is
+    enforced.  The type is closed under multiplication and division but not
+    addition; a restricted exact sum is available when radicand ratios are
+    rational squares.
     """
 
-    sign: int
-    qpower: int
-    radicand: Fraction
+    __slots__ = ("sign", "qpower", "radicand")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-        if self.radicand < 0:
+    # Its own __init__, not Record's: exact sums build tens of thousands of
+    # radicals per verify, and the checks read the arguments (the radicand
+    # through its int numerator, not a Fraction comparison).
+    def __init__(self, sign, qpower, radicand):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
+        if not isinstance(qpower, int):
+            raise TypeError(f"qpower must be an int, got {qpower!r}")
+        if not isinstance(radicand, (int, Fraction)):
+            raise TypeError(
+                f"radicand must be an int or a Fraction, got {radicand!r}")
+        if radicand.numerator < 0:
             raise ValueError("radicand must be nonnegative")
-        if (self.sign == 0) != (self.radicand == 0):
+        if (sign == 0) != (radicand.numerator == 0):
             raise ValueError("sign == 0 exactly when radicand == 0")
+        _set(self, "sign", sign)
+        _set(self, "qpower", qpower)
+        _set(self, "radicand", radicand)
 
     @classmethod
     def zero(cls) -> "SignedRadical":

@@ -25,7 +25,6 @@ key once, check the key in integers and return it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -35,6 +34,7 @@ from .errors import (
     LabelOutOfDomain,
     PatternViolation,
 )
+from .records import Record
 
 
 class Weight(NamedTuple):
@@ -51,17 +51,14 @@ class SeriesClass(enum.Enum):
     NONSTANDARD_EQUAL = "nonstandard-equal"
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Lowest weight (f1, f2, f3); validity is enforced at construction."""
+class Signature(Record):
+    """Lowest weight (f1, f2, f3) of ints; validity is enforced at construction."""
 
-    f1: int
-    f2: int
-    f3: int
+    __slots__ = ("f1", "f2", "f3")
 
-    def __post_init__(self):
+    def _check(self):
         for name, value in (("f1", self.f1), ("f2", self.f2), ("f3", self.f3)):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidSignature(f"{name} must be an integer, got {value!r}")
         if self.f1 < self.f2:
             raise InvalidSignature(
@@ -113,14 +110,11 @@ def classify(sig: Signature) -> SeriesClass:
     return SeriesClass.STANDARD
 
 
-@dataclass(frozen=True)
-class UBasisLabel:
-    """Compact-reduction label (k, ell, U, MU); U and MU are half-integers."""
+class UBasisLabel(Record):
+    """Compact-reduction label (k, ell, U, MU): ints k and ell, and U and MU
+    half-integer Fractions."""
 
-    k: int
-    ell: int
-    U: Fraction
-    MU: Fraction
+    __slots__ = ("k", "ell", "U", "MU")
 
     def sort_key(self):
         return (self.ell, self.k, self.MU)
@@ -129,14 +123,11 @@ class UBasisLabel:
         return f"k={self.k} ell={self.ell} U={self.U} MU={self.MU}"
 
 
-@dataclass(frozen=True)
-class TBasisLabel:
-    """Noncompact-reduction label (s, p, T, M); T and M are half-integers."""
+class TBasisLabel(Record):
+    """Noncompact-reduction label (s, p, T, M): ints s and p, and T and M
+    half-integer Fractions."""
 
-    s: int
-    p: int
-    T: Fraction
-    M: Fraction
+    __slots__ = ("s", "p", "T", "M")
 
     def sort_key(self):
         return (self.s, self.p, self.M)
@@ -335,21 +326,16 @@ def lowest_t_label(sig: Signature) -> TBasisLabel:
     return _t_label_at(sig, (0, 0, _two_t(sig, 0, 0) + 2))
 
 
-@dataclass(frozen=True)
-class GGPattern:
-    """Triangular pattern (m13 m23 m33 / m12 m22 / m11) for a U-basis label.
+class GGPattern(Record):
+    """Triangular pattern (m13 m23 m33 / m12 m22 / m11) of ints for a U-basis
+    label.
 
     Betweenness for this series reads m12 >= m13 + 1 >= m22 >= m23 + 1 and
     m12 >= m11 >= m22; the middle row grows past the top row because the
     module is infinite dimensional in the ell direction.
     """
 
-    m13: int
-    m23: int
-    m33: int
-    m12: int
-    m22: int
-    m11: int
+    __slots__ = ("m13", "m23", "m33", "m12", "m22", "m11")
 
     def rows(self):
         return ((self.m13, self.m23, self.m33), (self.m12, self.m22), (self.m11,))

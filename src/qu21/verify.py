@@ -75,7 +75,6 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -99,6 +98,7 @@ from .generators import (
     projector_t_coeff,
 )
 from .qarith import EvalContext, SignedRadical, fixed_root
+from .records import Record
 from .repspace import (
     Signature,
     Weight,
@@ -125,23 +125,20 @@ Entry = Union[int, SignedRadical]
 Entries = Dict[Tuple[int, int], Entry]
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Basis bounds: ell_max for the U basis, s_max and depth for the T basis."""
+class Truncation(Record):
+    """Basis bounds, nonnegative ints: ell_max for the U basis, s_max and
+    depth for the T basis."""
 
-    ell_max: int
-    s_max: int
-    depth: int
+    __slots__ = ("ell_max", "s_max", "depth")
 
-    def __post_init__(self):
-        for name in ("ell_max", "s_max", "depth"):
+    def _check(self):
+        for name in self._fields:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one identity check.
 
     max_residual is the largest absolute deviation found (0.0 for exact
@@ -149,16 +146,14 @@ class CheckReport:
     A float-mode residual is exact on the rounded inputs, summed in fixed
     point, and converted to a float once; an exact-mode one is an exact sum,
     rounded once for display.  Reports are deterministic given (sig,
-    truncation, q, precision).
+    truncation, q, precision).  name, location and note are strings,
+    passed a bool, max_residual and tolerance floats, and columns_checked
+    an int.
     """
 
-    name: str
-    passed: bool
-    max_residual: float
-    tolerance: float
-    location: str
-    columns_checked: int
-    note: str = ""
+    __slots__ = ("name", "passed", "max_residual", "tolerance", "location",
+                 "columns_checked", "note")
+    _defaults = {"note": ""}
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -276,11 +271,10 @@ class TruncatedRep:
         return twin
 
 
-@dataclass(frozen=True)
 class FixedBlock(WeylBlock):
     """A complete Weyl block whose entries[i][j] is the int n of n 2^-bits."""
 
-    bits: int
+    __slots__ = ("bits",)
 
 
 # ----------------------------------------------------------------------------

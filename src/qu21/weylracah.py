@@ -56,12 +56,12 @@ these facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
 from .errors import ConstraintViolation, EmptyWeightSpace, WeightMismatch
 from .qarith import EvalContext, QIntegers, SignedRadical, _tri, rounded_root
+from .records import Record
 from .repspace import (
     Signature,
     TBasisLabel,
@@ -250,20 +250,17 @@ def weyl_coefficient(ctx: EvalContext, sig: Signature,
     return _bracket(ctx, sig, *_check_match(sig, u, t))
 
 
-@dataclass(frozen=True)
-class WeylBlock:
+class WeylBlock(Record):
     """Orthogonal change-of-basis block at one weight.
 
     rows follow u_labels (ascending U), columns follow t_labels (ascending T);
     entries[i][j] = <u_i | t_j>_q: a SignedRadical in exact mode, its value
     rounded once (an mpf) in float mode.  At full label range the block is
-    square.
+    square.  Every field is a tuple: the Weight, the UBasisLabels, the
+    TBasisLabels and the rows of entries.
     """
 
-    weight: Weight
-    u_labels: Tuple[UBasisLabel, ...]
-    t_labels: Tuple[TBasisLabel, ...]
-    entries: Tuple[Tuple[object, ...], ...]
+    __slots__ = ("weight", "u_labels", "t_labels", "entries")
 
 
 def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
@@ -286,8 +283,7 @@ def weyl_block(ctx: EvalContext, sig: Signature, weight: Weight) -> WeylBlock:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RacahArgs:
+class RacahArgs(Record):
     """Arguments of U_q(a b e d; c f), stored as Fractions.
 
     In recoupling terms this is the unitary bracket
@@ -295,12 +291,7 @@ class RacahArgs:
     (a,e,f).
     """
 
-    a: Fraction
-    b: Fraction
-    e: Fraction
-    d: Fraction
-    c: Fraction
-    f: Fraction
+    __slots__ = ("a", "b", "e", "d", "c", "f")
 
     @classmethod
     def make(cls, a, b, e, d, c, f) -> "RacahArgs":

@@ -15,7 +15,8 @@ itself.  The Fraction form of the q-Racah triangle test is kept here as the
 reference for the integer test, the Fraction weights of basis labels as the
 reference for repspace's integer weights of label keys, and the conjugated
 form of the intertwining identity as the reference for verify's product
-form.
+form.  replace copies a package record with some fields changed, for the
+tests that build faulty labels and table rows.
 """
 
 from fractions import Fraction
@@ -319,3 +320,9 @@ def intertwiner_conjugated(blocks, reps):
                         if res > worst:
                             worst, where = res, (g, w, row, col)
     return worst / (1 << 2 * block_bits + reps["u"].bits), where
+
+
+def replace(record, **changes):
+    """A new record of record's class with the given fields changed."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})

@@ -120,20 +120,25 @@ def test_each_process_loads_only_the_layers_it_runs():
         """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    never = {None: {"qu21.generators", "qu21.verify", "qu21.weylracah",
-                    "json", "csv"},
-             "racah": {"qu21.verify", "qu21.generators"},
-             "weyl": {"qu21.verify", "qu21.generators"},
-             "basis": {"qu21.verify", "qu21.weylracah"},
-             "matrix": {"qu21.verify", "qu21.weylracah"}}
-    for command, absent in never.items():
-        argv = _COMMAND_ARGV[command] if command else []
+    # no process loads dataclasses or inspect (with ast, dis and tokenize
+    # about 10 ms of a start without a bytecode cache; see qu21.records)
+    heavy = {"dataclasses", "inspect"}
+    never = [([], {"qu21.generators", "qu21.verify", "qu21.weylracah",
+                   "json", "csv"}),
+             (_COMMAND_ARGV["racah"], {"qu21.verify", "qu21.generators"}),
+             (_COMMAND_ARGV["weyl"], {"qu21.verify", "qu21.generators"}),
+             (_COMMAND_ARGV["basis"], {"qu21.verify", "qu21.weylracah"}),
+             (_COMMAND_ARGV["matrix"], {"qu21.verify", "qu21.weylracah"}),
+             (_COMMAND_ARGV["verify"], {"json", "csv"}),
+             ([*_COMMAND_ARGV["verify"], "--mode", "exact"], {"json", "csv"})]
+    for argv, absent in never:
         done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         loaded = set(done.stdout.split())
         assert "qu21.cli" in loaded
-        assert not loaded & absent, (command, sorted(loaded & absent))
+        unwanted = loaded & (absent | heavy)
+        assert not unwanted, (argv, sorted(unwanted))
 
 
 def test_deferred_names_are_read_from_their_owning_module():

@@ -1,6 +1,5 @@
 """Norms, ladder coefficients, projector coefficients, generator actions."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from qu21.repspace import (Signature, TBasisLabel, UBasisLabel, classify,
                            lowest_t_label, lowest_u_label, t_label, u_label,
                            weight_of_t, weight_of_u)
 
-from oracles import qfact_fraction, qnum_fraction
+from oracles import qfact_fraction, qnum_fraction, replace
 
 KEY_OF = {"u": repspace_mod._u_key, "t": repspace_mod._t_key}
 
@@ -309,7 +308,7 @@ class TestActions:
         # a ladder row shifted in k leaves the domain at the top of k
         [row] = generators_mod._ROWS["u"]["A12"]
         monkeypatch.setitem(generators_mod._ROWS["u"], "A12",
-                            (dataclasses.replace(row, d1=1),))
+                            (replace(row, d1=1),))
         top = u_label(sig, sig.f1 - sig.f2, 1, Fraction(-1, 2))
         with pytest.raises(ConstraintViolation, match="k <= f1 - f2"):
             basis_action(ctx, sig, "u", "A12", top)
@@ -397,7 +396,7 @@ class TestRowValues:
         ctx = EvalContext.exact(Fraction(13, 10))
         [row] = generators_mod._ROWS["u"]["A12"]
         monkeypatch.setitem(generators_mod._ROWS["u"], "A12",
-                            (dataclasses.replace(
+                            (replace(
                                 row, num=(lambda e: -1,) + row.num[1:]),))
         with pytest.raises(ValueError, match="nonnegative"):
             basis_action(ctx, sig, "u", "A12", u_label(sig, 0, 0, -1))

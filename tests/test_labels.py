@@ -1,7 +1,6 @@
 """Basis labels at every entry point that takes one, and the integer label
 keys of repspace they are read into."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from qu21.repspace import (Signature, TBasisLabel, UBasisLabel, _t_key,
 from qu21.weylracah import (racah_args_from_rep, weyl_coefficient,
                             weyl_coefficient_exact, weyl_via_racah)
 
-from oracles import t_weight_fraction, u_weight_fraction
+from oracles import replace, t_weight_fraction, u_weight_fraction
 
 SIG = Signature(4, 2, -2)
 EXACT = EvalContext.exact(Fraction(13, 10))
@@ -52,11 +51,11 @@ U, T = PAIRS[1]
 
 # labels outside SIG, each with the basis it belongs to
 OUT_OF_DOMAIN = {
-    "MU=1/3": ("u", dataclasses.replace(U, MU=Fraction(1, 3))),
-    "M=1/3": ("t", dataclasses.replace(T, M=Fraction(1, 3))),
-    "U inconsistent": ("u", dataclasses.replace(U, U=Fraction(5, 2))),
+    "MU=1/3": ("u", replace(U, MU=Fraction(1, 3))),
+    "M=1/3": ("t", replace(T, M=Fraction(1, 3))),
+    "U inconsistent": ("u", replace(U, U=Fraction(5, 2))),
     "k > f1-f2": ("u", UBasisLabel(3, 0, Fraction(-1, 2), Fraction(-1, 2))),
-    "M < T+1": ("t", dataclasses.replace(T, M=T.T)),
+    "M < T+1": ("t", replace(T, M=T.T)),
 }
 
 
@@ -71,8 +70,8 @@ class TestEntryPoints:
     def test_float_half_integer_is_its_fraction(self, entry, pair):
         _, call = ENTRY_POINTS[entry]
         u, t = pair
-        floats = (dataclasses.replace(u, MU=float(u.MU)),
-                  dataclasses.replace(t, M=float(t.M)))
+        floats = (replace(u, MU=float(u.MU)),
+                  replace(t, M=float(t.M)))
         assert call(*floats) == call(u, t)
 
     @pytest.mark.parametrize("entry, case", OUT_OF_DOMAIN_CASES)

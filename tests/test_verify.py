@@ -1,6 +1,5 @@
 """Truncated-window representation checks: construction and the check suite."""
 
-import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +29,7 @@ from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          check_weyl_orthogonality, complete_blocks,
                          rounding_bound, run_all_checks)
 
-from oracles import intertwiner_conjugated
+from oracles import intertwiner_conjugated, replace
 
 SIG = Signature(4, 2, -2)
 Q = Fraction(13, 10)
@@ -154,7 +153,7 @@ class TestTruncatedRep:
         # of that range the target is no label, which must not pass as a
         # target outside the window
         [row] = generators_mod._ROWS[basis][gen]
-        shifted = dataclasses.replace(row, d1=row.d1 + (basis == "u"),
+        shifted = replace(row, d1=row.d1 + (basis == "u"),
                                       d2=row.d2 + (basis == "t"))
         monkeypatch.setitem(generators_mod._ROWS[basis], gen, (shifted,))
         with pytest.raises(ConstraintViolation):
