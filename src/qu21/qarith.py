@@ -464,10 +464,11 @@ class EvalContext:
 class SignedRadical(Record):
     """Exact factored value  sign * q^qpower * sqrt(radicand).
 
-    sign is -1, 0, or +1; qpower is an int; radicand is a nonnegative
-    Fraction or int (anything else is a TypeError).  sign == 0 if and only
-    if the radicand is zero, in which case the canonical form (0, 0, 0) is
-    enforced.  The type is closed under multiplication and division but not
+    sign is the int -1, 0, or +1; qpower is an int; radicand is a
+    nonnegative Fraction or int.  A sign or qpower that is not an int or is
+    a bool, or a radicand of another type, is a TypeError.  sign == 0 if and
+    only if the radicand is zero, in which case the canonical form (0, 0, 0)
+    is enforced.  The type is closed under multiplication and division but not
     addition; a restricted exact sum is available when radicand ratios are
     rational squares.
     """
@@ -478,10 +479,11 @@ class SignedRadical(Record):
     # radicals per verify, and the checks read the arguments (the radicand
     # through its int numerator, not a Fraction comparison).
     def __init__(self, sign, qpower, radicand):
+        if type(sign) is not int or type(qpower) is not int:
+            raise TypeError(f"sign and qpower must be ints, got {sign!r}, "
+                            f"{qpower!r}")
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
-        if not isinstance(qpower, int):
-            raise TypeError(f"qpower must be an int, got {qpower!r}")
         if not isinstance(radicand, (int, Fraction)):
             raise TypeError(
                 f"radicand must be an int or a Fraction, got {radicand!r}")

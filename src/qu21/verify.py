@@ -20,9 +20,15 @@ stay inside the truncation (interior masks, computed for d <= 2).  Checks on
 an empty interior pass vacuously and say so in their report.
 
 Every check takes built inputs (reps from TruncatedRep, blocks from
-complete_blocks) and returns reports; none builds its own.  Residuals are
-measured in _report only: it keeps the first largest magnitude and its
-location, and marks a check with no columns vacuous.
+complete_blocks) and returns reports; none builds its own.  Each check
+takes the first largest of its residuals (in a fixed order of their
+locations) where it forms them, and passes that one (magnitude, key) pair
+to _report, which converts it to a float, formats its location and marks
+a check with no columns vacuous.  _matrix_report takes a relation's largest
+entry in one pass, a tie going to the smallest (row, col); the intertwiner
+keeps a running maximum over its block pairs; the projector compares its
+spectral residuals on their common denominator and its power residuals by
+cross-multiplication, and forms one Fraction, for the largest.
 
 One pass: each TruncatedRep visits each of its labels once.  repspace reads
 the label's integer key (k, ell, 2MU) or (s, p, 2M), enumerated and so not
@@ -38,7 +44,8 @@ distinct magnitude (reduced part, q-power, own brackets) once, so a label
 costs only its own brackets and q-power.  Each matrix is filled column by
 column, each column's terms in sort_key order.  The checks select and group
 columns by these integer keys and spins, never by the labels' Fraction
-fields.
+fields; the intertwiner finds each block label in its rep by the label's
+key (repspace._u_key, _t_key), read once.
 
 Fixed point: in float mode every rep entry and every complete Weyl block
 entry is an int n that stands for n 2^-F, with one scale F for the whole
@@ -73,6 +80,7 @@ exact mode the float T rep is the exact T rep with each radical rounded
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -123,6 +131,8 @@ from .weylracah import WeylBlock, _bracket_args, _racah_form_exact
 # SignedRadical
 Entry = Union[int, SignedRadical]
 Entries = Dict[Tuple[int, int], Entry]
+# a residual's magnitude: an int n of n 2^-bits, or an exact Fraction
+Magnitude = Union[int, Fraction]
 
 
 class Truncation(Record):
@@ -282,11 +292,18 @@ class FixedBlock(WeylBlock):
 # ----------------------------------------------------------------------------
 
 
+def _is_diagonal(m: Entries) -> bool:
+    """Whether every stored entry of m is on the diagonal."""
+    return all(itertools.starmap(operator.eq, m))
+
+
 def _word(rep: TruncatedRep, ops: dict, word: tuple, columns, add) -> Entries:
     """Product of word's operators, multiplied out right to left on the
     columns marked True (all if None), kept in ops under (word, columns).
     A name is ops[name] (a _diagonal), a generator of rep or its transpose
-    g + "^T"; a left factor is read by column, kept under (name,).
+    g + "^T".  A diagonal factor (every stored entry on the diagonal) on
+    either side scales the other entrywise; otherwise a left factor is read
+    by column, kept under (name,).
     """
     key = (word, columns)
     got = ops.get(key)
@@ -294,16 +311,27 @@ def _word(rep: TruncatedRep, ops: dict, word: tuple, columns, add) -> Entries:
         return got
     name = word[0]
     if len(word) > 1:
-        left = ops.get((name,))
-        if left is None:
-            left = ops[name,] = {}
-            for (i, k), v in _word(rep, ops, (name,), None, add).items():
-                left.setdefault(k, []).append((i, v))
-        got = {}
-        for (k, j), v in _word(rep, ops, word[1:], columns, add).items():
-            for i, y in left.get(k, ()):
-                cur = got.get((i, j))
-                got[i, j] = y * v if cur is None else add(cur, y * v)
+        first = _word(rep, ops, (name,), None, add)
+        rest = _word(rep, ops, word[1:], columns, add)
+        if _is_diagonal(first):
+            scale = {i: y for (i, _), y in first.items()}
+            got = {ij: y * v for ij, v in rest.items()
+                   if (y := scale.get(ij[0])) is not None}
+        elif _is_diagonal(rest):
+            scale = {j: v for (_, j), v in rest.items()}
+            got = {ij: y * v for ij, y in first.items()
+                   if (v := scale.get(ij[1])) is not None}
+        else:
+            left = ops.get((name,))
+            if left is None:
+                left = ops[name,] = {}
+                for (i, k), v in first.items():
+                    left.setdefault(k, []).append((i, v))
+            got = {}
+            for (k, j), v in rest.items():
+                for i, y in left.get(k, ()):
+                    cur = got.get((i, j))
+                    got[i, j] = y * v if cur is None else add(cur, y * v)
     elif columns is not None:
         got = {ij: v for ij, v in _word(rep, ops, word, None, add).items()
                if columns[ij[1]]}
@@ -349,27 +377,29 @@ def _relation(rep: TruncatedRep, ops: dict, terms: Sequence[tuple],
     return out, top
 
 
-def _report(name: str,
-            residuals: Iterable[Tuple[Union[int, Fraction], tuple]],
+def _largest(pairs: Iterable[Tuple[Magnitude, tuple]]
+             ) -> Tuple[Magnitude, Optional[tuple]]:
+    """The first largest (magnitude, key) of pairs; (0, None) if empty."""
+    return max(pairs, key=operator.itemgetter(0), default=(0, None))
+
+
+def _report(name: str, worst: Tuple[Magnitude, Optional[tuple]],
             locate: Callable[..., str], ncols: int, tol: float,
             note: str = "", bits: int = 0) -> CheckReport:
-    """One check's report from its (magnitude, key) residual pairs.
+    """One check's report from the first largest (magnitude, key) pair of
+    its residuals, which each check takes where it forms them.
 
-    A magnitude is an int n of n 2^-bits, or an exact Fraction (bits 0);
-    the largest is converted to a float once.  Keeps the first strict
-    maximum, so an all-zero residual has no location, and formats the
-    location of that one pair only, as locate(*key).  A check with no
-    columns passes vacuously with the note 'no coverage'.
+    A magnitude is an int n of n 2^-bits, or an exact Fraction (bits 0); it
+    is converted to a float once.  A zero magnitude has no location; any
+    other is located by formatting its key only, as locate(*key).  A check
+    with no columns passes vacuously with the note 'no coverage'.
     """
     if ncols == 0:
         note = (note + "; " if note else "") + "no coverage"
         return CheckReport(name, True, 0.0, tol, "", 0, note)
-    worst, worst_key = 0, None
-    for mag, key in residuals:
-        if mag > worst:
-            worst, worst_key = mag, key
-    residual = float(worst / (1 << bits))
-    where = "" if worst_key is None else locate(*worst_key)
+    mag, key = worst
+    residual = float(mag / (1 << bits))
+    where = locate(*key) if mag else ""
     return CheckReport(name, residual <= tol, residual, tol, where, ncols, note)
 
 
@@ -381,7 +411,9 @@ def _matrix_report(name: str, rep: TruncatedRep, m: Tuple[Entries, int],
 
     Exact-mode entries are SignedRadicals: exact zeros are skipped and every
     other entry is rounded once to the fixed-point scale of the float
-    companion context.
+    companion context.  The residual is the largest magnitude, taken in one
+    pass over the entries, and located at the smallest (row, col) that
+    holds it.
     """
     entries, bits = m
     if rep.ctx.is_exact():
@@ -389,10 +421,13 @@ def _matrix_report(name: str, rep: TruncatedRep, m: Tuple[Entries, int],
         entries = {k: v.to_fixed(fctx) for k, v in entries.items()
                    if not v.is_zero()}
         bits = fctx.fixed_bits()
+    mags = list(map(abs, entries.values()))
+    worst = max(mags, default=0)
+    at = (min(itertools.compress(entries, map(worst.__eq__, mags)))
+          if worst else None)
     labels = rep.labels
-    residuals = ((abs(v), ij) for ij, v in sorted(entries.items()))
     ncols = len(labels) if columns is None else sum(columns)
-    return _report(name, residuals,
+    return _report(name, (worst, at),
                    lambda i, j: f"row={labels[i]} col={labels[j]}",
                    ncols, tol, note, bits)
 
@@ -626,41 +661,67 @@ def check_weyl_orthogonality(blocks: Dict[Weight, FixedBlock],
                         col, row = col - one, row - one
                     yield max(abs(col), abs(row)), (w, i, j)
 
-    return _report("weyl-orthogonality", residuals(),
+    return _report("weyl-orthogonality", _largest(residuals()),
                    lambda w, i, j: f"weight={w} pair=({i},{j})",
                    len(blocks), tolerance, bits=bits)
 
 
-def _block_entries(m: Entries, rows, cols):
-    """Stored entries of m as (r, c, value) in (r, c) order.
+def _block_lines(rep: TruncatedRep, blocks: Dict[Weight, FixedBlock]):
+    """(where, line) of rep's labels in the blocks, found by integer key.
 
-    rows and cols are the rep indices of block labels, and r and c index
-    into them.  Every label of a complete block lies inside the window.
+    where[w] lists the rep indices of block w's labels in rep's basis, in
+    the block's order, and line[i] is rep index i's line of its block W: its
+    row (U basis) or its column (T basis).
     """
-    return [(r, c, m[(i, j)]) for r, i in enumerate(rows)
-            for c, j in enumerate(cols) if (i, j) in m]
+    u = rep.basis == "u"
+    key_of = _u_key if u else _t_key
+    index = {key: i for i, key in enumerate(rep.keys)}
+    where: Dict[Weight, List[int]] = {}
+    line: Dict[int, tuple] = {}
+    for w, blk in blocks.items():
+        where[w] = idx = [index[key_of(l)] for l in
+                          (blk.u_labels if u else blk.t_labels)]
+        line.update(zip(idx, blk.entries if u else zip(*blk.entries)))
+    return where, line
 
 
-def _intertwiner_residuals(mu: Entries, mt: Entries, blk: FixedBlock,
-                           blk2: FixedBlock, where):
-    """(|entry|, U row, T col) of M_U W - W' M_T, W' = blk2, W = blk.
+def _line_sums(m: Entries, line: Dict[int, tuple],
+               by_col: bool) -> Dict[int, List[int]]:
+    """out[i] = sum of v line[j] over the stored entries v at (i, j) of m
+    (at (j, i) if by_col) where both i and j have block lines; an exact int
+    sum."""
+    out: Dict[int, List[int]] = {}
+    get = out.get
+    for (i, j), v in m.items():
+        if by_col:
+            i, j = j, i
+        x = line.get(j)
+        if x is not None and i in line:
+            cur = get(i)
+            out[i] = ([v * y for y in x] if cur is None
+                      else [c + v * y for c, y in zip(cur, x)])
+    return out
 
-    mu and mt are the U and T rep matrices of one generator, and where[blk]
-    holds the rep indices of blk's U and T labels.  Each entry is an exact
-    int sum over both sparse products, on the scale of a rep entry times a
-    block entry.
+
+def _intertwiner_residuals(mw: Dict[int, List[int]],
+                           wm: Dict[int, List[int]], u2_idx: List[int],
+                           t_idx: List[int]) -> Tuple[int, int]:
+    """The first largest |entry|, in row-major order, of one block pair's
+    M_U W - W' M_T, W the block at the source weight and W' the one at the
+    target weight, and its place r * len(t_idx) + c (U row r, T col c).
+
+    mw and wm are the generator's _line_sums: mw[i] is row i of M_U W (rep
+    row i, a U label of W') and wm[j] column j of W' M_T (rep column j, a T
+    label of W); a missing one is 0.  u2_idx and t_idx are the rep indices
+    of the U labels of W' and the T labels of W.  Each entry is an exact int
+    sum, on the scale of a rep entry times a block entry.
     """
-    (u_idx, t_idx), (u2_idx, t2_idx) = where[blk.weight], where[blk2.weight]
-    n = len(blk.t_labels)
-    acc = [[0] * n for _ in blk2.u_labels]
-    for r, c, v in _block_entries(mu, u2_idx, u_idx):
-        acc[r] = [x + v * y for x, y in zip(acc[r], blk.entries[c])]
-    for a, b, v in _block_entries(mt, t2_idx, t_idx):
-        for row, e in zip(acc, blk2.entries):
-            row[b] -= e[a] * v
-    for u, row in zip(blk2.u_labels, acc):
-        for t, x in zip(blk.t_labels, row):
-            yield abs(x), u, t
+    rows = [mw.get(i) or [0] * len(t_idx) for i in u2_idx]
+    cols = [wm.get(j) or [0] * len(u2_idx) for j in t_idx]
+    flat = itertools.chain.from_iterable
+    mags = list(map(abs, map(operator.sub, flat(rows), flat(zip(*cols)))))
+    mag = max(mags)
+    return mag, mags.index(mag)
 
 
 def check_intertwiner(blocks: Dict[Weight, FixedBlock],
@@ -673,22 +734,38 @@ def check_intertwiner(blocks: Dict[Weight, FixedBlock],
     weyl-orthogonality checks that W is orthogonal, this is the conjugated
     W(w + shift)^T M_U(g) W(w) = M_T(g).  A11, A22 and A33 are skipped: both
     sides are the same product m W (conjugated, they repeat orthogonality).
-    A violation is at (generator, source weight, row=U label, col=T label).
+    Each block label is found in its rep by its integer key.  Per generator,
+    each row of M_U(g) W and each column of W' M_T(g) is summed once, from
+    the stored entries of M_U(g) and M_T(g) (at most two per row and per
+    column), and kept only while that generator's pairs are checked; each
+    pair then gives its own largest residual.  A violation is at
+    (generator, source weight, row=U label, col=T label), the first largest
+    in the order of generators, source weights, rows and cols.
     """
-    pairs = [(g, w, blk, blocks[w2]) for g in GENERATORS
-             if any(WEIGHT_SHIFTS[g]) for w, blk in sorted(blocks.items())
-             if (w2 := Weight(*map(operator.add, w, WEIGHT_SHIFTS[g]))) in blocks]
-    bits = reps["u"].bits + pairs[0][2].bits if pairs else 0
-    iu, it = reps["u"].index, reps["t"].index
-    where = {w: ([iu[l] for l in blk.u_labels], [it[l] for l in blk.t_labels])
-             for w, blk in blocks.items()}
-    mu, mt = reps["u"].matrices, reps["t"].matrices
-    residuals = ((mag, (g, w, u, t)) for g, w, blk, blk2 in pairs
-                 for mag, u, t in _intertwiner_residuals(mu[g], mt[g], blk,
-                                                         blk2, where))
-    return _report("intertwiner", residuals, lambda g, w, row, col:
+    (u_where, u_line), (t_where, t_line) = (
+        _block_lines(reps[b], blocks) for b in ("u", "t"))
+    worst, at, npairs = 0, None, 0
+    for g in GENERATORS:
+        shift = WEIGHT_SHIFTS[g]
+        if not any(shift):
+            continue
+        mw = _line_sums(reps["u"].matrices[g], u_line, False)
+        wm = _line_sums(reps["t"].matrices[g], t_line, True)
+        for w, blk in sorted(blocks.items()):
+            blk2 = blocks.get(Weight(*map(operator.add, w, shift)))
+            if blk2 is None:
+                continue
+            npairs += 1
+            t_idx = t_where[w]
+            mag, k = _intertwiner_residuals(mw, wm, u_where[blk2.weight],
+                                            t_idx)
+            if mag > worst:
+                r, c = divmod(k, len(t_idx))
+                worst, at = mag, (g, w, blk2.u_labels[r], blk.t_labels[c])
+    bits = reps["u"].bits + next(iter(blocks.values())).bits if blocks else 0
+    return _report("intertwiner", (worst, at), lambda g, w, row, col:
                    f"generator={g} weight={w} row={row} col={col}",
-                   len(pairs), tolerance, bits=bits)
+                   npairs, tolerance, bits=bits)
 
 
 def check_projector(rep: TruncatedRep, t_value,
@@ -714,6 +791,11 @@ def check_projector(rep: TruncatedRep, t_value,
     * P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P for 1 <= x <= depth, each
       residual divided by N^2(T, T+1+x); a column at M = T+1 rises depth
       steps and stays inside the window.
+
+    Every report keeps its first largest residual where it forms it.  The
+    spectral residuals are ints on their common denominator, and the power
+    residuals, each over its own N^2, are compared by cross-multiplication;
+    each forms one Fraction, for its largest residual.
     """
     if rep.basis != "t":
         raise ValueError("check_projector needs a T-basis rep")
@@ -772,14 +854,16 @@ def check_projector(rep: TruncatedRep, t_value,
     one = 1 << top
     reports = [_report(
         f"projector-diagonal-T{T}",
-        ((abs(p[j] - (one if spins[j] == two_t else 0)), (j,)) for j in cols),
+        _largest((abs(p[j] - (one if spins[j] == two_t else 0)), (j,))
+                 for j in cols),
         at_col, len(cols), tol, bits=top)]
 
     # T- P = 0: P column is diag scalar, then one lowering step
     lowered = ((j, chain(down_step, j, 1)) for j in cols)
     reports.append(_report(
         f"projector-annihilation-T{T}",
-        ((abs(p[j] * down[0]), (j,)) for j, down in lowered if down is not None),
+        _largest((abs(p[j] * down[0]), (j,))
+                 for j, down in lowered if down is not None),
         at_col, len(cols), tol, bits=top + bits))
 
     # leading coefficient is 1 (r = 0 term)
@@ -808,16 +892,19 @@ def check_projector(rep: TruncatedRep, t_value,
         others = [tp for tp in tprimes if tp != two_t]
         # the interpolation's denominator, on the scale len(others) * bits
         den = math.prod(lam_fix[two_t] - lam_fix[tp] for tp in others)
+        # |P_jj - num_j / (den 2^(len(others) bits))|, P_jj = p[j] 2^-top,
+        # times their common denominator |den| 2^(top + len(others) bits)
+        p_scale = den << len(others) * bits
 
-        def spectral(up) -> Fraction:
+        def spectral(j, up) -> int:
             c2 = chain(down_step, up[1], 1)[0] * up[0] + m_sq
             num = math.prod(c2 - (lam_fix[tp] << bits) for tp in others)
-            return Fraction(num, den << len(others) * bits)
+            return abs(p[j] * p_scale - (num << top))
 
+        worst, at = _largest((spectral(j, up), (j,)) for j, up in risen)
         reports.append(_report(
             f"projector-spectral-T{T}",
-            ((abs(Fraction(p[j], one) - spectral(up)), (j,))
-             for j, up in risen),
+            (Fraction(worst, abs(p_scale) << top), at),
             at_col, len(risen), tol))
 
     # P T-^x T+^x P = (-1)^x N^2(T, T+1+x) P on the subspace, relative to
@@ -825,7 +912,8 @@ def check_projector(rep: TruncatedRep, t_value,
     # N^2(T, T+1+x), rounded once per x, on the scale 2x bits
     n2s = {x: fix(norm_su11_sq(ctx, T, T + 1 + x)) << (2 * x - 1) * bits
            for x in range(1, rep.truncation.depth + 1)}
-    power = []
+    # each residual |lhs - (-1)^x n2| / n2 compared by cross-multiplication
+    worst, worst_n2, at, npower = 0, 1, None, 0
     for j in cols:
         if spins[j] != two_t:
             continue
@@ -833,11 +921,14 @@ def check_projector(rep: TruncatedRep, t_value,
             up = chain(up_step, j, x)
             lhs = chain(down_step, up[1], x)[0] * up[0]    # scale 2x bits
             n2 = n2s[x]
-            power.append((Fraction(abs(lhs - (-n2 if x % 2 else n2)), n2),
-                          (x, j)))
-    reports.append(_report(f"projector-power-T{T}", power,
+            mag = abs(lhs - (-n2 if x % 2 else n2))
+            npower += 1
+            if mag * worst_n2 > worst * n2:
+                worst, worst_n2, at = mag, n2, (x, j)
+    reports.append(_report(f"projector-power-T{T}",
+                           (Fraction(worst, worst_n2), at),
                            lambda x, j: f"T={T} x={x} col={labels[j]}",
-                           len(power), tol))
+                           npower, tol))
     return reports
 
 

@@ -15,16 +15,26 @@ itself.  The Fraction form of the q-Racah triangle test is kept here as the
 reference for the integer test, the Fraction weights of basis labels as the
 reference for repspace's integer weights of label keys, and the conjugated
 form of the intertwining identity as the reference for verify's product
-form.  replace copies a package record with some fields changed, for the
-tests that build faulty labels and table rows.
+form.  verify takes each check's largest residual where it forms it; the
+reference scans here form every residual the plain way (a sort of the
+residual entries, a dense test of every block pair, a Fraction per
+projector residual) and keep the first strict maximum, as the references
+for those running maxima.  They take the checks' own inputs (built reps
+and blocks, and the projector's c_r, eigenvalues and norms from
+generators) and test only how each maximum is found.  replace copies a
+package record with some fields changed, for the tests that build faulty
+labels and table rows.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import mpmath
 
+from qu21.generators import (casimir_su11_eigenvalue, norm_su11_sq,
+                             projector_t_coeff)
 from qu21.qarith import EvalContext, SignedRadical
 
 CTX1 = EvalContext.exact(1)
@@ -320,6 +330,159 @@ def intertwiner_conjugated(blocks, reps):
                         if res > worst:
                             worst, where = res, (g, w, row, col)
     return worst / (1 << 2 * block_bits + reps["u"].bits), where
+
+
+def first_largest(residuals):
+    """The first strict maximum (magnitude, key) of residuals, or (0, None)
+    when no magnitude is positive."""
+    worst, key = 0, None
+    for mag, k in residuals:
+        if mag > worst:
+            worst, key = mag, k
+    return worst, key
+
+
+def matrix_scan(rep, m):
+    """(max_residual, location) of a verify._relation result m = (entries,
+    bits) on rep, scanning its entries in sorted (row, col) order.
+
+    Exact-mode entries (SignedRadicals) are rounded once to the float
+    companion's fixed-point scale, exact zeros left out.
+    """
+    entries, bits = m
+    if rep.ctx.is_exact():
+        fctx = rep.ctx.as_float()
+        entries = {k: v.to_fixed(fctx) for k, v in entries.items()
+                   if not v.is_zero()}
+        bits = fctx.fixed_bits()
+    worst, key = first_largest((abs(v), ij)
+                               for ij, v in sorted(entries.items()))
+    where = "" if key is None else \
+        f"row={rep.labels[key[0]]} col={rep.labels[key[1]]}"
+    return float(worst / (1 << bits)), where
+
+
+def intertwiner_scan(blocks, reps):
+    """(max_residual, location) of M_U(g) W(w) - W(w + shift) M_T(g) over
+    verify.check_intertwiner's block pairs, in its order.
+
+    Each block label is found by its rep's label index, and every (row,
+    col) pair of each block pair is looked up in the sparse rep matrices;
+    each residual entry is an exact int sum.
+    """
+    iu, it = reps["u"].index, reps["t"].index
+    where = {w: ([iu[l] for l in blk.u_labels], [it[l] for l in blk.t_labels])
+             for w, blk in blocks.items()}
+
+    def stored(m, rows, cols):
+        return [(r, c, m[(i, j)]) for r, i in enumerate(rows)
+                for c, j in enumerate(cols) if (i, j) in m]
+
+    def residuals():
+        for g in ("A12", "A13", "A21", "A23", "A31", "A32"):
+            shift = [(k == g[1]) - (k == g[2]) for k in "123"]
+            mu, mt = reps["u"].matrices[g], reps["t"].matrices[g]
+            for w, blk in sorted(blocks.items()):
+                blk2 = blocks.get(type(w)(*(m + d for m, d in zip(w, shift))))
+                if blk2 is None:
+                    continue
+                (u_idx, t_idx), (u2_idx, t2_idx) = where[w], where[blk2.weight]
+                acc = [[0] * len(blk.t_labels) for _ in blk2.u_labels]
+                for r, c, v in stored(mu, u2_idx, u_idx):
+                    acc[r] = [x + v * y
+                              for x, y in zip(acc[r], blk.entries[c])]
+                for a, b, v in stored(mt, t2_idx, t_idx):
+                    for row, e in zip(acc, blk2.entries):
+                        row[b] -= e[a] * v
+                for u, row in zip(blk2.u_labels, acc):
+                    for t, x in zip(blk.t_labels, row):
+                        yield abs(x), (g, w, u, t)
+
+    worst, key = first_largest(residuals())
+    bits = reps["u"].bits + next(iter(blocks.values())).bits if blocks else 0
+    where_at = "" if key is None else \
+        "generator={} weight={} row={} col={}".format(*key)
+    return float(worst / (1 << bits)), where_at
+
+
+def projector_scans(rep, t_value):
+    """(max_residual, location) of verify.check_projector's spectral and
+    power residuals on the float T rep, each residual formed as an exact
+    Fraction: {"spectral": ..., "power": ...}, spectral left out when the
+    Casimir eigenvalues present are degenerate or no column is at M = T + 1.
+
+    P's diagonal, the ladder products and every rounded scalar are formed as
+    check_projector forms them (each rounded once to the rep's scale).
+    """
+    T = Fraction(t_value)
+    two_t = int(2 * T)
+    cols = [j for j, (_, _, m) in enumerate(rep.keys) if m == two_t + 2]
+    if not cols:
+        return {}
+    labels, spins = rep.labels, rep.spins
+    ctx, fix, bits = rep.ctx, rep.ctx.to_fixed, rep.bits
+    up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
+    down_step = {j: (i, v) for (i, j), v in rep.matrices["A32"].items()}
+
+    def chain(step, j, steps):
+        coeff = 1
+        for _ in range(steps):
+            if j not in step:
+                return None
+            j, v = step[j]
+            coeff *= v
+        return coeff, j
+
+    top = (2 * two_t + 1) * bits
+    coeffs = [projector_t_coeff(ctx, T, r) for r in range(two_t + 1)]
+
+    def p_diag(j):
+        total = 0
+        for r, c in enumerate(coeffs):
+            down = chain(down_step, j, r)
+            if down is None:
+                continue
+            up, _ = chain(up_step, down[1], r)
+            total += fix(c * (up * down[0])) << (2 * (two_t - r) * bits)
+        return total
+
+    p = {j: p_diag(j) for j in cols}
+    out = {}
+    tprimes = sorted({spins[j] for j in cols})
+    lam = {tp: casimir_su11_eigenvalue(ctx, Fraction(tp, 2))
+           for tp in set(tprimes) | {two_t}}
+    if not any(abs(lam[a] - lam[b]) <= 1e-10
+               for i, a in enumerate(tprimes) for b in tprimes[i + 1:]):
+        m_sq = fix(ctx.qbracket_half_sq(2 * T + 3)) << bits
+        lam_fix = {tp: fix(v) for tp, v in lam.items()}
+        others = [tp for tp in tprimes if tp != two_t]
+        den = math.prod(lam_fix[two_t] - lam_fix[tp] for tp in others)
+
+        def spectral(j, up):
+            c2 = chain(down_step, up[1], 1)[0] * up[0] + m_sq
+            num = math.prod(c2 - (lam_fix[tp] << bits) for tp in others)
+            return abs(Fraction(p[j], 1 << top)
+                       - Fraction(num, den << len(others) * bits))
+
+        worst, key = first_largest(
+            (spectral(j, up), j) for j in cols
+            if (up := chain(up_step, j, 1)) is not None)
+        out["spectral"] = (float(worst),
+                           "" if key is None else f"T={T} col={labels[key]}")
+    power = []
+    for j in cols:
+        if spins[j] != two_t:
+            continue
+        for x in range(1, rep.truncation.depth + 1):
+            up = chain(up_step, j, x)
+            lhs = chain(down_step, up[1], x)[0] * up[0]
+            n2 = fix(norm_su11_sq(ctx, T, T + 1 + x)) << (2 * x - 1) * bits
+            power.append((Fraction(abs(lhs - (-n2 if x % 2 else n2)), n2),
+                          (x, j)))
+    worst, key = first_largest(power)
+    out["power"] = (float(worst), "" if key is None else
+                    f"T={T} x={key[0]} col={labels[key[1]]}")
+    return out
 
 
 def replace(record, **changes):

@@ -158,10 +158,15 @@ def test_radicals_neither_add_nor_repeat():
     (lambda: SignedRadical(1, 0, 2.5), TypeError),
     (lambda: SignedRadical(1, Fraction(1, 2), Fraction(2)), TypeError),
     (lambda: SignedRadical(1, 0.5, Fraction(2)), TypeError),
+    (lambda: SignedRadical(1.0, 0, Fraction(2)), TypeError),
+    (lambda: SignedRadical(True, 0, Fraction(2)), TypeError),
+    (lambda: SignedRadical(Fraction(-1), 0, Fraction(2)), TypeError),
+    (lambda: SignedRadical(1, False, Fraction(2)), TypeError),
     (lambda: Truncation(True, 2, 2), ValueError),
     (lambda: Truncation(2, 2, False), ValueError),
     (lambda: Signature(4, True, -2), InvalidSignature),
-], ids=["radicand-float", "qpower-fraction", "qpower-float",
+], ids=["radicand-float", "qpower-fraction", "qpower-float", "sign-float",
+        "sign-bool", "sign-fraction", "qpower-bool",
         "truncation-bool", "truncation-bool-last", "signature-bool"])
 def test_field_of_the_wrong_type_is_refused(build, error):
     with pytest.raises(error):

@@ -29,7 +29,8 @@ from qu21.verify import (DEFAULT_CHECKS, CheckReport, TruncatedRep,
                          check_weyl_orthogonality, complete_blocks,
                          rounding_bound, run_all_checks)
 
-from oracles import intertwiner_conjugated, replace
+from oracles import (intertwiner_conjugated, intertwiner_scan, matrix_scan,
+                     projector_scans, replace)
 
 SIG = Signature(4, 2, -2)
 Q = Fraction(13, 10)
@@ -251,15 +252,16 @@ class TestIndividualChecks:
         # identities are the same products m W, and every other generator
         # moves the weight
         blocks, reps = blocks_and_reps(SIG, Q, Truncation(6, 6, 6))
-        where = {w: ([reps["u"].index[l] for l in blk.u_labels],
-                     [reps["t"].index[l] for l in blk.t_labels])
-                 for w, blk in blocks.items()}
+        (u_where, u_line), (t_where, t_line) = (
+            verify_mod._block_lines(reps[b], blocks) for b in ("u", "t"))
         for g in ("A11", "A22", "A33"):
-            mu, mt = reps["u"].matrices[g], reps["t"].matrices[g]
-            for blk in blocks.values():
-                assert all(mag == 0 for mag, _, _ in
-                           verify_mod._intertwiner_residuals(mu, mt, blk, blk,
-                                                             where))
+            sums = (verify_mod._line_sums(reps["u"].matrices[g], u_line, False),
+                    verify_mod._line_sums(reps["t"].matrices[g], t_line, True))
+            for w in blocks:
+                # the largest |entry| of the pair, so every entry, is 0
+                mag, _ = verify_mod._intertwiner_residuals(
+                    *sums, u_where[w], t_where[w])
+                assert mag == 0
         moving = [g for g in GENERATORS if any(WEIGHT_SHIFTS[g])]
         pairs = sum(Weight(*(m + d for m, d in zip(w, WEIGHT_SHIFTS[g])))
                     in blocks for g in moving for w in blocks)
@@ -314,7 +316,8 @@ class TestIndividualChecks:
 
     def test_report_keeps_first_maximum(self):
         report = verify_mod._report(
-            "scan", [(1, ("a",)), (3, ("b",)), (3, ("c",)), (2, ("d",))],
+            "scan", verify_mod._largest(
+                [(1, ("a",)), (3, ("b",)), (3, ("c",)), (2, ("d",))]),
             lambda key: f"at {key}", 4, 1.0)
         assert (report.max_residual, report.location) == (3.0, "at b")
         assert not report.passed and report.columns_checked == 4
@@ -323,14 +326,26 @@ class TestIndividualChecks:
         def locate(*_key):
             raise AssertionError("a zero residual was located")
 
-        report = verify_mod._report("scan", [(0, (1,)), (0, (2,))], locate,
-                                    2, 1e-10)
-        assert report == CheckReport("scan", True, 0.0, 1e-10, "", 2, "")
+        for worst in (verify_mod._largest([(0, (1,)), (0, (2,))]),
+                      verify_mod._largest([]), (Fraction(0), (3,))):
+            report = verify_mod._report("scan", worst, locate, 2, 1e-10)
+            assert report == CheckReport("scan", True, 0.0, 1e-10, "", 2, "")
+
+    def test_matrix_report_tie_goes_to_the_smallest_row_and_col(self):
+        # equal magnitudes, inserted out of (row, col) order
+        rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(2, 2, 2))
+        entries = {(2, 1): -7, (0, 3): 5, (1, 2): 7, (1, 0): -7, (0, 0): 1,
+                   (3, 0): 7}
+        report = verify_mod._matrix_report("scan", rep, (entries, 0), 1.0)
+        assert report.max_residual == 7.0
+        assert report.location == f"row={rep.labels[1]} col={rep.labels[0]}"
+        assert (report.max_residual, report.location) == \
+            matrix_scan(rep, (entries, 0))
 
     @pytest.mark.parametrize("note, want", [("", "no coverage"),
                                             ("exact", "exact; no coverage")])
     def test_report_without_columns_is_vacuous(self, note, want):
-        report = verify_mod._report("scan", [(5, (1,))], str, 0, 1e-10, note)
+        report = verify_mod._report("scan", (5, (1,)), str, 0, 1e-10, note)
         assert report == CheckReport("scan", True, 0.0, 1e-10, "", 0, want)
 
     def test_projector_reports(self):
@@ -373,6 +388,99 @@ class TestIndividualChecks:
         assert len(reports) == 1
         assert reports[0].passed
         assert "no coverage" in reports[0].note
+
+
+# desk; the configs of verify_reprs.txt; the large config at four q; and
+# every table sign flip on (4,2,-2) w3
+SCAN_CASES = (
+    [(SIG, Truncation(6, 6, 6), Q, None)]
+    + [(sig, Truncation(4, 4, 4), q, None)
+       for sig in (Signature(3, 1, -1), Signature(7, 7, 4))
+       for q in (Fraction(1), Q)]
+    + [(Signature(8, 2, -2), Truncation(10, 10, 10), q, None)
+       for q in (Q, Fraction(3), Fraction(1, 2), Fraction(1))]
+    + [(SIG, Truncation(3, 3, 3), Q, e.eid)
+       for e in table_entries("u") + table_entries("t")])
+
+
+class TestRunningMaxima:
+    """Each check takes its largest residual where it forms it; the
+    reference scans of oracles.py form every residual and keep the first
+    strict maximum.  Both give the same max_residual and location."""
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("sig, trunc, q, flip", SCAN_CASES)
+    def test_maxima_match_the_reference_scans(self, monkeypatch, sig, trunc,
+                                              q, flip, mode):
+        seen = []
+        original = {name: getattr(verify_mod, name) for name in
+                    ("_matrix_report", "check_intertwiner", "check_projector")}
+
+        def matrix_report(name, rep, m, *args, **kwargs):
+            report = original["_matrix_report"](name, rep, m, *args, **kwargs)
+            assert (report.max_residual, report.location) == \
+                matrix_scan(rep, m), name
+            seen.append(name)
+            return report
+
+        def intertwiner(blocks, reps, *args):
+            report = original["check_intertwiner"](blocks, reps, *args)
+            assert (report.max_residual, report.location) == \
+                intertwiner_scan(blocks, reps)
+            seen.append(report.name)
+            return report
+
+        def projector(rep, t_value, *args):
+            reports = original["check_projector"](rep, t_value, *args)
+            for kind, want in projector_scans(rep, t_value).items():
+                [report] = [r for r in reports
+                            if r.name == f"projector-{kind}-T{t_value}"]
+                assert (report.max_residual, report.location) == want, \
+                    report.name
+                seen.append(report.name)
+            return reports
+
+        monkeypatch.setattr(verify_mod, "_matrix_report", matrix_report)
+        monkeypatch.setattr(verify_mod, "check_intertwiner", intertwiner)
+        monkeypatch.setattr(verify_mod, "check_projector", projector)
+        reports = run_all_checks(sig, q, mode=mode, truncation=trunc,
+                                 flip_entry=flip)
+        # every su11, hermiticity and Casimir eigenvalue report, the
+        # intertwiner, every power report and every spectral one whose
+        # eigenvalues are not degenerate
+        assert sorted(seen) == sorted(
+            r.name for r in reports
+            if r.name.startswith(("su11-", "herm-", "casimir-eigenvalue",
+                                  "intertwiner", "projector-power-"))
+            or r.name.startswith("projector-spectral-")
+            and not r.note.startswith("degenerate"))
+
+    def test_intertwiner_pair_takes_its_first_largest_entry(self):
+        # M_U W = [[0, 7], [7, 0]] and W' M_T = [[0, 3], [1, 0]], given by
+        # its columns: the residual [[0, 4], [6, 0]] peaks at U row 1, T col 0
+        # (row-major place 2); a tie goes to the first place
+        mw, wm = {10: [0, 7], 11: [7, 0]}, {20: [0, 1], 21: [3, 0]}
+        assert verify_mod._intertwiner_residuals(mw, wm, [10, 11],
+                                                 [20, 21]) == (6, 2)
+        assert verify_mod._intertwiner_residuals(mw, {}, [10, 11],
+                                                 [20, 21]) == (7, 1)
+        assert verify_mod._intertwiner_residuals({}, {}, [10, 11],
+                                                 [20, 21]) == (0, 0)
+
+    def test_intertwiner_tie_between_pairs_goes_to_the_first_pair(
+            self, monkeypatch):
+        blocks, reps = blocks_and_reps(SIG, Q, Truncation(3, 3, 3))
+        monkeypatch.setattr(verify_mod, "_intertwiner_residuals",
+                            lambda *_args: (5, 0))
+        g = next(g for g in GENERATORS if any(WEIGHT_SHIFTS[g]))
+        w, blk = next((w, blk) for w, blk in sorted(blocks.items())
+                      if Weight(*(m + d for m, d in
+                                  zip(w, WEIGHT_SHIFTS[g]))) in blocks)
+        blk2 = blocks[Weight(*(m + d for m, d in zip(w, WEIGHT_SHIFTS[g])))]
+        report = check_intertwiner(blocks, reps)
+        assert report.location == (f"generator={g} weight={w} "
+                                   f"row={blk2.u_labels[0]} "
+                                   f"col={blk.t_labels[0]}")
 
 
 class TestRunAll:
@@ -733,7 +841,7 @@ def check_relation(a12, a21, diagonal, terms, columns, mode):
             if (x := Fraction(v, 1 << got_bits))} == want
     # and the report converts the exact largest magnitude once
     report = verify_mod._report(
-        "scan", ((abs(v), k) for k, v in sorted(got.items())),
+        "scan", verify_mod._largest((abs(v), k) for k, v in got.items()),
         lambda i, j: f"{i},{j}", 1, 1.0, bits=got_bits)
     assert report.max_residual == float(max(map(abs, want.values()),
                                             default=0))
