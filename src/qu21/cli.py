@@ -312,13 +312,13 @@ def cmd_weyl(args, out) -> int:
             row = {"u_label": str(ul), "t_label": str(tl),
                    **(cols if exact else {"value": cols["value"]})}
             if args.via_racah:
-                # each form is printed as value is, its exact radical rounded
-                # once; the difference is that of the three values rounded
-                # once to the fixed-point scale 2^-F (a bracket is at most 1)
-                forms = [weyl_via_racah(ectx, sig, ul, tl, form=f)
-                         for f in "ab"]
-                fixed = [x.to_fixed(fctx) for x in (entry, *forms)]
-                diff = Fraction(max(fixed) - min(fixed),
+                # the block entry is form a; each form is printed as value
+                # is, its exact radical rounded once; the difference is that
+                # of the values rounded once to the fixed-point scale 2^-F
+                # (a bracket is at most 1)
+                forms = (entry, weyl_via_racah(ectx, sig, ul, tl, form="b"))
+                fixed = [x.to_fixed(fctx) for x in forms]
+                diff = Fraction(abs(fixed[0] - fixed[1]),
                                 1 << fctx.fixed_bits())
                 within = diff <= args.tolerance
                 all_within = all_within and within

@@ -14,6 +14,10 @@ identity the library relies on:
   blocks equals the blocks times its T-basis matrix;
 * extremal projector identities on fixed-T0 subspaces.
 
+The blocks are weylracah's brackets (its form a).  Orthogonality and the
+intertwiner test them independently of that formula, but -W passes both as
+W does: only the tests' oracles and golden outputs fix the overall phase.
+
 Truncation discipline: an identity of degree d in the generators is asserted
 only on columns whose images under up to d successive generator applications
 stay inside the truncation (interior masks, computed for d <= 2).  Checks on
@@ -72,8 +76,8 @@ run_all_checks builds each object once.  The float U and T reps serve
 the su11, hermiticity and Casimir checks and the intertwiner, which
 compares the sparse products M_U(g) W and W' M_T(g) on the complete Weyl
 blocks (these also serve orthogonality); the float T rep also serves the
-projector check, which reads its T+- ladder factors from A23 and A32.  In
-exact mode the float T rep is the exact T rep with each radical rounded
+projector check, which reads its T+- ladder factors from A23 and A32 once.
+In exact mode the float T rep is the exact T rep with each radical rounded
 (TruncatedRep.rounded), so the T basis is built once.
 """
 
@@ -228,7 +232,6 @@ class TruncatedRep:
             labels = enumerate_t_basis(sig, truncation.s_max, truncation.depth)
             key_of, weight_of, two_spin = _t_key, _t_weight, _two_t
         self.labels = tuple(labels)
-        self.index = {l: i for i, l in enumerate(self.labels)}
         self.keys = keys = tuple(key_of(l) for l in self.labels)
         self.spins = tuple(two_spin(sig, a, b) for a, b, _ in keys)
         self.weights = tuple(weight_of(sig, key) for key in keys)
@@ -604,9 +607,9 @@ def complete_blocks(fctx: EvalContext, sig: Signature,
                     truncation: Truncation) -> Dict[Weight, FixedBlock]:
     """Weyl blocks of all weights whose label sets fit the truncation.
 
-    Each entry is the bracket weyl_block evaluates (the same _bracket_args
-    on the same integer evaluator, weylracah._racah_form_exact), rounded
-    once to fctx's fixed-point scale straight from the evaluator's
+    Each entry is the bracket weyl_block evaluates, form a of
+    weylracah.weyl_via_racah (_bracket_args on weylracah._racah_form_exact),
+    rounded once to fctx's fixed-point scale straight from the evaluator's
     unreduced integers (qarith.fixed_root): so it is to_fixed of the exact
     entry, with no Fraction formed.
     """
@@ -768,9 +771,23 @@ def check_intertwiner(blocks: Dict[Weight, FixedBlock],
                    npairs, tolerance, bits=bits)
 
 
-def check_projector(rep: TruncatedRep, t_value,
+def _chain(step: Dict[int, Tuple[int, int]], j: int, steps: int):
+    """(product of `steps` ladder factors from column j, on the scale steps
+    * bits, end column), with step column -> (row, factor) of A23 or A32;
+    None once T+ leaves the window or T- hits the multiplet floor."""
+    coeff = 1
+    for _ in range(steps):
+        if j not in step:
+            return None
+        j, v = step[j]
+        coeff *= v
+    return coeff, j
+
+
+def check_projector(rep: TruncatedRep, t_values: Iterable,
                     tolerance: float = 1e-10) -> List[CheckReport]:
-    """Extremal projector identities on the T0 = T+1 subspace.
+    """Extremal projector identities on the T0 = T+1 subspace, for each
+    spin T of t_values in turn.
 
     P = sum_r c_r T+^r T-^r with c_r = projector_t_coeff.  rep is a float
     T-basis rep, and every T+ or T- factor is its stored A23 or A32 entry,
@@ -801,8 +818,17 @@ def check_projector(rep: TruncatedRep, t_value,
         raise ValueError("check_projector needs a T-basis rep")
     if rep.ctx.is_exact():
         raise ValueError("projector checks run in floating mode")
-    T = Fraction(t_value)
-    tol = tolerance
+    # T+ and T- only move M inside one (s, p) multiplet, so each column of
+    # A23 and A32 holds at most one entry: column -> (row, factor)
+    up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
+    down_step = {j: (i, v) for (i, j), v in rep.matrices["A32"].items()}
+    return [report for t in t_values for report in _projector_reports(
+        rep, up_step, down_step, Fraction(t), tolerance)]
+
+
+def _projector_reports(rep: TruncatedRep, up_step, down_step, T: Fraction,
+                       tol: float) -> List[CheckReport]:
+    """check_projector's reports for the one spin T, on rep's ladders."""
     two_t = int(2 * T)
     # the columns at M = T + 1, by their keys (s, p, 2M)
     cols = [j for j, (_, _, m) in enumerate(rep.keys) if m == two_t + 2]
@@ -811,24 +837,6 @@ def check_projector(rep: TruncatedRep, t_value,
                             f"T={T}: no coverage")]
     labels, spins = rep.labels, rep.spins
     ctx, fix, bits = rep.ctx, rep.ctx.to_fixed, rep.bits
-    # T+ and T- only move M inside one (s, p) multiplet, so each column of
-    # A23 and A32 holds at most one entry: column -> (row, factor)
-    up_step = {j: (i, v) for (i, j), v in rep.matrices["A23"].items()}
-    down_step = {j: (i, v) for (i, j), v in rep.matrices["A32"].items()}
-
-    def chain(step, j: int, steps: int):
-        """(product of `steps` ladder factors from column j, end column).
-
-        The product is on the scale steps * bits.  None once a factor is
-        missing: T+ left the window, or T- hit the multiplet floor.
-        """
-        coeff = 1
-        for _ in range(steps):
-            if j not in step:
-                return None
-            j, v = step[j]
-            coeff *= v
-        return coeff, j
 
     # P's scale: c_r T+^r T-^r is rounded on (2r + 1) bits, aligned at r = 2T
     top = (2 * two_t + 1) * bits
@@ -842,10 +850,10 @@ def check_projector(rep: TruncatedRep, t_value,
         """
         total = 0
         for r, c in enumerate(coeffs):
-            down = chain(down_step, j, r)
+            down = _chain(down_step, j, r)
             if down is None:
                 continue
-            up, _ = chain(up_step, down[1], r)
+            up, _ = _chain(up_step, down[1], r)
             total += fix(c * (up * down[0])) << (2 * (two_t - r) * bits)
         return total
 
@@ -859,7 +867,7 @@ def check_projector(rep: TruncatedRep, t_value,
         at_col, len(cols), tol, bits=top)]
 
     # T- P = 0: P column is diag scalar, then one lowering step
-    lowered = ((j, chain(down_step, j, 1)) for j in cols)
+    lowered = ((j, _chain(down_step, j, 1)) for j in cols)
     reports.append(_report(
         f"projector-annihilation-T{T}",
         _largest((abs(p[j] * down[0]), (j,))
@@ -877,7 +885,7 @@ def check_projector(rep: TruncatedRep, t_value,
     lam = {tp: casimir_su11_eigenvalue(ctx, Fraction(tp, 2))
            for tp in set(tprimes) | {two_t}}
     risen = [(j, up) for j in cols
-             if (up := chain(up_step, j, 1)) is not None]
+             if (up := _chain(up_step, j, 1)) is not None]
     degenerate = any(
         abs(lam[a] - lam[b]) <= tol
         for i, a in enumerate(tprimes) for b in tprimes[i + 1:])
@@ -897,7 +905,7 @@ def check_projector(rep: TruncatedRep, t_value,
         p_scale = den << len(others) * bits
 
         def spectral(j, up) -> int:
-            c2 = chain(down_step, up[1], 1)[0] * up[0] + m_sq
+            c2 = _chain(down_step, up[1], 1)[0] * up[0] + m_sq
             num = math.prod(c2 - (lam_fix[tp] << bits) for tp in others)
             return abs(p[j] * p_scale - (num << top))
 
@@ -918,8 +926,8 @@ def check_projector(rep: TruncatedRep, t_value,
         if spins[j] != two_t:
             continue
         for x in range(1, rep.truncation.depth + 1):
-            up = chain(up_step, j, x)
-            lhs = chain(down_step, up[1], x)[0] * up[0]    # scale 2x bits
+            up = _chain(up_step, j, x)
+            lhs = _chain(down_step, up[1], x)[0] * up[0]    # scale 2x bits
             n2 = n2s[x]
             mag = abs(lhs - (-n2 if x % 2 else n2))
             npower += 1
@@ -1004,9 +1012,9 @@ def run_all_checks(sig: Signature, q, mode: str = "float",
     if "intertwiner" in wanted:
         reports.append(check_intertwiner(blocks, reps, tolerance))
     if "projector" in wanted:
-        t = Fraction(sig.f2 - sig.f3 - 2, 2)
-        while t <= PROJECTOR_T_CAP:
-            reports += check_projector(reps["t"], t, tolerance)
-            t += Fraction(1, 2)
+        lowest = sig.f2 - sig.f3 - 2
+        reports += check_projector(
+            reps["t"], [Fraction(two_t, 2) for two_t in
+                        range(lowest, int(2 * PROJECTOR_T_CAP) + 1)], tolerance)
     return reports
 

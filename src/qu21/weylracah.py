@@ -1,29 +1,27 @@
 """Transformation brackets between the two reductions and q-Racah coefficients.
 
 The overlap <U|T>_q between a U-basis and a T-basis vector of the same weight
-is computed directly, from its closed-form square-root prefactor and single
-balanced q-factorial sum, indexed by n (_bracket_args).  weyl_via_racah
-evaluates it through the general q-Racah coefficient U_q(a b e d; c f) in
-two forms:
+is, up to a phase, the su_q(2) q-Racah coefficient U_q(a b e d; c f) under
+the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) of the two labels
+(_rep_doubled).  weyl_via_racah evaluates it in two forms:
 
-a. under the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j) built
-   from the two labels, times a dimension factor and phase.  This is the
-   direct bracket re-indexed: its _racah_form arguments equal
-   _bracket_args as multisets, sign included, so it runs the same sum;
-b. U_q(j1 j2 j j3; U T), a Racah symmetry of form a with a different sum.
+a. (-1)^s sqrt([2U+1][2T+1] / ([2 j2+1][2 j+1])) U_q(T j3 j1 U; j2 j), the
+   one bracket (_bracket_args) that every bracket entry point evaluates;
+b. (-1)^k U_q(j1 j2 j j3; U T), a Racah symmetry with a different sum.
 
-The independent checks of the bracket are form b, orthogonality of the
-weight blocks and the intertwining property against both generator tables
-(the verify module), and the q-Clebsch-Gordan oracle of the tests.
+The independent evidence for a bracket is form b, orthogonality of the
+weight blocks and the intertwiner against both generator tables (verify),
+and two oracles of the tests: the q-Clebsch-Gordan recoupling and the
+paper's direct single-sum formula (oracles.direct_bracket_args).  -W is
+orthogonal and intertwines as W does, so only the oracles and the golden
+outputs fix the overall phase.
 
-Both closed forms have one shape: a signed square root of a q-factorial
-ratio times a single alternating q-factorial sum.  One private evaluator,
-_racah_form, computes that shape in either mode; the bracket and the q-Racah
-coefficient only build its argument lists (_bracket_args, _qracah_doubled).
-The dimension factor and phase of form a fold into the q-Racah
-coefficient's own root and sign, so each form is one _racah_form call.
-verify.complete_blocks evaluates the same bracket argument lists and rounds
-the evaluator's unreduced integers straight to its fixed-point scale.
+U_q's closed form is a signed square root of a q-factorial ratio times one
+alternating q-factorial sum; one evaluator, _racah_form, computes it in
+either mode from the lists of one argument map, _qracah_args.  Form a's
+dimension factor and phase fold into U_q's root and sign, so each form is
+one _racah_form call, and verify.complete_blocks rounds the evaluator's
+unreduced integers for the same lists straight to its fixed-point scale.
 
 At a rational q = r/s in lowest terms, z = rs, every q-factorial is an
 integer over a power of z: [m]! = F_m / z^(m(m-1)/2), F_m = G_1 ... G_m
@@ -33,7 +31,7 @@ over its term ratios, so no term is reduced on its own.  Every context has
 these tables (a float or mpf q is read as its exact binary rational).  Exact
 mode returns the radicand as a Fraction, reduced through its square root
 part; float mode rounds the same exact value once to its precision, so
-cancellation in the sum costs it no digit, and the bracket and both forms
+cancellation in the sum costs it no digit, and both forms of a bracket
 give the same bits wherever the algebra holds.
 
 Conventions for U_q(a b e d; c f): triangle conditions on (a,b,c), (a,e,f),
@@ -84,7 +82,7 @@ if TYPE_CHECKING:
     import mpmath
 
 # ----------------------------------------------------------------------------
-# direct transformation bracket
+# transformation brackets
 # ----------------------------------------------------------------------------
 
 
@@ -212,21 +210,28 @@ def _racah_form_exact(ints: QIntegers, sign: int, dims, pref_num, pref_den,
     return (sign if h > 0 else -sign), root_num, root_den, rest
 
 
+def _rep_doubled(sig: Signature, ukey, tkey):
+    """(2T, 2 j3, 2 j1, 2U, 2 j2, 2 j): the doubled arguments (2a, 2b, 2e,
+    2d, 2c, 2f) of the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j)
+    for the keys of two labels of sig at one weight.  They are inside all
+    four triangles."""
+    (k, ell, _), (s, p, _) = ukey, tkey
+    twoT = _two_t(sig, s, p)
+    return (twoT, ell + k,                                     # 2T, 2 j3
+            sig.f1 - sig.f3 - p + s - 2,                       # 2 j1
+            _two_u(sig, k, ell),                               # 2U
+            twoT - 2 * s + ell + k,                            # 2 j2
+            sig.f1 - sig.f2)                                   # 2 j
+
+
 def _bracket_args(sig: Signature, ukey, tkey):
     """The arguments (sign, dims, pref_num, pref_den, tops, bottoms) of
     _racah_form that give <U|T>_q, for the keys of two labels of sig at one
-    weight."""
-    f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
-    (k, ell, twoMU), (s, p, twoM) = ukey, tkey
-    twoU, twoT = _two_u(sig, k, ell), _two_t(sig, s, p)
-    drop = (twoU - twoMU) // 2
-    # the sum's sign (-1)^(k + n) contributes its (-1)^k to the overall sign
-    return (-1 if k % 2 else 1, (twoU + 1, twoT + 1),
-            (k, (twoM - twoT) // 2 - 1, (twoU + twoMU) // 2, (twoT + twoM) // 2,
-             f12 - k, f12 + ell + 1, f23 + s - 2, f23 + p - 2),
-            (s, p, ell, drop, f13 + s - 1, f12 - p, f23 + k - 2, f13 + ell - 1),
-            (drop + k, ell + k, f13 + ell + k - 1),
-            (k, twoU + 1 + k, ell - s + k, f23 + p + ell + k - 1))
+    weight: form a, whose dimension factor cancels the [2 j2+1][2 j+1]
+    under U_q's root for [2U+1][2T+1], and whose phase joins the sign."""
+    a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
+    args = _qracah_args(a, b, e, d, c, f, (d + 1, a + 1))
+    return (-args[0], *args[1:]) if tkey[0] % 2 else args
 
 
 def _bracket(ctx: EvalContext, sig: Signature, ukey, tkey):
@@ -335,12 +340,12 @@ def _qracah(ctx: EvalContext, args: RacahArgs):
     twice = _doubled(args)
     if twice is None:
         return SignedRadical.zero() if ctx.is_exact() else rounded_root(ctx, 0, 0, 1)
-    return _qracah_doubled(ctx, *twice)
+    return _racah_form(ctx, *_qracah_args(*twice))
 
 
-def _qracah_doubled(ctx: EvalContext, a: int, b: int, e: int, d: int,
-                    c: int, f: int, dims=None):
-    """U_q from the doubled arguments 2a..2f, which pass _triangles_ok.
+def _qracah_args(a: int, b: int, e: int, d: int, c: int, f: int, dims=None):
+    """The _racah_form arguments of U_q from the doubled arguments 2a..2f,
+    which pass _triangles_ok.
 
     Here a..f hold the doubled arguments; every halved sum below is an
     integer (an even doubled sum) by the triangle test.  U_q's root holds
@@ -349,8 +354,8 @@ def _qracah_doubled(ctx: EvalContext, a: int, b: int, e: int, d: int,
     sqrt([x][y] / ([c + 1][f + 1])) within the same one evaluation.
     """
     abc, bdf = (a + b + c) // 2, (b + d + f) // 2
-    return _racah_form(
-        ctx, -1 if (a + d - c - f) % 4 else 1, dims or (c + 1, f + 1),
+    return (
+        -1 if (a + d - c - f) % 4 else 1, dims or (c + 1, f + 1),
         (abc + 1, bdf + 1, (a - b + c) // 2, (-a + b + c) // 2,
          (a + e - f) // 2, (b - d + f) // 2, (-b + d + f) // 2,
          (-c + d + e) // 2),
@@ -376,20 +381,6 @@ def qracah(ctx: EvalContext, args: RacahArgs) -> mpmath.mpf:
     return _qracah(ctx, args)
 
 
-def _rep_doubled(sig: Signature, ukey, tkey):
-    """(2T, 2 j3, 2 j1, 2U, 2 j2, 2 j): the doubled arguments (2a, 2b, 2e,
-    2d, 2c, 2f) of the substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j)
-    for the keys of two labels of sig at one weight.  They are inside all
-    four triangles."""
-    (k, ell, _), (s, p, _) = ukey, tkey
-    twoT = _two_t(sig, s, p)
-    return (twoT, ell + k,                                     # 2T, 2 j3
-            sig.f1 - sig.f3 - p + s - 2,                       # 2 j1
-            _two_u(sig, k, ell),                               # 2U
-            twoT - 2 * s + ell + k,                            # 2 j2
-            sig.f1 - sig.f2)                                   # 2 j
-
-
 def racah_args_from_rep(sig: Signature, u: UBasisLabel, t: TBasisLabel) -> RacahArgs:
     """The substitution (a, b, c, d, e, f) = (T, j3, j2, U, j1, j).
 
@@ -411,20 +402,16 @@ def weyl_via_racah(ctx: EvalContext, sig: Signature,
     form 'a':  (-1)^s sqrt([2U+1][2T+1] / ([2 j2+1][2 j+1])) U_q(T j3 j1 U; j2 j)
     form 'b':  (-1)^k U_q(j1 j2 j j3; U T)
 
-    Both forms must agree with each other and with the direct bracket.  The
-    labels are checked once; both forms then take the doubled substitution
-    straight to the q-Racah argument map.  Form a's dimension factor
-    cancels the [2 j2+1][2 j+1] under U_q's root, so it passes [2U+1][2T+1]
-    as that root's pair in their place.  So each form, like the direct
-    bracket, is one exact evaluation: a SignedRadical in exact mode, rounded
-    once in float mode, where the three agree to the last bit.
+    The labels are checked once.  Form a is the bracket weyl_coefficient*
+    and weyl_block evaluate (_bracket_args); form b is an independent sum.
+    Each is one exact evaluation: a SignedRadical in exact mode, rounded
+    once in float mode, where the two agree to the last bit.
     """
     ukey, tkey = _check_match(sig, u, t)
-    a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
     if form == "a":
-        value = _qracah_doubled(ctx, a, b, e, d, c, f, (d + 1, a + 1))
-        return -value if tkey[0] % 2 else value
+        return _bracket(ctx, sig, ukey, tkey)
     if form == "b":
-        value = _qracah_doubled(ctx, e, c, f, b, d, a)
+        a, b, e, d, c, f = _rep_doubled(sig, ukey, tkey)
+        value = _racah_form(ctx, *_qracah_args(e, c, f, b, d, a))
         return -value if ukey[0] % 2 else value
     raise ValueError(f"form must be 'a' or 'b', got {form!r}")

@@ -9,7 +9,11 @@ closed form, so they check its phases too.  At any rational q: the closed
 form sign * sqrt(P) * S
 that weylracah's q-Racah coefficients and brackets share, evaluated as
 products of Fraction q-brackets, each reduced as it is made; weylracah
-evaluates it in integers, with one reduction per value.  Nothing imports
+evaluates it in integers, with one reduction per value.  The paper's direct
+formula for the bracket <U|T>_q, one balanced sum in that shape, is kept
+here as the reference for weylracah's q-Racah substitution; with the
+q-Clebsch-Gordan recoupling it is what fixes the bracket's overall phase,
+which orthogonality and the intertwiner cannot see.  Nothing imports
 from the q-series code paths being tested except the SignedRadical container
 itself.  The Fraction form of the q-Racah triangle test is kept here as the
 reference for the integer test, the Fraction weights of basis labels as the
@@ -248,6 +252,29 @@ def racah_form_fraction(q: Fraction, sign: int, dims, pref_num, pref_den,
                               pref * total * total)
 
 
+def direct_bracket_args(sig, u, t):
+    """The paper's direct formula for <U|T>_q, for a U and a T label of sig
+    at one weight: the arguments (sign, dims, pref_num, pref_den, tops,
+    bottoms) of racah_form_fraction.
+
+    A square-root prefactor times one balanced q-factorial sum indexed by n,
+    read from the labels' own fields; weylracah evaluates the bracket
+    through the q-Racah substitution instead, whose arguments equal these as
+    multisets.
+    """
+    f12, f13, f23 = sig.f1 - sig.f2, sig.f1 - sig.f3, sig.f2 - sig.f3
+    k, ell, twoU, twoMU = u.k, u.ell, int(2 * u.U), int(2 * u.MU)
+    s, p, twoT, twoM = t.s, t.p, int(2 * t.T), int(2 * t.M)
+    drop = (twoU - twoMU) // 2
+    # the sum's sign (-1)^(k + n) contributes its (-1)^k to the overall sign
+    return (-1 if k % 2 else 1, (twoU + 1, twoT + 1),
+            (k, (twoM - twoT) // 2 - 1, (twoU + twoMU) // 2, (twoT + twoM) // 2,
+             f12 - k, f12 + ell + 1, f23 + s - 2, f23 + p - 2),
+            (s, p, ell, drop, f13 + s - 1, f12 - p, f23 + k - 2, f13 + ell - 1),
+            (drop + k, ell + k, f13 + ell + k - 1),
+            (k, twoU + 1 + k, ell - s + k, f23 + p + ell + k - 1))
+
+
 def u_weight_fraction(sig, lab):
     """The weight (m1, m2, m3) of a U-basis label from its Fraction fields:
     m1 = f1 + ell - (U - MU), m2 = f2 + k + (U - MU), m3 = f3 - k - ell."""
@@ -291,6 +318,11 @@ def racah_triangles_fraction(a, b, e, d, c, f) -> bool:
             and triangle_fraction(c, d, e) and triangle_fraction(b, d, f))
 
 
+def _label_index(rep):
+    """label -> index of rep's labels."""
+    return {lab: i for i, lab in enumerate(rep.labels)}
+
+
 def intertwiner_conjugated(blocks, reps):
     """Largest |W(w + shift)^T M_U(g) W(w) - M_T(g)| over complete block pairs.
 
@@ -304,7 +336,7 @@ def intertwiner_conjugated(blocks, reps):
     weight, T row label, T col label)) of the first largest entry, or
     (0, None) when every residual is 0.
     """
-    iu, it = reps["u"].index, reps["t"].index
+    iu, it = _label_index(reps["u"]), _label_index(reps["t"])
     block_bits = next(iter(blocks.values())).bits
     worst, where = 0, None
     for i in "123":
@@ -370,7 +402,7 @@ def intertwiner_scan(blocks, reps):
     col) pair of each block pair is looked up in the sparse rep matrices;
     each residual entry is an exact int sum.
     """
-    iu, it = reps["u"].index, reps["t"].index
+    iu, it = _label_index(reps["u"]), _label_index(reps["t"])
     where = {w: ([iu[l] for l in blk.u_labels], [it[l] for l in blk.t_labels])
              for w, blk in blocks.items()}
 

@@ -372,8 +372,8 @@ class TestWeyl:
         ("--sig", "8,2,-2", "--q", "3", "--weight", "16,14,-22"),
     ], ids=["desk", "q3-large"])
     def test_via_racah_differences_are_zero(self, capsys, argv):
-        # the direct bracket and both q-Racah forms are each one exact value
-        # rounded once, so they agree to the last bit
+        # the bracket (form a) and form b are each one exact value rounded
+        # once, so they agree to the last bit
         code, out, _ = run(capsys, "weyl", *argv, "--via-racah",
                            "--format", "csv")
         assert code == 0

@@ -101,19 +101,20 @@ class TestTruncatedRep:
         # one-step closure really holds: every image of an interior column
         # is an in-window index
         from qu21.generators import basis_action
+        inside = set(rep.labels)
         for j in range(len(rep.labels)):
             if not rep.interior1[j]:
                 continue
             lab = rep.labels[j]
             for g in GENERATORS:
                 for tgt, _ in basis_action(rep.ctx, SIG, "u", g, lab):
-                    assert tgt in rep.index
+                    assert tgt in inside
 
     def test_lowest_column_annihilated(self):
         repu = TruncatedRep(float_ctx(), SIG, "u", Truncation(2, 2, 2))
         rept = TruncatedRep(float_ctx(), SIG, "t", Truncation(2, 2, 2))
-        ju = repu.index[lowest_u_label(SIG)]
-        jt = rept.index[lowest_t_label(SIG)]
+        ju = repu.labels.index(lowest_u_label(SIG))
+        jt = rept.labels.index(lowest_t_label(SIG))
         for g in ("A31", "A32", "A12"):
             assert not any(j == ju for (_, j) in repu.matrices[g])
         for g in ("A31", "A32", "A12"):
@@ -131,14 +132,15 @@ class TestTruncatedRep:
         rep = TruncatedRep(ctx, sig, basis, Truncation(3, 3, 3),
                            flip_entry=flip)
         ectx = EvalContext.exact(Q)
+        index = {lab: i for i, lab in enumerate(rep.labels)}
         for g in GENERATORS:
             want = {}
             for j, lab in enumerate(rep.labels):
                 terms = basis_action(ectx, sig, basis, g, lab, flip_entry=flip)
                 for tgt, coeff in sorted(terms,
                                          key=lambda t: t.target.sort_key()):
-                    if tgt in rep.index:
-                        want[(rep.index[tgt], j)] = coeff
+                    if tgt in index:
+                        want[(index[tgt], j)] = coeff
             got = rep.matrices[g]
             assert list(got) == list(want)
             if ctx.is_exact():
@@ -350,7 +352,7 @@ class TestIndividualChecks:
 
     def test_projector_reports(self):
         rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(4, 4, 4))
-        reports = check_projector(rep, Fraction(2))
+        reports = check_projector(rep, [Fraction(2)])
         assert all(r.passed for r in reports)
         names = {r.name for r in reports}
         assert any(n.startswith("projector-") for n in names)
@@ -370,7 +372,7 @@ class TestIndividualChecks:
 
     def test_spectral_projector_counts_columns_with_an_up_step(self):
         rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(3, 3, 3))
-        reports = {r.name: r for r in check_projector(rep, Fraction(4))}
+        reports = {r.name: r for r in check_projector(rep, [Fraction(4)])}
         # the column s=0 p=0 T=1 M=5 sits at depth 3, the top of the window
         assert reports["projector-diagonal-T4"].columns_checked == 6
         assert reports["projector-spectral-T4"].columns_checked == 5
@@ -380,11 +382,11 @@ class TestIndividualChecks:
     def test_projector_needs_float_t_rep(self, ctx, basis):
         rep = TruncatedRep(ctx, SIG, basis, Truncation(2, 2, 2))
         with pytest.raises(ValueError):
-            check_projector(rep, Fraction(2))
+            check_projector(rep, [Fraction(2)])
 
     def test_projector_no_coverage(self):
         rep = TruncatedRep(float_ctx(), SIG, "t", Truncation(2, 2, 2))
-        reports = check_projector(rep, Fraction(40))
+        reports = check_projector(rep, [Fraction(40)])
         assert len(reports) == 1
         assert reports[0].passed
         assert "no coverage" in reports[0].note
@@ -430,14 +432,15 @@ class TestRunningMaxima:
             seen.append(report.name)
             return report
 
-        def projector(rep, t_value, *args):
-            reports = original["check_projector"](rep, t_value, *args)
-            for kind, want in projector_scans(rep, t_value).items():
-                [report] = [r for r in reports
-                            if r.name == f"projector-{kind}-T{t_value}"]
-                assert (report.max_residual, report.location) == want, \
-                    report.name
-                seen.append(report.name)
+        def projector(rep, t_values, *args):
+            reports = original["check_projector"](rep, t_values, *args)
+            for t_value in t_values:
+                for kind, want in projector_scans(rep, t_value).items():
+                    [report] = [r for r in reports
+                                if r.name == f"projector-{kind}-T{t_value}"]
+                    assert (report.max_residual, report.location) == want, \
+                        report.name
+                    seen.append(report.name)
             return reports
 
         monkeypatch.setattr(verify_mod, "_matrix_report", matrix_report)

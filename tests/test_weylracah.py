@@ -5,26 +5,30 @@ import itertools
 import random
 import re
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qu21 import qarith, weylracah
+from qu21 import qarith, verify as verify_mod, weylracah
 from qu21.errors import EmptyWeightSpace, WeightMismatch
 from qu21.qarith import EvalContext, SignedRadical
-from qu21.repspace import (Signature, Weight, enumerate_u_basis,
-                           lowest_t_label, lowest_u_label, t_labels_at_weight,
-                           u_labels_at_weight, weight_of_t, weight_of_u)
-from qu21.verify import Truncation, complete_blocks
+from qu21.repspace import (Signature, Weight, _t_key, _u_key,
+                           enumerate_u_basis, lowest_t_label, lowest_u_label,
+                           t_labels_at_weight, u_labels_at_weight, weight_of_t,
+                           weight_of_u)
+from qu21.verify import Truncation, complete_blocks, run_all_checks
 from qu21.weylracah import (RacahArgs, qracah, qracah_exact,
                             racah_args_from_rep, racah_triangles_ok,
                             weyl_block, weyl_coefficient,
                             weyl_coefficient_exact, weyl_via_racah)
 
-from oracles import (half_integers, racah_form_fraction,
+from oracles import (direct_bracket_args, half_integers, racah_form_fraction,
                      racah_triangles_fraction, recoupling_exact,
                      recoupling_qmpf, triangle_fraction)
 
@@ -241,12 +245,12 @@ class TestQClebschGordanOracle:
         ("(a + d - c - f) % 4", "(a + d - c - f) % 2"),
     ], ids=["negated", "phase-dropped"])
     def test_a_sign_fault_in_qracah_fails_it(self, monkeypatch, fault):
-        source = textwrap.dedent(inspect.getsource(weylracah._qracah_doubled))
+        source = textwrap.dedent(inspect.getsource(weylracah._qracah_args))
         assert source.count(fault[0]) == 1
         namespace = dict(vars(weylracah))
         exec(source.replace(*fault), namespace)
-        monkeypatch.setattr(weylracah, "_qracah_doubled",
-                            namespace["_qracah_doubled"])
+        monkeypatch.setattr(weylracah, "_qracah_args",
+                            namespace["_qracah_args"])
         assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
 
     @pytest.mark.parametrize("first, second", [
@@ -258,14 +262,14 @@ class TestQClebschGordanOracle:
                                                       first, second):
         # two prefactor arguments swapped between the root's numerator and
         # its denominator
-        source = textwrap.dedent(inspect.getsource(weylracah._qracah_doubled))
+        source = textwrap.dedent(inspect.getsource(weylracah._qracah_args))
         assert source.count(first) == source.count(second) == 1
         mutated = (source.replace(first, "@").replace(second, first)
                    .replace("@", second))
         namespace = dict(vars(weylracah))
         exec(mutated, namespace)
-        monkeypatch.setattr(weylracah, "_qracah_doubled",
-                            namespace["_qracah_doubled"])
+        monkeypatch.setattr(weylracah, "_qracah_args",
+                            namespace["_qracah_args"])
         assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
 
     def test_a_sum_cut_by_one_term_fails_it(self, monkeypatch):
@@ -279,6 +283,92 @@ class TestQClebschGordanOracle:
         monkeypatch.setattr(weylracah, "_racah_form_exact",
                             namespace["_racah_form_exact"])
         assert _qoracle_worst(Fraction(13, 10))[0] > 0.1
+
+
+DIRECT_SIGS = (Signature(4, 2, -2), Signature(3, 1, -1), Signature(5, 5, -3),
+               Signature(6, 0, -5))
+DIRECT_QS = (Fraction(13, 10), Fraction(3), Fraction(1, 2), Fraction(1))
+
+
+def _direct_mismatches(sig, q):
+    """(brackets compared, the (u, t) whose exact weyl_coefficient_exact is
+    not the paper's direct formula) over the weights of ell <= 3."""
+    ctx = EvalContext.exact(q)
+    pairs = [(u, t) for w in small_weights(sig, 3)
+             for u in u_labels_at_weight(sig, w)
+             for t in t_labels_at_weight(sig, w)]
+    return len(pairs), [
+        (u, t) for u, t in pairs
+        if weyl_coefficient_exact(ctx, sig, u, t)
+        != racah_form_fraction(q, *direct_bracket_args(sig, u, t))]
+
+
+def _net(args):
+    """A _racah_form argument list as multisets: the sign, the dims, the
+    prefactor's numerator and denominator net of common (and of 0! = 1! = 1)
+    factors, the tops and the bottoms."""
+    sign, dims, num, den, tops, bottoms = args
+    num, den = Counter(num), Counter(den)
+    net_num, net_den = num - den, den - num
+    for net in (net_num, net_den):
+        del net[0], net[1]
+    return sign, Counter(dims), net_num, net_den, Counter(tops), Counter(bottoms)
+
+
+@st.composite
+def label_pairs(draw):
+    """A small signature and a U and a T label of it at one weight."""
+    f1 = draw(st.integers(-1, 5))
+    f2 = draw(st.integers(-3, f1))
+    f3 = draw(st.integers(f2 - 6, min(f1 - 1, f2 - 2)))
+    sig = Signature(f1, f2, f3)
+    u = draw(st.sampled_from(enumerate_u_basis(sig, 3)))
+    t = draw(st.sampled_from(t_labels_at_weight(sig, weight_of_u(sig, u))))
+    return sig, u, t
+
+
+class TestDirectFormulaOracle:
+    """The one bracket map, form a of the q-Racah substitution, against the
+    paper's direct formula (oracles.direct_bracket_args).  Orthogonality
+    and the intertwiner hold for -W too, so this oracle is what pins the
+    bracket's overall sign."""
+
+    @pytest.mark.parametrize("q", DIRECT_QS, ids=str)
+    @pytest.mark.parametrize("sig", DIRECT_SIGS, ids=str)
+    def test_exact_brackets_are_the_direct_formula(self, sig, q):
+        count, wrong = _direct_mismatches(sig, q)
+        assert count >= 10
+        assert wrong == []
+
+    @given(label_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_direct_arguments_are_form_a_as_multisets(self, pair):
+        # _bracket_args is form a of the q-Racah argument map
+        sig, u, t = pair
+        form_a = weylracah._bracket_args(sig, _u_key(u), _t_key(t))
+        assert _net(direct_bracket_args(sig, u, t)) == _net(form_a)
+
+    def test_a_negated_bracket_map_passes_verify_but_fails_the_oracle(
+            self, monkeypatch):
+        # every bracket negated: -W is still orthogonal and still
+        # intertwines, and only the direct formula sees the fault
+        source = textwrap.dedent(inspect.getsource(weylracah._bracket_args))
+        phase = "(-args[0], *args[1:]) if tkey[0] % 2 else args"
+        assert source.count(phase) == 1
+        namespace = dict(vars(weylracah))
+        exec(source.replace(phase,
+                            "args if tkey[0] % 2 else (-args[0], *args[1:])"),
+             namespace)
+        for mod in (weylracah, verify_mod):
+            monkeypatch.setattr(mod, "_bracket_args",
+                                namespace["_bracket_args"])
+        sig = Signature(4, 2, -2)
+        reports = run_all_checks(sig, Fraction(13, 10),
+                                 truncation=Truncation(3, 3, 3),
+                                 checks=("orthogonality", "intertwiner"))
+        assert [r.passed for r in reports] == [True, True]
+        count, wrong = _direct_mismatches(sig, Fraction(13, 10))
+        assert len(wrong) == count
 
 
 class TestDictionary:
@@ -306,11 +396,14 @@ class TestDictionary:
     @pytest.mark.parametrize("sig", SIGS)
     @pytest.mark.parametrize("form", ["a", "b"])
     def test_racah_forms_match_direct(self, sig, form):
-        ctx = EvalContext.floating(Fraction(13, 10), 50)
+        # each form against the paper's direct formula of the oracles
+        q = Fraction(13, 10)
+        ctx = EvalContext.floating(q, 50)
         for w in small_weights(sig):
             for u in u_labels_at_weight(sig, w):
                 for t in t_labels_at_weight(sig, w):
-                    direct = weyl_coefficient(ctx, sig, u, t)
+                    direct = racah_form_fraction(
+                        q, *direct_bracket_args(sig, u, t)).to_float(ctx)
                     via = weyl_via_racah(ctx, sig, u, t, form)
                     assert abs(direct - via) < 1e-40, (u, t)
 
@@ -543,6 +636,7 @@ def _racah_exact(args, ctx):
 
 
 def _weyl_float(sig, u, t, ctx):
+    # direct= is weyl_coefficient, the bracket as the library evaluates it
     values = (weyl_coefficient(ctx, sig, u, t),
               weyl_via_racah(ctx, sig, u, t, form="a"),
               weyl_via_racah(ctx, sig, u, t, form="b"))
@@ -590,10 +684,12 @@ def racah_bit_lines(order=None):
 
 
 def _assert_one_value(ctx, sig, u, t):
-    """The direct bracket and both q-Racah forms have the same mpf bits."""
-    direct = weyl_coefficient(ctx, sig, u, t)._mpf_
+    """The bracket weyl_coefficient and both q-Racah forms have the same
+    mpf bits."""
+    bracket = weyl_coefficient(ctx, sig, u, t)._mpf_
     for form in ("a", "b"):
-        assert weyl_via_racah(ctx, sig, u, t, form)._mpf_ == direct, (u, t, form)
+        assert weyl_via_racah(ctx, sig, u, t, form)._mpf_ == bracket, \
+            (u, t, form)
 
 
 class TestBitIdentity:
